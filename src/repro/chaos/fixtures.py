@@ -22,44 +22,75 @@ stock zoo never see them unless a test or replay asks.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Type
+from typing import Any, Dict, Tuple, Type
 
-from repro.core.base import Scheduler
-from repro.core.flow import FlowState
+from repro.core.base import Scheduler, TieBreak, TieBreakRule
 from repro.core.packet import Packet
+from repro.core.pifo import PifoScheduler, RankFlow, SfqRank
 from repro.core.registry import (
     SchedulerSpec,
     available_schedulers,
     register_scheduler,
     scheduler_spec,
 )
-from repro.core.sfq import SFQ
 
-__all__ = ["BrokenSFQ", "FIXTURES", "ensure_fixture_registered", "is_fixture"]
+__all__ = [
+    "BrokenSFQ",
+    "BrokenSfqRank",
+    "FIXTURES",
+    "ensure_fixture_registered",
+    "is_fixture",
+]
 
 
-class BrokenSFQ(SFQ):
-    """SFQ with the start-tag ``max`` dropped (a seeded mutation).
+class BrokenSfqRank(SfqRank):
+    """SFQ's rank with the start-tag ``max`` dropped (a seeded mutation).
 
-    Correct SFQ stamps ``S = max(v(t), F(p^{j-1}))``; this fixture
-    stamps ``S = F(p^{j-1})`` only. A continuously backlogged flow
-    never notices, but the first packet after any idle period (a late
-    start, a churn re-join) is tagged in the past — violating the
-    virtual-time monotonicity invariant the moment it is served.
+    Correct SFQ stamps ``S = max(v(t), F(p^{j-1}))``; this rank stamps
+    ``S = F(p^{j-1})`` only. A continuously backlogged flow never
+    notices, but the first packet after any idle period (a late start,
+    a churn re-join) is tagged in the past — violating the virtual-time
+    monotonicity invariant the moment it is served.
     """
+
+    __slots__ = ()
+
+    name = "BrokenSFQ"
+
+    def rank(
+        self, flow: RankFlow, packet: Packet, now: float
+    ) -> Tuple[float, Tuple[Any, ...]]:
+        start = flow.last_finish  # BUG (deliberate): max(self.v, ...) dropped
+        rate = packet.rate
+        finish = start + packet.length / (flow.weight if rate is None else rate)
+        packet.start_tag = start
+        packet.finish_tag = finish
+        flow.last_finish = finish
+        return start, ()
+
+
+class BrokenSFQ(PifoScheduler):
+    """The PIFO engine on :class:`BrokenSfqRank`, with SFQ's constructor
+    surface so the registry builds it like ``make_scheduler("SFQ")``."""
 
     __slots__ = ()
 
     algorithm = "BrokenSFQ"
 
-    def _tag_packet(self, state: FlowState, packet: Packet, now: float) -> float:
-        start = state.last_finish  # BUG (deliberate): max(self.v, ...) dropped
-        rate = packet.rate
-        finish = start + packet.length / (state._weight if rate is None else rate)
-        packet.start_tag = start
-        packet.finish_tag = finish
-        state.last_finish = finish
-        return start
+    def __init__(
+        self,
+        tie_break: TieBreakRule = TieBreak.fifo,
+        auto_register: bool = True,
+        default_weight: float = 1.0,
+        debug_checks: bool = False,
+    ) -> None:
+        super().__init__(
+            BrokenSfqRank(),
+            tie_break=tie_break,
+            auto_register=auto_register,
+            default_weight=default_weight,
+            debug_checks=debug_checks,
+        )
 
 
 #: fixture name -> (scheduler class, name of the registered discipline

@@ -33,7 +33,6 @@ from repro.core.fair_airport import FairAirport
 from repro.core.fifo import FIFO
 from repro.core.flow import EATTracker, FlowState
 from repro.core.gps import GPSVirtualClock
-from repro.core.headheap import HeadHeapScheduler
 from repro.core.hierarchical import HierarchicalScheduler, SchedClass
 from repro.core.jitter_edd import JitterEDD
 from repro.core.packet import Packet, bits, kbps, mbps
@@ -79,7 +78,6 @@ __all__ = [
     "FlowState",
     "EATTracker",
     "GPSVirtualClock",
-    "HeadHeapScheduler",
     "SFQ",
     "SCFQ",
     "WFQ",

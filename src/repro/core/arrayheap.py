@@ -1,6 +1,6 @@
 """Array-backed tag schedulers: the flow-head heap over a FlowSlab.
 
-This is the performance twin of :mod:`repro.core.headheap`. The object
+This is the performance twin of :class:`repro.core.pifo.PifoScheduler`. The object
 backend keeps one :class:`~repro.core.flow.FlowState` per flow and heap
 entries that point at those objects; here per-flow state lives in the
 parallel arrays of :class:`~repro.core.slab.FlowSlab` and heap entries
@@ -42,8 +42,7 @@ from collections import deque
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import Any, Hashable, Iterable, List, Optional, Tuple
 
-from repro.core.base import Scheduler, SchedulerError, TieBreak
-from repro.core.headheap import TieBreakRule
+from repro.core.base import Scheduler, SchedulerError, TieBreak, TieBreakRule
 from repro.core.packet import Packet
 from repro.core.pifo import (
     DelayEddRank,

@@ -27,7 +27,7 @@ Protocol
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.flow import FlowState
 from repro.core.packet import Packet
@@ -245,3 +245,7 @@ class TieBreak:
     @staticmethod
     def shortest_packet_first(state: FlowState, packet: Packet) -> Tuple[int]:
         return (packet.length,)
+
+
+#: A tie-break rule: ``(state, packet) -> sortable tuple`` (see :class:`TieBreak`).
+TieBreakRule = Callable[[FlowState, Packet], Tuple[Any, ...]]

@@ -17,7 +17,7 @@ Two hot-path caches live here as well:
   the trace-equivalence suite requires schedules byte-identical to the
   seed core's;
 * ``heap_entry`` / ``tie_keys`` — scratch used by
-  :class:`repro.core.headheap.HeadHeapScheduler` to track this flow's
+  :class:`repro.core.pifo.PifoScheduler` to track this flow's
   entry in the flow-head heap.
 
 The expected-arrival-time (EAT) tracker of eq. 37 also lives here since
@@ -101,7 +101,7 @@ class FlowState:
         self.packets_served = 0
         self.eat = EATTracker()
         self.user: Optional[object] = None  # scheduler-specific scratch
-        #: Live flow-head heap entry (HeadHeapScheduler scratch), or None.
+        #: Live flow-head heap entry (PifoScheduler scratch), or None.
         self.heap_entry: Optional[List[Any]] = None
         #: Parallel deque of tie-break keys (non-FIFO tie rules only).
         self.tie_keys: Optional[Deque[Tuple[Any, ...]]] = None

@@ -16,12 +16,26 @@ Implementation model
 --------------------
 Each interior node schedules its children's *offered packets*: a child
 that has backlog keeps exactly one packet "offered" to its parent,
-tagged by the parent's scheduler with the child's weight. On dequeue the
-parent consumes the offer and the child immediately re-offers its next
-packet (pulled recursively through its own scheduler). Leaves run a
-scheduler over the actual flows attached to them. This is the standard
-one-packet-lookahead realization of "recursively schedule the virtual
-servers" and keeps every per-node discipline exactly the paper's SFQ.
+represented in the parent's scheduler by an offer wrapper (a packet of
+the same length whose flow is the child's name, so the parent tags it
+with the child's weight). :meth:`SchedClass.pull` is the one recursive
+step: a class dequeues its next packet — an interior class by
+dequeuing a wrapper and taking that child's offer, which makes the
+child pull and re-offer at once — and, below the root, offers the
+packet to its parent. Leaves run a scheduler over the actual flows
+attached to them. This is the standard one-packet-lookahead realization
+of "recursively schedule the virtual servers" and keeps every per-node
+discipline exactly the paper's SFQ.
+
+Every per-node scheduler must also hear when the packet behind a
+dequeued wrapper finishes service (busy-period rule 2). Each class
+keeps a FIFO of the wrappers it dequeued whose packets have not
+completed: a class's offers move up one at a time and the link serves
+the root's choices in order, so a class's offers complete in the order
+it dequeued them. On completion the hierarchy walks from the packet's
+leaf — remembered at dequeue time, so a flow detached while its packet
+is in service still releases its ancestors' wrappers — to the root,
+completing the front wrapper of each ancestor's FIFO.
 
 Mixing disciplines is supported — e.g. a Delay EDD leaf under an SFQ
 root implements Section 3's "separation of delay and throughput
@@ -30,7 +44,8 @@ allocation".
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, Hashable, List, Optional
 
 from repro.core.base import Scheduler, SchedulerError
 from repro.core.flow import FlowState
@@ -61,7 +76,7 @@ class SchedClass:
         "parent",
         "children",
         "offered",
-        "offer_wrapper",
+        "dequeued",
         "bits_served",
         "packets_served",
     )
@@ -84,8 +99,9 @@ class SchedClass:
         self.children: Dict[str, "SchedClass"] = {}
         #: The packet this class has offered to its parent (at most one).
         self.offered: Optional[Packet] = None
-        #: Wrapper packet representing the offer in the parent's scheduler.
-        self.offer_wrapper: Optional[Packet] = None
+        #: Offer wrappers this class's scheduler dequeued whose packets
+        #: have not completed service, oldest first.
+        self.dequeued: Deque[Packet] = deque()
         self.bits_served = 0
         self.packets_served = 0
 
@@ -105,39 +121,28 @@ class SchedClass:
             for child in self.children.values()
         )
 
-    def pull(self, now: float) -> Optional[Packet]:
-        """Produce this class's next packet per its own discipline."""
-        if self.is_leaf:
-            return self.scheduler.dequeue(now)
-        wrapper = self.scheduler.dequeue(now)
-        if wrapper is None:
-            return None
-        child = self.children[wrapper.flow]
-        packet = child.offered
-        assert packet is not None, "a scheduled child must hold an offer"
-        child.offered = None
-        child.offer_wrapper = None
-        # Hot path: reach the meta dict directly (the ``meta`` property
-        # plus setdefault costs two extra calls per hop per packet).
-        meta = packet._meta_dict
-        if meta is None:
-            meta = packet._meta_dict = {}
-        path = meta.get("hier_path")
-        if path is None:
-            path = meta["hier_path"] = []
-        path.append((self, wrapper))
-        self._refill(child, now)
+    def pull(self, now: float) -> Optional[Packet]:  # lint: hot
+        """Dequeue this class's next packet per its own discipline and,
+        below the root, offer it to the parent; ``None`` when empty."""
+        if self.children:
+            wrapper = self.scheduler.dequeue(now)
+            if wrapper is None:
+                return None
+            self.dequeued.append(wrapper)
+            child = self.children[wrapper.flow]
+            packet = child.offered
+            assert packet is not None, "a scheduled child must hold an offer"
+            child.offered = None
+            child.pull(now)  # the child re-offers its next packet, if any
+        else:
+            packet = self.scheduler.dequeue(now)
+            if packet is None:
+                return None
+        parent = self.parent
+        if parent is not None:
+            self.offered = packet
+            parent.scheduler.enqueue(Packet(self.name, packet.length, now), now)
         return packet
-
-    def _refill(self, child: "SchedClass", now: float) -> None:
-        """Re-offer the child's next packet, if it has one."""
-        nxt = child.pull(now)
-        if nxt is None:
-            return
-        child.offered = nxt
-        wrapper = Packet(flow=child.name, length=nxt.length, arrival=now)
-        child.offer_wrapper = wrapper
-        self.scheduler.enqueue(wrapper, now)
 
     def path(self) -> str:
         parts: List[str] = []
@@ -166,7 +171,13 @@ class HierarchicalScheduler(Scheduler):
         hs.attach_flow("f2", "D", weight=1.0)
     """
 
-    __slots__ = ("_node_factory", "root", "_classes", "_flow_to_leaf")
+    __slots__ = (
+        "_node_factory",
+        "root",
+        "_classes",
+        "_flow_to_leaf",
+        "_in_service_leaves",
+    )
 
     algorithm = "Hierarchical"
 
@@ -180,6 +191,9 @@ class HierarchicalScheduler(Scheduler):
         self.root = SchedClass("root", 1.0, scheduler=root_scheduler or default_node_scheduler())
         self._classes: Dict[str, SchedClass] = {"root": self.root}
         self._flow_to_leaf: Dict[Hashable, SchedClass] = {}
+        #: Leaves of dequeued packets awaiting on_service_complete, in
+        #: dequeue (= completion) order.
+        self._in_service_leaves: Deque[SchedClass] = deque()
 
     # ------------------------------------------------------------------
     # Tree construction
@@ -280,18 +294,12 @@ class HierarchicalScheduler(Scheduler):
         self._backlog_packets += 1
         self._backlog_bits += packet.length
         leaf.scheduler.enqueue(packet, now)
-        self._offer_upward(leaf, now)
-
-    def _offer_upward(self, node: SchedClass, now: float) -> None:
-        """Ensure every ancestor holds an offer after a new arrival."""
-        while node.parent is not None:
-            if node.offered is not None:
-                break  # parent already sees this subtree; ordering is set
-            parent = node.parent
-            parent._refill(node, now)
-            if node.offered is None:
+        # Ensure every ancestor holds an offer after the arrival.
+        node = leaf
+        while node.offered is None and node.parent is not None:
+            if node.pull(now) is None:
                 break
-            node = parent
+            node = node.parent
 
     def dequeue(self, now: float) -> Optional[Packet]:
         packet = self.root.pull(now)
@@ -300,8 +308,9 @@ class HierarchicalScheduler(Scheduler):
         self._backlog_packets -= 1
         self._backlog_bits -= packet.length
         self.in_service = packet
-        # Account the service at every class on the packet's path.
         leaf = self._flow_to_leaf[packet.flow]
+        self._in_service_leaves.append(leaf)
+        # Account the service at every class on the packet's path.
         node: Optional[SchedClass] = leaf
         while node is not None:
             node.bits_served += packet.length
@@ -312,12 +321,12 @@ class HierarchicalScheduler(Scheduler):
     def on_service_complete(self, packet: Packet, now: float) -> None:
         if self.in_service is packet:
             self.in_service = None
-        meta = packet._meta_dict if packet._meta_dict is not None else {}
-        for node, wrapper in meta.pop("hier_path", []):
-            node.scheduler.on_service_complete(wrapper, now)
-        leaf = self._flow_to_leaf.get(packet.flow)
-        if leaf is not None:
-            leaf.scheduler.on_service_complete(packet, now)
+        leaf = self._in_service_leaves.popleft()
+        node = leaf.parent
+        while node is not None:
+            node.scheduler.on_service_complete(node.dequeued.popleft(), now)
+            node = node.parent
+        leaf.scheduler.on_service_complete(packet, now)
 
     def peek(self, now: float) -> Optional[Packet]:
         wrapper = self.root.scheduler.peek(now)
@@ -341,12 +350,17 @@ class HierarchicalScheduler(Scheduler):
     # Introspection
     # ------------------------------------------------------------------
     def flow_backlog(self, flow_id: Hashable) -> int:
-        leaf = self._flow_to_leaf.get(flow_id)
-        if leaf is None:
+        """Packets of ``flow_id`` not yet dequeued: queued at its leaf or
+        held as an offer by any class from the leaf up (O(depth))."""
+        node = self._flow_to_leaf.get(flow_id)
+        if node is None:
             return 0
-        backlog = leaf.scheduler.flow_backlog(flow_id)
-        if leaf.offered is not None and leaf.offered.flow == flow_id:
-            backlog += 1
+        backlog = node.scheduler.flow_backlog(flow_id)
+        while node is not None:
+            offered = node.offered
+            if offered is not None and offered.flow == flow_id:
+                backlog += 1
+            node = node.parent
         return backlog
 
     def class_bits_served(self) -> Dict[str, int]:

@@ -12,10 +12,10 @@ makes that abstraction the single implementation:
   optional on-dequeue virtual-time advance, busy-period reset, discard
   re-chaining, and an eligibility clock (WF²Q). A rank function is the
   *whole* discipline — typically under ten lines;
-* :class:`PifoScheduler` — the object-backend engine: the flow-head heap
-  of :class:`~repro.core.headheap.HeadHeapScheduler` driven by a rank
-  function (the slab/array twin, ``ArrayPifoScheduler``, lives in
-  :mod:`repro.core.arrayheap` next to the heap it reuses);
+* :class:`PifoScheduler` — the object-backend engine: a heap of flow
+  heads over per-flow FIFOs, driven by a rank function, one Python
+  frame per scheduler event (the slab/array twin,
+  ``ArrayPifoScheduler``, lives in :mod:`repro.core.arrayheap`);
 * the seven tag disciplines — SFQ, SCFQ, WFQ, FQS, WF²Q, Virtual Clock,
   Delay EDD — re-expressed as rank functions (:class:`SfqRank` ...),
   with the historical classes kept as thin deprecation shims. Tag math
@@ -47,6 +47,7 @@ import heapq
 import warnings
 from collections import deque
 from contextlib import contextmanager
+from heapq import heappop, heappush
 from typing import (
     Any,
     Deque,
@@ -59,12 +60,16 @@ from typing import (
     Tuple,
 )
 
-from repro.core.base import Scheduler, SchedulerError, TieBreak
+from repro.core.base import Scheduler, SchedulerError, TieBreak, TieBreakRule
 from repro.core.flow import FlowState
 from repro.core.gps import GPSVirtualClock
-from repro.core.headheap import HeadHeapScheduler, HeapEntry, TieBreakRule
 from repro.core.packet import Packet
 from repro.core.tagmath import start_finish
+
+#: A 5-slot mutable flow-head heap entry ``[key, tie_key, uid, packet,
+#: state]`` (``entry[3] is None`` marks lazy invalidation). A list so
+#: invalidation can happen in place.
+HeapEntry = List[Any]
 
 __all__ = [
     "RankFlow",
@@ -539,18 +544,75 @@ class LstfRank(RankFn):
 # The object-backend PIFO engine
 # ----------------------------------------------------------------------
 
+#: Template-method hooks the single-frame engine never calls: a
+#: subclass defining one would be silently ignored, so
+#: ``PifoScheduler.__init_subclass__`` rejects it.
+_REMOVED_HOOKS = (
+    "_tag_packet",
+    "_head_key",
+    "_on_dequeued",
+    "_do_enqueue",
+    "_do_dequeue",
+    "_do_service_complete",
+)
 
-class PifoScheduler(HeadHeapScheduler):
+
+class PifoScheduler(Scheduler):
     """Flow-head-heap PIFO engine driven by a :class:`RankFn`.
 
-    This is the one object-backend hot path every tag discipline now
-    runs on; the discipline itself is the ``rank_fn`` argument. The
-    slab/array twin is ``repro.core.arrayheap.ArrayPifoScheduler``.
+    This is the one object-backend hot path every tag discipline runs
+    on; the discipline itself is the ``rank_fn`` argument. The public
+    ``enqueue``/``dequeue``/``on_service_complete`` each do their FIFO,
+    head-heap, backlog and served-count bookkeeping in one frame and
+    call the rank once per event: :meth:`RankFn.rank` on arrival,
+    :meth:`RankFn.head_key` + :meth:`RankFn.on_dequeue` on service,
+    :meth:`RankFn.on_idle` at the end of a busy period. Customize a
+    discipline through a :class:`RankFn` subclass, never by overriding
+    engine internals. The slab/array twin is
+    ``repro.core.arrayheap.ArrayPifoScheduler``.
+
+    Within one flow, ranks are monotone (every discipline chains its tag
+    off the previous packet's, eq. 4 or eq. 37), so a flow's minimum is
+    its FIFO head and the heap only ever holds flow heads:
+
+    * per-flow FIFOs (``FlowState.queue``) hold the backlog;
+    * the heap holds at most one entry per backlogged flow, the 5-slot
+      list ``[key, tie_key, uid, packet, state]``, ordered by
+      ``(key, tie_key, uid)`` — the seed core's global packet-heap key,
+      so the service order is identical while enqueue/dequeue cost
+      O(log F) in *backlogged flows*;
+    * ``discard_tail`` is O(1): the victim is the FIFO tail, which is in
+      the heap only when it is the flow's sole packet; that entry is
+      invalidated in place (``entry[3] = None``) and reaped lazily by
+      the next dequeue/peek.
+
+    With ``debug_checks=True`` every dequeue re-verifies that the served
+    entry is its flow's FIFO head and raises
+    :class:`~repro.core.base.SchedulerError` on corruption.
     """
 
-    __slots__ = ("_rank", "_eligibility", "_rank_ties", "_pending_tie")
+    __slots__ = (
+        "_rank",
+        "_eligibility",
+        "_rank_ties",
+        "_tie_break",
+        "_fifo_ties",
+        "_head_heap",
+        "debug_checks",
+    )
 
     algorithm = "PIFO"
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        stale = [hook for hook in _REMOVED_HOOKS if hook in cls.__dict__]
+        if stale:
+            raise TypeError(
+                f"{cls.__name__} defines {', '.join(stale)}, which the "
+                "PIFO engine no longer calls; express the discipline as a "
+                "repro.core.pifo.RankFn subclass and pass it to "
+                "PifoScheduler (or make_scheduler(name, rank_fn=...))"
+            )
 
     def __init__(
         self,
@@ -561,29 +623,22 @@ class PifoScheduler(HeadHeapScheduler):
         default_weight: float = 1.0,
         debug_checks: bool = False,
     ) -> None:
-        super().__init__(
-            tie_break=tie_break,
-            auto_register=auto_register,
-            default_weight=default_weight,
-            debug_checks=debug_checks,
-        )
+        super().__init__(auto_register=auto_register, default_weight=default_weight)
         self._rank = rank_fn
         self._eligibility = bool(rank_fn.eligibility)
+        #: Rank-provided ties replace the ``tie_break`` rule.
         self._rank_ties = bool(rank_fn.provides_tie)
-        self._pending_tie: Tuple[Any, ...] = ()
-        if self._rank_ties:
-            self._fifo_ties = False
-            self._tie_break = self._rank_tie
+        self._tie_break = tie_break
+        self._fifo_ties = tie_break is TieBreak.fifo and not self._rank_ties
+        #: Heap of live flow-head entries (at most one per backlogged flow).
+        self._head_heap: List[HeapEntry] = []
+        self.debug_checks = bool(debug_checks)
         rank_fn.bind(self)
 
     @property
     def rank_fn(self) -> RankFn:
         """The rank function driving this engine."""
         return self._rank
-
-    def _rank_tie(self, state: FlowState, packet: Packet) -> Tuple[Any, ...]:
-        # Tie produced by the rank function during rank() (arrival).
-        return self._pending_tie
 
     def __getattr__(self, name: str) -> Any:
         # Forward the rank's exported state (scheduler.virtual_time,
@@ -601,51 +656,112 @@ class PifoScheduler(HeadHeapScheduler):
         )
 
     # ------------------------------------------------------------------
-    # HeadHeapScheduler hooks, delegated to the rank function
+    # Scheduler protocol (single frame per event)
     # ------------------------------------------------------------------
-    def _tag_packet(self, state: FlowState, packet: Packet, now: float) -> float:
+    def enqueue(self, packet: Packet, now: float) -> None:  # lint: hot
+        """Rank ``packet`` arriving at ``now`` and queue it."""
+        state = self.flows.get(packet.flow)
+        if state is None:
+            state = self._flow(packet.flow)
+        packet.arrival = now
+        length = packet.length
+        self._backlog_packets += 1
+        self._backlog_bits += length
         key, tie = self._rank.rank(state, packet, now)
-        if self._rank_ties:
-            self._pending_tie = tie
-        return key
+        queue = state.queue
+        queue.append(packet)
+        state.bits_enqueued += length
+        if length > state.max_length_seen:
+            state.max_length_seen = length
+        if self._fifo_ties:
+            tie = ()
+        else:
+            if not self._rank_ties:
+                tie = self._tie_break(state, packet)
+            keys = state.tie_keys
+            if keys is None:
+                keys = state.tie_keys = deque()
+            keys.append(tie)
+        if len(queue) == 1:
+            # The flow just became backlogged: its head enters the heap.
+            entry: HeapEntry = [key, tie, packet.uid, packet, state]
+            state.heap_entry = entry
+            heappush(self._head_heap, entry)
 
-    def _head_key(self, packet: Packet) -> float:
-        return self._rank.head_key(packet)
+    def dequeue(self, now: float) -> Optional[Packet]:  # lint: hot
+        """Serve the minimum-rank flow head; ``None`` when empty."""
+        heap = self._head_heap
+        if self._eligibility:
+            chosen = self._pop_eligible(now)
+            if chosen is None:
+                return None
+            entry = chosen
+        else:
+            while heap:
+                entry = heappop(heap)
+                if entry[3] is not None:
+                    break
+            else:
+                return None
+        packet: Packet = entry[3]
+        state: FlowState = entry[4]
+        state.heap_entry = None
+        queue = state.queue
+        head = queue.popleft()
+        if self.debug_checks and head is not packet:
+            raise SchedulerError(
+                f"{self.algorithm} internal error: flow {state.flow_id!r} "
+                "FIFO head diverged from its head-heap entry"
+            )
+        rank = self._rank
+        if self._fifo_ties:
+            if queue:
+                nxt = queue[0]
+                fresh: HeapEntry = [rank.head_key(nxt), (), nxt.uid, nxt, state]
+                state.heap_entry = fresh
+                heappush(heap, fresh)
+        else:
+            keys = state.tie_keys
+            assert keys is not None  # non-FIFO enqueue always fills it
+            keys.popleft()
+            if queue:
+                nxt = queue[0]
+                fresh = [rank.head_key(nxt), keys[0], nxt.uid, nxt, state]
+                state.heap_entry = fresh
+                heappush(heap, fresh)
+        rank.on_dequeue(state, packet)
+        length = packet.length
+        self._backlog_packets -= 1
+        self._backlog_bits -= length
+        state.bits_served += length
+        state.packets_served += 1
+        self.in_service = packet
+        return packet
 
-    def _on_dequeued(self, state: FlowState, packet: Packet) -> None:
-        self._rank.on_dequeue(state, packet)
-
-    def _do_service_complete(self, packet: Packet, now: float) -> None:
+    def on_service_complete(self, packet: Packet, now: float) -> None:
+        """Notify that ``packet`` finished; an empty engine ends the busy period."""
+        if self.in_service is packet:
+            self.in_service = None
         if self._backlog_packets == 0:
             self._rank.on_idle()
 
-    def _do_discard_tail(self, state: FlowState) -> Optional[Packet]:
-        if not self._rank.supports_discard:
-            return super()._do_discard_tail(state)  # raises, naming the algorithm
-        packet = self._pop_tail(state)
-        self._rank.on_discard(state, packet)
-        return packet
+    def _pop_eligible(self, now: float) -> Optional[HeapEntry]:
+        """WF²Q selection: pop the first head with ``S(p) <= v(t)``.
 
-    # ------------------------------------------------------------------
-    # Eligibility-gated selection (WF²Q)
-    # ------------------------------------------------------------------
-    def _do_dequeue(self, now: float) -> Optional[Packet]:
-        if self._eligibility:
-            return self._dequeue_eligible(now)
-        return super()._do_dequeue(now)
-
-    def _dequeue_eligible(self, now: float) -> Optional[Packet]:
+        Ineligible heads are shelved and pushed back. With no eligible
+        head the smallest start tag is served (work-conserving
+        fallback, ties by uid).
+        """
         heap = self._head_heap
         while heap and heap[0][3] is None:
-            heapq.heappop(heap)
+            heappop(heap)
         if not heap:
             return None
         v = self._rank.advance(now)
-        # Pop ineligible flow heads aside until an eligible one surfaces.
         shelved: List[HeapEntry] = []
         chosen: Optional[HeapEntry] = None
         while heap:
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             packet = entry[3]
             if packet is None:
                 continue
@@ -654,31 +770,60 @@ class PifoScheduler(HeadHeapScheduler):
                 break
             shelved.append(entry)
         if chosen is None:
-            # Work-conserving fallback: smallest start tag, ties by uid.
             chosen = min(shelved, key=lambda e: (e[3].start_tag, e[2]))
             for entry in shelved:
                 if entry is not chosen:
-                    heapq.heappush(heap, entry)
+                    heappush(heap, entry)
         else:
             for entry in shelved:
-                heapq.heappush(heap, entry)
-        return self._consume_entry(chosen)
+                heappush(heap, entry)
+        return chosen
 
     def peek(self, now: float) -> Optional[Packet]:
         """Packet the next ``dequeue`` would return (no side effects)."""
-        if not self._eligibility:
-            return super().peek(now)
         heap = self._head_heap
         while heap and heap[0][3] is None:
-            heapq.heappop(heap)
+            heappop(heap)
         if not heap:
             return None
+        if not self._eligibility:
+            head: Packet = heap[0][3]
+            return head
         v = self._rank.advance(now)
         live = [e for e in heap if e[3] is not None]
         eligible = [e for e in live if e[3].start_tag <= v + 1e-12]
         if eligible:
-            return min(eligible, key=lambda e: (e[3].finish_tag, e[2]))[3]
-        return min(live, key=lambda e: (e[3].start_tag, e[2]))[3]
+            head = min(eligible, key=lambda e: (e[3].finish_tag, e[2]))[3]
+        else:
+            head = min(live, key=lambda e: (e[3].start_tag, e[2]))[3]
+        return head
+
+    def _do_discard_tail(self, state: FlowState) -> Optional[Packet]:
+        if not self._rank.supports_discard:
+            return super()._do_discard_tail(state)  # raises, naming the algorithm
+        queue = state.queue
+        packet = queue.pop()
+        if not self._fifo_ties and state.tie_keys:
+            state.tie_keys.pop()
+        if not queue:
+            # The tail was the flow's head: invalidate its entry in place.
+            entry = state.heap_entry
+            if entry is not None:
+                entry[3] = None
+                entry[4] = None
+                state.heap_entry = None
+        self._rank.on_discard(state, packet)
+        return packet
+
+    # Scheduler's template hooks: the public methods above replace them
+    # (and __init_subclass__ rejects subclasses that define them).
+    def _do_enqueue(
+        self, state: FlowState, packet: Packet, now: float
+    ) -> None:  # pragma: no cover
+        raise NotImplementedError
+
+    def _do_dequeue(self, now: float) -> Optional[Packet]:  # pragma: no cover
+        raise NotImplementedError
 
 
 # ----------------------------------------------------------------------

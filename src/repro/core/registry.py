@@ -57,7 +57,7 @@ Backends
 The tag disciplines ship two interchangeable implementations:
 
 * ``"object"`` — the reference path: one ``FlowState`` object per flow
-  (:mod:`repro.core.headheap` under :class:`repro.core.pifo.PifoScheduler`).
+  (:class:`repro.core.pifo.PifoScheduler`).
   Always available, easiest to read and debug, and the implementation
   the trace-equivalence suite treats as ground truth.
 * ``"array"`` — the struct-of-arrays slab + int-keyed flow-head heap

@@ -18,8 +18,7 @@ class is a deprecation shim. Construct through
 
 from __future__ import annotations
 
-from repro.core.base import TieBreak
-from repro.core.headheap import TieBreakRule
+from repro.core.base import TieBreak, TieBreakRule
 from repro.core.pifo import PifoScheduler, ScfqRank, warn_direct_construction
 
 __all__ = ["SCFQ"]

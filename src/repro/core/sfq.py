@@ -39,8 +39,7 @@ subclassing (e.g. chaos fixtures) continue to work. Construct through
 
 from __future__ import annotations
 
-from repro.core.base import TieBreak
-from repro.core.headheap import TieBreakRule
+from repro.core.base import TieBreak, TieBreakRule
 from repro.core.pifo import PifoScheduler, SfqRank, warn_direct_construction
 
 __all__ = ["SFQ"]

@@ -21,8 +21,7 @@ Construct through ``repro.make_scheduler("WFQ", capacity=...)``.
 
 from __future__ import annotations
 
-from repro.core.base import TieBreak
-from repro.core.headheap import TieBreakRule
+from repro.core.base import TieBreak, TieBreakRule
 from repro.core.pifo import (
     FqsRank,
     PifoScheduler,

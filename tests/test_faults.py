@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.drr import DRR
 from repro.core.packet import Packet
+from repro.core.pifo import PifoScheduler, SfqRank
 from repro.core.sfq import SFQ
 from repro.faults import (
     FlowChurn,
@@ -384,20 +385,29 @@ def test_monitors_stay_clean_on_sfq():
     assert monitors.fairness.max_gap <= 2 * 1000.0 + 1e-6
 
 
-class StarvingSFQ(SFQ):
-    """Deliberately broken SFQ: flow 'a' always gets start tag 0.
+class StarvingRank(SfqRank):
+    """Deliberately broken SFQ rank: flow 'a' always gets start tag 0.
 
     This is the mutation the monitors must catch — 'a' monopolizes the
     link while 'b' starves (fairness), and serving tag 0 after higher
     tags drags v(t) backwards (virtual-time monotonicity).
     """
 
-    def _tag_packet(self, state, packet, now):
+    def rank(self, flow, packet, now):
         if packet.flow != "a":
-            return super()._tag_packet(state, packet, now)
+            return super().rank(flow, packet, now)
         packet.start_tag = 0.0
-        packet.finish_tag = packet.length / state.packet_rate(packet)
-        return 0.0
+        packet.finish_tag = packet.length / flow.packet_rate(packet)
+        return 0.0, ()
+
+
+class StarvingSFQ(PifoScheduler):
+    """The PIFO engine on :class:`StarvingRank`."""
+
+    algorithm = "StarvingSFQ"
+
+    def __init__(self, **kwargs):
+        super().__init__(StarvingRank(), **kwargs)
 
 
 def test_monitors_fire_on_broken_scheduler():

@@ -222,6 +222,57 @@ def test_flow_backlog_counts_offered_packet():
     assert hs.flow_backlog("f") == 2
 
 
+def test_flow_backlog_counts_offer_held_by_interior_class():
+    # One packet climbs root -> A -> L at once: the leaf's queue is empty
+    # and L's offer moved up to A, which now holds it as its own offer.
+    hs = HierarchicalScheduler()
+    hs.add_class("root", "A", 1.0)
+    hs.add_class("A", "L", 1.0)
+    hs.attach_flow("f", "L", 1.0)
+    hs.attach_flow("g", "L", 1.0)
+    packet = Packet("f", 100, seqno=0)
+    hs.enqueue(packet, 0.0)
+    assert hs.backlog_packets == 1
+    assert hs.flow_backlog("f") == 1
+    assert hs.flow_backlog("g") == 0
+    with pytest.raises(SchedulerError):
+        hs.detach_flow("f")
+    assert hs.dequeue(0.0) is packet
+
+
+def test_per_flow_buffer_sees_packet_offered_upward():
+    hs = HierarchicalScheduler()
+    hs.add_class("root", "A", 1.0)
+    hs.add_class("A", "L", 1.0)
+    hs.attach_flow("f", "L", 1.0)
+    hs.attach_flow("g", "L", 1.0)
+    sim = Simulator()
+    link = Link(sim, hs, ConstantCapacity(1000.0), per_flow_buffer_packets={"f": 1})
+    link.pause()  # keep every arrival in the scheduler
+    assert link.send(Packet("f", 100, seqno=0))
+    assert not link.send(Packet("f", 100, seqno=1))
+    assert link.packets_dropped == 1
+
+
+def test_detach_during_service_releases_ancestor_wrappers():
+    hs = HierarchicalScheduler()
+    hs.add_class("root", "A", 1.0)
+    hs.add_class("A", "L", 1.0)
+    hs.attach_flow("f", "L", 1.0)
+    hs.attach_flow("g", "L", 1.0)
+    packet = Packet("f", 100, seqno=0)
+    hs.enqueue(packet, 0.0)
+    assert hs.dequeue(0.0) is packet
+    hs.detach_flow("f")  # drained: its only packet is in service
+    hs.on_service_complete(packet, 1.0)
+    assert all(not node.dequeued for node in (hs.root, hs.class_node("A")))
+    nxt = Packet("g", 100, seqno=0)
+    hs.enqueue(nxt, 1.0)
+    assert hs.dequeue(1.0) is nxt
+    hs.on_service_complete(nxt, 2.0)
+    assert hs.is_empty
+
+
 def test_set_class_weight_changes_shares_mid_run():
     hs = HierarchicalScheduler()
     hs.add_class("root", "X", 1.0)

@@ -92,6 +92,18 @@ def test_engine_forwards_rank_exports():
         sched.no_such_attribute
 
 
+@pytest.mark.parametrize(
+    "hook", ["_tag_packet", "_head_key", "_on_dequeued", "_do_enqueue", "_do_dequeue"]
+)
+def test_engine_subclass_overriding_removed_hook_fails_loudly(hook):
+    # The single-frame engine never calls these; a stale override would
+    # be silently ignored, so defining one raises, pointing at RankFn.
+    from repro.core.sfq import SFQ
+
+    with pytest.raises(TypeError, match="RankFn"):
+        type("StaleSFQ", (SFQ,), {hook: lambda self, *args: None})
+
+
 # ----------------------------------------------------------------------
 # The ten-line ad-hoc discipline demo (ISSUE acceptance criterion)
 # ----------------------------------------------------------------------
