@@ -1,7 +1,6 @@
 """Bench: hierarchical link-sharing at scale — per-packet cost stays
 near-flat as the flow population grows 100x (the paper's O(log Q)
-claim, §2.5, measured on the array backend), churn recycles slab slots,
-and the departure schedule is backend-independent."""
+claim, §2.5), and churned flows leave no state behind."""
 
 from __future__ import annotations
 
@@ -26,18 +25,10 @@ def test_scale_flatness_and_churn(benchmark):
     assert result.data["flat_ratio"] < 3.0
 
     for p in points.values():
-        # Every churned flow joined, drained, and detached; the churn
-        # leaf's slab never grew past the anchor population.
+        # Every churned flow joined, drained, and detached, and the
+        # churn leaf holds no flow afterwards.
         assert p["churn_joined"] == p["churn_detached"] == 100
-        assert p["churn_slab_capacity"] is not None
-        assert p["churn_slab_capacity"] <= 4
+        assert p["churn_flows_left"] == 0
         assert p["packets"] > 0
-
-    # The schedule is a pure function of (seed, params): the object
-    # backend — a completely different data layout — reproduces the
-    # departure digest bit-for-bit.
-    ref = run_scale(flows=500, packets_target=20_000, churn_cycles=100,
-                    backend="object")
-    assert ref.data["points"][0]["digest"] == points[500]["digest"]
 
     save_result(result)

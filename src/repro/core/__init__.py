@@ -6,26 +6,13 @@ Fair Airport composite of Appendix B. :class:`HierarchicalScheduler`
 implements Section 3's link-sharing tree over any of them.
 
 Since the PIFO core, the tag disciplines are rank functions
-(:mod:`repro.core.pifo`) on two shared engines —
-:class:`~repro.core.pifo.PifoScheduler` (object backend) and
-:class:`~repro.core.arrayheap.ArrayPifoScheduler` (slab backend) — plus
-the :class:`~repro.core.pifo.SpPifoScheduler` band approximation. The
+(:mod:`repro.core.pifo`) on one shared engine,
+:class:`~repro.core.pifo.PifoScheduler`, plus the
+:class:`~repro.core.pifo.SpPifoScheduler` band approximation. The
 named discipline classes remain importable as deprecation shims;
 construct through :func:`make_scheduler`.
 """
 
-from repro.core.arrayheap import (
-    ArrayDelayEDD,
-    ArrayFQS,
-    ArrayHeadHeapScheduler,
-    ArrayLSTF,
-    ArrayPifoScheduler,
-    ArraySCFQ,
-    ArraySFQ,
-    ArrayVirtualClock,
-    ArrayWF2Q,
-    ArrayWFQ,
-)
 from repro.core.base import Scheduler, SchedulerError, TieBreak
 from repro.core.delay_edd import DelayEDD
 from repro.core.drr import DRR, WRR
@@ -55,15 +42,12 @@ from repro.core.registry import (
     ParamSpec,
     SchedulerSpec,
     available_schedulers,
-    default_backend,
     describe_scheduler,
     list_schedulers,
     make_scheduler,
     register_scheduler,
     scheduler_spec,
-    set_default_backend,
 )
-from repro.core.slab import FlowSlab, FlowView, SlabFlowMapping
 from repro.core.scfq import SCFQ
 from repro.core.sfq import SFQ
 from repro.core.virtual_clock import VirtualClock
@@ -118,22 +102,6 @@ __all__ = [
     "register_scheduler",
     "SchedulerSpec",
     "ParamSpec",
-    "default_backend",
-    "set_default_backend",
-    # array backend (repro.core.slab / repro.core.arrayheap)
-    "FlowSlab",
-    "FlowView",
-    "SlabFlowMapping",
-    "ArrayHeadHeapScheduler",
-    "ArrayPifoScheduler",
-    "ArraySFQ",
-    "ArraySCFQ",
-    "ArrayWFQ",
-    "ArrayFQS",
-    "ArrayWF2Q",
-    "ArrayVirtualClock",
-    "ArrayDelayEDD",
-    "ArrayLSTF",
 ]
 
 #: Back-compat name->class map. Prefer :func:`make_scheduler`, which

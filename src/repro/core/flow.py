@@ -53,7 +53,7 @@ class EATTracker:
         """
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
-        # The recursion itself is shared with the slab backend via
+        # The recursion itself is shared with the rank functions via
         # repro.core.tagmath (see its module docstring).
         eat, service = eat_step(
             arrival, self._prev_eat, self._prev_service, length, rate

@@ -245,8 +245,7 @@ class HierarchicalScheduler(Scheduler):
         """Unbind an idle ``flow_id`` from its leaf class.
 
         The inverse of :meth:`attach_flow`: the flow's state is removed
-        from the leaf scheduler (on the array backend its slab slot
-        returns to the free list), so long-running churn — users joining
+        from the leaf scheduler, so long-running churn — users joining
         and leaving the link-sharing tree — keeps per-leaf state bounded
         by the peak concurrent population. The flow must be fully
         drained: no queued packets and no packet offered upward.

@@ -93,10 +93,7 @@ class Packet:
         clone = Packet(self.flow, self.length, self.arrival, self.seqno, self.rate)
         clone.created = self.created
         if self._meta_dict:
-            meta = dict(self._meta_dict)
-            # Scheduler-internal scratch must not leak across hops.
-            meta.pop("hier_path", None)
-            clone._meta_dict = meta
+            clone._meta_dict = dict(self._meta_dict)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -12,10 +12,9 @@ makes that abstraction the single implementation:
   optional on-dequeue virtual-time advance, busy-period reset, discard
   re-chaining, and an eligibility clock (WF²Q). A rank function is the
   *whole* discipline — typically under ten lines;
-* :class:`PifoScheduler` — the object-backend engine: a heap of flow
-  heads over per-flow FIFOs, driven by a rank function, one Python
-  frame per scheduler event (the slab/array twin,
-  ``ArrayPifoScheduler``, lives in :mod:`repro.core.arrayheap`);
+* :class:`PifoScheduler` — the engine: a heap of flow heads over
+  per-flow FIFOs, driven by a rank function, one Python frame per
+  scheduler event;
 * the seven tag disciplines — SFQ, SCFQ, WFQ, FQS, WF²Q, Virtual Clock,
   Delay EDD — re-expressed as rank functions (:class:`SfqRank` ...),
   with the historical classes kept as thin deprecation shims. Tag math
@@ -93,12 +92,10 @@ __all__ = [
 class RankFlow(Protocol):
     """Per-flow state surface a rank function may touch.
 
-    Satisfied by both backends' flow handles —
-    :class:`~repro.core.flow.FlowState` (object) and
-    :class:`~repro.core.slab.FlowView` (slab/array) — so one rank
-    function drives both engines. Reads and writes on this surface hit
-    the same floats the legacy per-discipline cores used, which is what
-    keeps the PIFO engine byte-identical.
+    Satisfied by :class:`~repro.core.flow.FlowState`, the engine's
+    per-flow record. Reads and writes on this surface hit the same
+    floats the legacy per-discipline cores used, which is what keeps
+    the PIFO engine byte-identical.
     """
 
     __slots__ = ()
@@ -289,8 +286,8 @@ class SfqRank(_TagPairRank):
     def rank(
         self, flow: RankFlow, packet: Packet, now: float
     ) -> Tuple[float, Tuple[Any, ...]]:
-        # The exact-float tag recursion is shared with every backend via
-        # repro.core.tagmath (see its module docstring).
+        # The exact-float tag recursion is shared via repro.core.tagmath
+        # (see its module docstring).
         start, finish = start_finish(
             self.v, flow.last_finish, packet.length, flow.weight, packet.rate
         )
@@ -541,7 +538,7 @@ class LstfRank(RankFn):
 
 
 # ----------------------------------------------------------------------
-# The object-backend PIFO engine
+# The PIFO engine
 # ----------------------------------------------------------------------
 
 #: Template-method hooks the single-frame engine never calls: a
@@ -560,16 +557,15 @@ _REMOVED_HOOKS = (
 class PifoScheduler(Scheduler):
     """Flow-head-heap PIFO engine driven by a :class:`RankFn`.
 
-    This is the one object-backend hot path every tag discipline runs
-    on; the discipline itself is the ``rank_fn`` argument. The public
+    This is the one hot path every tag discipline runs on; the
+    discipline itself is the ``rank_fn`` argument. The public
     ``enqueue``/``dequeue``/``on_service_complete`` each do their FIFO,
     head-heap, backlog and served-count bookkeeping in one frame and
     call the rank once per event: :meth:`RankFn.rank` on arrival,
     :meth:`RankFn.head_key` + :meth:`RankFn.on_dequeue` on service,
     :meth:`RankFn.on_idle` at the end of a busy period. Customize a
     discipline through a :class:`RankFn` subclass, never by overriding
-    engine internals. The slab/array twin is
-    ``repro.core.arrayheap.ArrayPifoScheduler``.
+    engine internals.
 
     Within one flow, ranks are monotone (every discipline chains its tag
     off the previous packet's, eq. 4 or eq. 37), so a flow's minimum is
@@ -1036,7 +1032,7 @@ class SpPifoScheduler(Scheduler):
 
 
 # ----------------------------------------------------------------------
-# LSTF as a registered discipline (object backend)
+# LSTF as a registered discipline
 # ----------------------------------------------------------------------
 
 

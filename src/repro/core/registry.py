@@ -51,44 +51,13 @@ inconsistency: :func:`make_scheduler` passes ``auto_register=True`` for
 still require :meth:`add_flow_with_deadline` before a flow's first
 enqueue — the normalization changes when the mistake is reported, not
 the requirement.
-
-Backends
---------
-The tag disciplines ship two interchangeable implementations:
-
-* ``"object"`` — the reference path: one ``FlowState`` object per flow
-  (:class:`repro.core.pifo.PifoScheduler`).
-  Always available, easiest to read and debug, and the implementation
-  the trace-equivalence suite treats as ground truth.
-* ``"array"`` — the struct-of-arrays slab + int-keyed flow-head heap
-  (:mod:`repro.core.slab` / :mod:`repro.core.arrayheap`), byte-identical
-  in service order but sized for 10^5–10^6 flows.
-
-Select per call (``make_scheduler("SFQ", backend="array")``), per
-process (:func:`set_default_backend`), or per environment
-(``REPRO_SCHED_BACKEND=array``). Disciplines without an array variant
-(DRR, FIFO, JitterEDD, ...) fall back to their object implementation
-under ``backend="array"`` so a ladder can set one backend for every
-discipline it constructs.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type, cast
 
-from repro.core.arrayheap import (
-    ArrayDelayEDD,
-    ArrayFQS,
-    ArrayLSTF,
-    ArrayPifoScheduler,
-    ArraySCFQ,
-    ArraySFQ,
-    ArrayVirtualClock,
-    ArrayWF2Q,
-    ArrayWFQ,
-)
 from repro.core.base import Scheduler
 from repro.core.drr import DRR, WRR
 from repro.core.delay_edd import DelayEDD
@@ -120,17 +89,12 @@ __all__ = [
     "ParamSpec",
     "SchedulerSpec",
     "available_schedulers",
-    "default_backend",
     "describe_scheduler",
     "list_schedulers",
     "make_scheduler",
     "register_scheduler",
     "scheduler_spec",
-    "set_default_backend",
 ]
-
-#: Backends accepted by :func:`make_scheduler` / :func:`set_default_backend`.
-_BACKENDS = ("object", "array")
 
 #: A rank-function factory: a RankFn subclass or zero/one-arg callable.
 #: Rate-proportional factories (``needs_capacity = True`` on the class)
@@ -160,10 +124,6 @@ class SchedulerSpec:
     #: ``assumed_capacity``).
     needs_capacity: bool = False
     params: Tuple[ParamSpec, ...] = ()
-    #: Slab-backed implementation (``backend="array"``), or None when
-    #: the discipline only has the object path (the factory then falls
-    #: back to ``cls`` so backend selection is uniform across a ladder).
-    array_cls: Optional[Type[Scheduler]] = None
     #: Rank-function factory for disciplines that run on the PIFO
     #: engines; enables ``make_scheduler(name, bands=k)``. None for
     #: round-robin/FIFO-style disciplines with no rank formulation.
@@ -171,56 +131,14 @@ class SchedulerSpec:
     #: Default SP-PIFO band count for specs constructed on
     #: :class:`~repro.core.pifo.SpPifoScheduler` (``cls`` is the engine).
     bands: Optional[int] = None
-    #: True when ``cls``/``array_cls`` are bare PIFO engines taking the
-    #: rank as their first argument (ad-hoc ``rank_fn=`` registrations),
+    #: True when ``cls`` is a bare PIFO engine taking the rank as its
+    #: first argument (ad-hoc ``rank_fn=`` registrations),
     #: rather than named discipline classes that build their own rank.
     rank_engine: bool = False
 
     def param_names(self) -> Tuple[str, ...]:
         """Accepted keyword names, in declaration order."""
         return tuple(p.name for p in self.params)
-
-    def backend_cls(self, backend: str) -> Type[Scheduler]:
-        """Implementation class for ``backend`` (with object fallback)."""
-        if backend == "array" and self.array_cls is not None:
-            return self.array_cls
-        return self.cls
-
-
-#: Process-wide default backend; resolved lazily so the environment
-#: variable is honored even when repro is imported before it is set
-#: by a test harness.
-_DEFAULT_BACKEND: Optional[str] = None
-
-
-def _validate_backend(backend: str) -> str:
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown scheduler backend {backend!r}; available: "
-            + ", ".join(_BACKENDS)
-        )
-    return backend
-
-
-def default_backend() -> str:
-    """The backend used when :func:`make_scheduler` gets no ``backend``.
-
-    Resolution order: :func:`set_default_backend` if called, else the
-    ``REPRO_SCHED_BACKEND`` environment variable, else ``"object"``.
-    """
-    if _DEFAULT_BACKEND is not None:
-        return _DEFAULT_BACKEND
-    env = os.environ.get("REPRO_SCHED_BACKEND")  # lint: disable=CACHE001  backend selection is result-invariant: the trace-equivalence suite gates byte-identical schedules across backends
-    if env:
-        return _validate_backend(env.strip().lower())
-    return "object"
-
-
-def set_default_backend(backend: Optional[str]) -> None:
-    """Set the process-wide default backend (``None`` resets to the
-    environment/``"object"`` resolution)."""
-    global _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = None if backend is None else _validate_backend(backend)
 
 
 _AUTO_REGISTER = ParamSpec(
@@ -300,14 +218,12 @@ def scheduler_spec(name: str) -> SchedulerSpec:
 def describe_scheduler(name: str) -> str:
     """Human-readable description of one registered discipline.
 
-    Covers the construction contract: backends, capacity requirement,
-    rank function (when the discipline runs on the PIFO engines), band
+    Covers the construction contract: capacity requirement, rank
+    function (when the discipline runs on the PIFO engines), band
     default, and the accepted parameters with their docs.
     """
     spec = scheduler_spec(name)
     lines = [f"{spec.name}: {spec.description}"]
-    backends = "object, array" if spec.array_cls is not None else "object"
-    lines.append(f"  backends: {backends}")
     if spec.needs_capacity:
         lines.append(
             "  capacity: required (rate-proportional; pass "
@@ -365,9 +281,9 @@ def _build_rank(spec: SchedulerSpec, capacity: Optional[float]) -> RankFn:
 def _ensure_rank_spec(name: str, rank_fn: RankFactory) -> SchedulerSpec:
     """Resolve (registering on first use) the spec for an ad-hoc rank.
 
-    The registered spec's ``cls``/``array_cls`` are dynamically named
-    subclasses of the bare PIFO engines, so ``scheduler.algorithm`` and
-    trace labels carry the discipline's name.
+    The registered spec's ``cls`` is a dynamically named subclass of
+    the bare PIFO engine, so ``scheduler.algorithm`` and trace labels
+    carry the discipline's name.
     """
     canonical = _ALIASES.get(name.lower())
     if canonical is not None:
@@ -389,14 +305,6 @@ def _ensure_rank_spec(name: str, rank_fn: RankFactory) -> SchedulerSpec:
         Type[Scheduler],
         type(name, (PifoScheduler,), {"__slots__": (), "algorithm": name}),
     )
-    array_cls = cast(
-        Type[Scheduler],
-        type(
-            f"Array{name}",
-            (ArrayPifoScheduler,),
-            {"__slots__": (), "algorithm": name},
-        ),
-    )
     return register_scheduler(
         SchedulerSpec(
             name,
@@ -404,7 +312,6 @@ def _ensure_rank_spec(name: str, rank_fn: RankFactory) -> SchedulerSpec:
             f"ad-hoc rank-function discipline ({rank_label})",
             needs_capacity=needs_capacity,
             params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-            array_cls=array_cls,
             rank_fn=rank_fn,
             rank_engine=True,
         )
@@ -415,7 +322,6 @@ def make_scheduler(
     name: str,
     *,
     capacity: float | None = None,
-    backend: str | None = None,
     bands: int | None = None,
     rank_fn: RankFactory | None = None,
     **params: Any,
@@ -432,12 +338,6 @@ def make_scheduler(
         Link rate in bits/s. Required by rate-proportional disciplines
         (WFQ, FQS, WF2Q), accepted and ignored by the rest, so a ladder
         can pass it unconditionally.
-    backend:
-        ``"object"`` (per-flow FlowState objects, the reference path) or
-        ``"array"`` (struct-of-arrays slab, byte-identical schedules at
-        million-flow scale). ``None`` uses :func:`default_backend`.
-        Disciplines without an array variant fall back to their object
-        implementation.
     bands:
         When given, build the discipline's rank function on the SP-PIFO
         band approximation (:class:`~repro.core.pifo.SpPifoScheduler`)
@@ -459,9 +359,6 @@ def make_scheduler(
         spec = _ensure_rank_spec(name, rank_fn)
     else:
         spec = scheduler_spec(name)
-    resolved_backend = (
-        default_backend() if backend is None else _validate_backend(backend)
-    )
     kwargs: Dict[str, Any] = dict(params)
 
     # --- SP-PIFO construction: bands requested, or the spec itself is
@@ -493,7 +390,7 @@ def make_scheduler(
     if spec.rank_engine:
         rank = _build_rank(spec, capacity)
         with registry_construction():
-            return spec.backend_cls(resolved_backend)(rank, **kwargs)
+            return spec.cls(rank, **kwargs)
 
     # --- Named discipline classes (legacy construction surface).
     if spec.needs_capacity:
@@ -504,7 +401,7 @@ def make_scheduler(
             )
         kwargs["assumed_capacity"] = capacity
     with registry_construction():
-        return spec.backend_cls(resolved_backend)(**kwargs)
+        return spec.cls(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -517,7 +414,6 @@ register_scheduler(
         SFQ,
         "Start-time Fair Queueing (the paper's algorithm)",
         params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        array_cls=ArraySFQ,
         rank_fn=SfqRank,
     )
 )
@@ -527,7 +423,6 @@ register_scheduler(
         SCFQ,
         "Self-Clocked Fair Queueing (Golestani 1994)",
         params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        array_cls=ArraySCFQ,
         rank_fn=ScfqRank,
     )
 )
@@ -538,7 +433,6 @@ register_scheduler(
         "Weighted Fair Queueing / PGPS (finish-tag order over fluid GPS)",
         needs_capacity=True,
         params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        array_cls=ArrayWFQ,
         rank_fn=WfqRank,
     )
 )
@@ -549,7 +443,6 @@ register_scheduler(
         "Fair Queueing by Start-time (Greenberg & Madras 1992)",
         needs_capacity=True,
         params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        array_cls=ArrayFQS,
         rank_fn=FqsRank,
     )
 )
@@ -560,7 +453,6 @@ register_scheduler(
         "Worst-case Fair WFQ (eligibility-gated finish-tag order)",
         needs_capacity=True,
         params=(_DEBUG_CHECKS,) + _COMMON,
-        array_cls=ArrayWF2Q,
         rank_fn=Wf2qRank,
     )
 )
@@ -570,7 +462,6 @@ register_scheduler(
         VirtualClock,
         "Virtual Clock (Zhang 1990)",
         params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        array_cls=ArrayVirtualClock,
         rank_fn=VcRank,
     )
 )
@@ -611,7 +502,6 @@ register_scheduler(
         DelayEDD,
         "Delay Earliest-Due-Date (flows need add_flow_with_deadline)",
         params=(_DEBUG_CHECKS,) + _COMMON,
-        array_cls=ArrayDelayEDD,
         rank_fn=DelayEddRank,
     )
 )
@@ -646,7 +536,6 @@ register_scheduler(
             _DEBUG_CHECKS,
         )
         + _COMMON,
-        array_cls=ArrayLSTF,
         rank_fn=LstfRank,
     )
 )

@@ -1,26 +1,25 @@
-"""Shared tag arithmetic for both scheduler backends.
+"""Shared tag arithmetic: eq. 4 start/finish tags and eq. 37 EATs.
 
-PR 7 copied the start/finish-tag expressions of the object backend
-(:mod:`repro.core.sfq` and friends) "expression-for-expression" into the
-slab backend (:mod:`repro.core.arrayheap`) to guarantee byte-identical
-schedules. That guarantee now lives *here*, once: both backends call
-these helpers, so the two copies cannot drift.
+Every rank function (:mod:`repro.core.pifo`), the Fair Airport ASQ, the
+EAT tracker and the delay-bound analysis compute their tags through
+these helpers, so no two copies of the recursion can drift apart.
 
 Exact-float discipline
 ----------------------
-Byte-identical schedules across backends require bit-identical tags, so
-every expression below is the seed core's, verbatim:
+Byte-identical schedules against the frozen seed cores require
+bit-identical tags, so every expression below is the seed core's,
+verbatim:
 
 * ``max(v, last_finish)`` with the virtual time as the *first* argument
   (``max`` returns its first argument on ties — the argument order is
   part of the contract);
 * ``length / r`` — divide, never multiply by a cached ``1/r``: ``l/r``
   and ``l*(1/r)`` differ in ulps for non-dyadic rates, and a near-tie in
-  tags would then break differently between backends, flipping the
+  tags would then break differently from the seed, flipping the
   service order.
 
-The helpers are deliberately *pure* (no Packet, no FlowState, no slab):
-each backend keeps its own state addressing and only the arithmetic is
+The helpers are deliberately *pure* (no Packet, no FlowState): each
+caller keeps its own state addressing and only the arithmetic is
 shared. They are also ``mypyc``-friendly — plain module-level functions
 over ``float``/``int`` — so ``scripts/build_compiled.py`` can compile
 this module into a C extension that the import system then prefers

@@ -86,7 +86,7 @@ DESCRIPTIONS: Dict[str, str] = {
     "interop": "Section 2.4: heterogeneous schedulers interoperate",
     "stress": "Theorem 1 under Pareto traffic + Gilbert-Elliott link",
     "scale": "Hierarchical link-sharing at 10^3..10^6 flows with churn "
-             "(array backend, vectorized arrivals)",
+             "(vectorized arrivals)",
     "faults": "Fault tolerance: link outage + flow churn, invariant monitors",
     "chaos": "Chaos case: randomized fault schedule vs one scheduler, "
              "invariant monitors on",

@@ -113,9 +113,7 @@ def bench_dispatch(ops: int, repeats: int) -> Dict[str, dict]:
             return _dispatch_seconds(sim, sim.at, ops, pending)
 
         def fast_run() -> float:
-            # Optimized configuration selects the calendar event queue
-            # explicitly, mirroring how it opts into backend="array".
-            sim = Simulator(event_queue="calendar")
+            sim = Simulator()
             return _dispatch_seconds(sim, sim.call_at, ops, pending)
 
         seed = _best_of(seed_run, repeats) / ops
@@ -168,12 +166,12 @@ def bench_pipeline(packets_per_flow: int, repeats: int) -> dict:
         )
 
     def fast_run() -> float:
-        # Optimized configuration with tracing disabled (the opt-in
-        # zero-cost path): slab-backed SFQ + calendar event queue +
+        # Shipped configuration with tracing disabled (the opt-in
+        # zero-cost path): registry-built SFQ on the PIFO engine +
         # engine fast loop with busy-period timer elision.
         return _pipeline_seconds(
-            lambda: Simulator(event_queue="calendar"),
-            lambda: make_scheduler("SFQ", auto_register=False, backend="array"),
+            Simulator,
+            lambda: make_scheduler("SFQ", auto_register=False),
             NullTracer(),
             packets_per_flow,
         )
@@ -206,11 +204,9 @@ def bench_engine(smoke: bool = False, repeats: int = 5) -> dict:
 # Schedulers: per-packet cost vs per-flow backlog depth
 # ----------------------------------------------------------------------
 _OPTIMIZED = {
-    "SFQ": lambda: make_scheduler("SFQ", auto_register=False, backend="array"),
-    "SCFQ": lambda: make_scheduler("SCFQ", auto_register=False, backend="array"),
-    "VirtualClock": lambda: make_scheduler(
-        "VirtualClock", auto_register=False, backend="array"
-    ),
+    "SFQ": lambda: make_scheduler("SFQ", auto_register=False),
+    "SCFQ": lambda: make_scheduler("SCFQ", auto_register=False),
+    "VirtualClock": lambda: make_scheduler("VirtualClock", auto_register=False),
 }
 
 
@@ -359,7 +355,7 @@ def _scale_cycle_seconds(name: str, n_flows: int, cycles: int) -> float:
     kwargs = {}
     if scheduler_spec(name).needs_capacity:  # rate-proportional: need link rate
         kwargs["capacity"] = 1_000_000.0
-    sched = make_scheduler(name, auto_register=False, backend="array", **kwargs)
+    sched = make_scheduler(name, auto_register=False, **kwargs)
     for i in range(n_flows):
         sched.add_flow(i, 1000.0 + (i % 64))
     for i in range(n_flows):
@@ -386,7 +382,7 @@ def bench_scale(
     Two sections:
 
     * ``per_packet_cost`` — flat-scheduler per-packet cost vs flow count
-      for SFQ/SCFQ/WFQ on the array backend, with the per-discipline
+      for SFQ/SCFQ/WFQ, with the per-discipline
       ``flat_ratio`` (largest vs smallest sweep point; the O(log F)
       claim predicts <= ~1.5x across 10^3 -> 10^5).
     * ``hierarchical_stress`` — the ``scale`` experiment (link-sharing
@@ -541,8 +537,8 @@ def profile_pipeline(
     profiler = cProfile.Profile()
     profiler.enable()
     _pipeline_seconds(
-        lambda: Simulator(event_queue="calendar"),
-        lambda: make_scheduler("SFQ", auto_register=False, backend="array"),
+        Simulator,
+        lambda: make_scheduler("SFQ", auto_register=False),
         NullTracer(),
         packets_per_flow,
     )

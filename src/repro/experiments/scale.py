@@ -3,10 +3,10 @@
 The paper's deployment story (§3–4) is hierarchical SFQ link-sharing
 over very large flow populations — "every user of a large network holds
 a flow". This experiment builds that use case at scale and measures
-what the struct-of-arrays backend buys:
+the per-packet cost of the PIFO engine as the population grows:
 
 * a three-level link-sharing tree (root → departments → groups, every
-  node SFQ on the selected backend);
+  node SFQ);
 * 10^3 → 10^6 CBR flows attached round-robin to the group leaves,
   offered at 1.2× link capacity (sustained overload, every leaf
   backlogged), generated as one vectorized fleet timeline
@@ -14,14 +14,14 @@ what the struct-of-arrays backend buys:
   the engine's arrival-stream path — no per-packet timer heap work;
 * continuous flow churn on a dedicated leaf: short-lived flows join
   (``attach_flow``), send, drain and detach
-  (:meth:`~repro.core.hierarchical.HierarchicalScheduler.detach_flow`),
-  recycling slab slots throughout the run.
+  (:meth:`~repro.core.hierarchical.HierarchicalScheduler.detach_flow`);
+  after the run the churn leaf must hold no flow at all.
 
 Per point it reports wall-clock cost per serviced packet; the paper's
 O(log Q) claim predicts this stays near-flat in the flow count (the
 heap depth grows as log F, everything else is O(1)). A CRC32 digest
 over the departure stream ``(flow, seqno, departure)`` pins the
-schedule: the digest for a given (seed, flows, backend) must be
+schedule: the digest for a given (seed, flows) must be
 identical across runs, hosts, and ``--jobs`` fan-out — the
 determinism regression test compares digests across campaign worker
 counts.
@@ -58,9 +58,9 @@ GROUPS_PER_DEPT = 4
 DEFAULT_SWEEP = (1_000, 10_000, 100_000)
 
 
-def _build_tree(backend: str) -> HierarchicalScheduler:
+def _build_tree() -> HierarchicalScheduler:
     """root → 2 departments → 4 groups each, plus a churn leaf."""
-    factory = lambda: make_scheduler("SFQ", auto_register=False, backend=backend)
+    factory = lambda: make_scheduler("SFQ", auto_register=False)
     hier = HierarchicalScheduler(
         root_scheduler=factory(), default_node_scheduler=factory
     )
@@ -77,11 +77,10 @@ def _run_point(
     seed: int,
     packets_target: int,
     churn_cycles: int,
-    backend: str,
 ) -> Dict[str, object]:
     sim = Simulator()
     streams = RandomStreams(seed)
-    hier = _build_tree(backend)
+    hier = _build_tree()
     # NullTracer: per-packet records at 10^6 packets would dominate both
     # memory and runtime; the CRC departure digest pins the schedule.
     link = Link(
@@ -109,7 +108,7 @@ def _run_point(
 
     # --- churn: short-lived flows cycling through the dedicated leaf.
     # Join times come from a seeded stream; each flow sends one packet
-    # and detaches when it departs, recycling its slab slot.
+    # and detaches when it departs.
     churn_rng = streams.stream("scale:churn")
     span = times[-1] - times[0] if len(times) else 1.0
     churn_times = sorted(
@@ -143,9 +142,6 @@ def _run_point(
     elapsed = time.perf_counter() - t0  # lint: disable=DET002  measures the implementation's wall cost, not simulated state
 
     served = link.packets_transmitted
-    churn_leaf = hier.class_node("churn")
-    leaf_sched = churn_leaf.scheduler
-    slab_capacity = getattr(getattr(leaf_sched, "slab", None), "capacity", None)
     return {
         "flows": n_flows,
         "packets": served,
@@ -155,8 +151,7 @@ def _run_point(
         "digest": f"{digest['crc']:08x}",
         "churn_joined": churn_stats["joined"],
         "churn_detached": churn_stats["detached"],
-        "churn_slab_capacity": slab_capacity,
-        "backend": backend,
+        "churn_flows_left": len(hier.class_node("churn").scheduler.flows),
     }
 
 
@@ -165,7 +160,6 @@ def run_scale(
     flows: Union[int, Sequence[int], None] = None,
     packets_target: int = 50_000,
     churn_cycles: int = 400,
-    backend: str = "array",
 ) -> ExperimentResult:
     """Hierarchical link-sharing at scale: per-packet cost vs flow count.
 
@@ -183,9 +177,6 @@ def run_scale(
         to one packet per flow).
     churn_cycles:
         Join/send/drain/detach cycles on the churn leaf per point.
-    backend:
-        Scheduler backend for every tree node (``"array"`` default;
-        ``"object"`` measures the reference path).
     """
     if flows is None:
         sweep: List[int] = list(DEFAULT_SWEEP)
@@ -198,7 +189,7 @@ def run_scale(
         experiment="scale",
         description=(
             "Hierarchical SFQ link-sharing under 1.2x overload with flow "
-            f"churn, {backend} backend: per-packet wall cost vs flow count"
+            "churn: per-packet wall cost vs flow count"
         ),
         headers=[
             "flows", "packets", "events", "ns/packet", "churn", "digest"
@@ -206,7 +197,7 @@ def run_scale(
     )
     points = []
     for n in sweep:
-        point = _run_point(n, seed, packets_target, churn_cycles, backend)
+        point = _run_point(n, seed, packets_target, churn_cycles)
         points.append(point)
         result.add_row(
             point["flows"],
@@ -218,6 +209,9 @@ def run_scale(
         )
         assert point["churn_detached"] == point["churn_joined"], (
             "churn leak: a joined flow never drained/detached"
+        )
+        assert point["churn_flows_left"] == 0, (
+            "churn leak: the churn leaf still holds detached flows"
         )
 
     by_flows = {p["flows"]: p for p in points}
@@ -232,14 +226,11 @@ def run_scale(
             "(O(log F) predicts near-flat)"
         )
         result.data["flat_ratio"] = ratio
-    slab_caps = [p["churn_slab_capacity"] for p in points]
-    if all(c is not None for c in slab_caps):
-        result.note(
-            "churn leaf slab capacity stayed at "
-            f"{max(int(c) for c in slab_caps if c is not None)} slot(s) across "
-            f"{points[0]['churn_joined']} join/leave cycles (free-list recycling)"
-        )
+    result.note(
+        "churn leaf holds "
+        f"{max(int(p['churn_flows_left']) for p in points)} flow(s) after "
+        f"{points[0]['churn_joined']} join/leave cycles per point"
+    )
     result.data["points"] = points
     result.data["seed"] = seed
-    result.data["backend"] = backend
     return result

@@ -891,7 +891,7 @@ class HotFunctionAllocationRule(Rule):
     """Per-iteration allocation in functions marked ``# lint: hot``.
 
     The drain loops (`eventq`), the ``Link`` busy-period completion
-    chain, and the array-heap enqueue/dequeue are the measured inner
+    chain, and the PIFO engine's enqueue/dequeue are the measured inner
     loops of every benchmark: a list comprehension or a ``{...}``
     display there is a per-event allocation, and an attribute chain
     re-read every iteration is a dict lookup CPython will not hoist.

@@ -428,8 +428,8 @@ class TagMathParityRule(ProjectRule):
     (eq. 4) and ``EAT = max(A, EAT_prev + P_prev)`` (eq. 37) re-derived
     inline anywhere else will eventually drift by an ulp from the shared
     kernel (that is exactly how the PR 7 regression happened), breaking
-    byte-identical trace equivalence between backends. Every discipline
-    and the slab backend must call ``tagmath.start_finish`` /
+    byte-identical trace equivalence with the frozen seed cores. Every
+    discipline must call ``tagmath.start_finish`` /
     ``tagmath.eat_step``; this rule uses reaching definitions to connect
     a ``max(...)`` assignment with the ``start + l/r`` expression that
     completes the re-derivation even when they are statements apart.

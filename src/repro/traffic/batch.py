@@ -337,8 +337,7 @@ class FleetTimeline:
     ``(times, flow_indices)`` with flow indices that *are* the flow ids.
     This stream consumes those two arrays directly: constant packet
     length, per-flow sequence numbers kept in one ``array('q')`` column
-    indexed by flow index (the same struct-of-arrays discipline as
-    :class:`repro.core.slab.FlowSlab`).
+    indexed by flow index.
 
     ``flow_ids`` optionally maps index → external flow id (default: the
     index itself, matching dense-int registration on the scheduler).

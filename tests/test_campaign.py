@@ -236,6 +236,26 @@ def test_jobs4_seeds5_bit_identical_to_jobs1():
         assert serial.summaries[name].to_json() == parallel.summaries[name].to_json(), name
 
 
+def test_scale_digest_identical_across_jobs(tmp_path):
+    grids = {"scale": [{"flows": 300, "packets_target": 2_000,
+                        "churn_cycles": 25}]}
+
+    def digest(jobs, where):
+        campaign = run_campaign(
+            ["scale"], seeds=1, jobs=jobs, cache=False,
+            results_dir=str(tmp_path / where), grids=grids,
+        )
+        (outcome,) = campaign.outcomes
+        assert outcome.status == "ok", outcome.error
+        (point,) = outcome.result.data["points"]
+        assert point["churn_joined"] == point["churn_detached"] == 25
+        return point["digest"]
+
+    # The departure-schedule digest is a pure function of (seed, params):
+    # in-process and worker-pool execution must agree exactly.
+    assert digest(1, "j1") == digest(2, "j2")
+
+
 def test_cached_and_fresh_shards_are_indistinguishable(tmp_path):
     names = ["residual", "vbr"]
     cold = run_campaign(names, seeds=2, jobs=1, results_dir=str(tmp_path))

@@ -7,6 +7,7 @@ import pytest
 from repro.core.drr import DRR
 from repro.core.packet import Packet
 from repro.core.pifo import PifoScheduler, SfqRank
+from repro.core.registry import make_scheduler
 from repro.core.sfq import SFQ
 from repro.faults import (
     FlowChurn,
@@ -23,6 +24,7 @@ from repro.servers.base import ConstantCapacity
 from repro.servers.link import Link
 from repro.simulation import Simulator
 from repro.simulation.random import RandomStreams
+from repro.simulation.tracing import NullTracer
 from repro.traffic.cbr import BulkSource, CBRSource
 from repro.transport.sink import PacketSink
 
@@ -252,6 +254,34 @@ def test_churn_joins_and_removes_flows():
     # Every churn flow left drained and deregistered.
     assert set(link.scheduler.flows) == {"base"}
     assert churn.active == set()
+
+
+def test_flowchurn_injector_leaves_only_the_anchor():
+    """Many join/leave cycles over a pool of churn flows: every leave
+    unregisters its flow, so only the anchor remains afterwards."""
+    sim = Simulator()
+    streams = RandomStreams(7)
+    sched = make_scheduler("SFQ", auto_register=False)
+    sched.add_flow("anchor", 1.0)
+    link = Link(sim, sched, ConstantCapacity(64_000.0), tracer=NullTracer())
+    CBRSource(sim, "anchor", link.send, rate=16_000.0, packet_length=800).start()
+
+    def make_source(fid, start, stop):
+        return CBRSource(
+            sim, fid, link.send, rate=8_000.0, packet_length=400,
+            start_time=start, stop_time=stop,
+        )
+
+    pool = [f"c{i}" for i in range(5)]
+    churn = FlowChurn(
+        sim, link, make_source, streams=streams, flow_ids=pool,
+        mean_on=0.4, mean_off=0.2, stop_time=60.0,
+    )
+    churn.start()
+    sim.run(until=80.0)
+    assert churn.joins >= 20  # the run actually churned
+    assert churn.leaves == churn.joins  # every join fully unwound
+    assert set(sched.flows) == {"anchor"}
 
 
 def test_churn_removal_waits_for_backlog_drain():

@@ -43,7 +43,6 @@ def test_packet_meta_lazy():
 def test_fork_preserves_payload_and_created():
     p = Packet("f", 100, arrival=2.0, seqno=7, rate=500.0)
     p.meta["hop"] = 0
-    p.meta["hier_path"] = ["scratch"]
     p.start_tag = 9.9
     clone = p.fork()
     assert clone.flow == "f"
@@ -53,7 +52,6 @@ def test_fork_preserves_payload_and_created():
     assert clone.created == 2.0
     assert clone.start_tag is None  # fresh tags at the next hop
     assert clone.meta["hop"] == 0
-    assert "hier_path" not in clone.meta  # scheduler scratch dropped
     assert clone.uid != p.uid
 
 

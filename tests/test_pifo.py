@@ -4,10 +4,14 @@ The trace-equivalence suite already pins every discipline built through
 ``make_scheduler`` to the frozen seed cores; this module covers the new
 surface the PIFO redesign added on top:
 
-* constructing the engines **directly** — ``PifoScheduler(SfqRank())``
-  and ``ArrayPifoScheduler(SfqRank())`` — must be byte-identical to the
-  registry-built discipline and therefore to the frozen legacy cores
-  (the registry adds convenience, not behavior);
+* constructing the engine **directly** — ``PifoScheduler(SfqRank())``
+  — must be byte-identical to the registry-built discipline and
+  therefore to the frozen legacy cores (the registry adds convenience,
+  not behavior);
+* the engine's own bookkeeping — tie-break order and ``discard_tail``
+  against the frozen seed cores, FIFO ties in uid order, the
+  ``debug_checks`` corruption detector, and flow churn that leaves no
+  state behind;
 * ``SpPifoScheduler`` — determinism, the ``bands=None``/``bands=0``
   exact degenerate case, push-up/push-down bound adaptation, and the
   inversion/unpifoness accounting;
@@ -25,11 +29,11 @@ import pytest
 from repro.core import (
     LSTF,
     Packet,
+    TieBreak,
     describe_scheduler,
     list_schedulers,
     make_scheduler,
 )
-from repro.core.arrayheap import ArrayPifoScheduler
 from repro.core.base import SchedulerError
 from repro.core.pifo import (
     DelayEddRank,
@@ -44,9 +48,9 @@ from repro.core.pifo import (
     WfqRank,
 )
 
+from tests.reference.legacy_cores import LegacySCFQ, LegacySFQ
 from tests.test_trace_equivalence import (
     CAPACITY,
-    WEIGHTS,
     _edd_setup,
     run_trace,
 )
@@ -66,21 +70,20 @@ RANKS = {
     "DelayEDD": lambda: DelayEddRank(),
 }
 
-ENGINES = {"object": PifoScheduler, "array": ArrayPifoScheduler}
-
-
-@pytest.mark.parametrize("backend", sorted(ENGINES))
-@pytest.mark.parametrize("name", sorted(RANKS))
-def test_direct_engine_matches_registry(name, backend):
+# The "-object" id segment names the one engine (formerly the "object"
+# backend); it is kept so the case ids stay stable.
+@pytest.mark.parametrize(
+    "name", [pytest.param(n, id=f"{n}-object") for n in sorted(RANKS)]
+)
+def test_direct_engine_matches_registry(name):
     # A hand-built engine (rank function passed explicitly) must
     # produce the same trace as the registry-built discipline: the
     # SchedulerSpec machinery adds no behavior of its own.
     setup = _edd_setup if name == "DelayEDD" else None
-    engine_cls = ENGINES[backend]
-    direct = run_trace(lambda: engine_cls(RANKS[name]()), setup, "figure1")
+    direct = run_trace(lambda: PifoScheduler(RANKS[name]()), setup, "figure1")
     kwargs = {"capacity": CAPACITY} if RANKS[name]().needs_capacity else {}
     via_registry = run_trace(
-        lambda: make_scheduler(name, backend=backend, **kwargs), setup, "figure1"
+        lambda: make_scheduler(name, **kwargs), setup, "figure1"
     )
     assert direct == via_registry
 
@@ -102,6 +105,144 @@ def test_engine_subclass_overriding_removed_hook_fails_loudly(hook):
 
     with pytest.raises(TypeError, match="RankFn"):
         type("StaleSFQ", (SFQ,), {hook: lambda self, *args: None})
+
+
+# ----------------------------------------------------------------------
+# Engine bookkeeping: ties, discard_tail, debug_checks, churn
+# ----------------------------------------------------------------------
+
+
+def _drain(sched, now=0.0, dt=0.001):
+    """Serve ``sched`` to empty; return the (flow, seqno) service order."""
+    out = []
+    while True:
+        pkt = sched.dequeue(now)
+        if pkt is None:
+            return out
+        now += dt
+        sched.on_service_complete(pkt, now)
+        out.append((pkt.flow, pkt.seqno))
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [TieBreak.fifo, TieBreak.lowest_weight_first,
+     TieBreak.highest_weight_first, TieBreak.shortest_packet_first],
+)
+def test_tie_break_order_matches_seed_core(rule):
+    """Equal start tags, distinct weights/lengths: the engine must order
+    ties exactly as the frozen seed SFQ does (the tie key, then packet
+    uid — never the payload slots)."""
+    def build(factory):
+        sched = factory(tie_break=rule, auto_register=False)
+        for i, w in enumerate([4.0, 1.0, 2.0, 8.0]):
+            sched.add_flow(f"f{i}", w)
+        # All enqueued at t=0 on idle flows: every start tag is v(0)=0,
+        # a four-way tie decided entirely by the rule.
+        for i, length in enumerate([400, 800, 200, 800]):
+            sched.enqueue(Packet(f"f{i}", length, seqno=0), 0.0)
+        return sched
+
+    engine = build(lambda **kw: make_scheduler("SFQ", **kw))
+    assert _drain(engine) == _drain(build(LegacySFQ))
+
+
+def test_fifo_ties_resolve_by_uid_order():
+    sched = make_scheduler("SFQ", auto_register=False)
+    for i in range(3):
+        sched.add_flow(f"f{i}", 1.0)
+    # Same weight, same length, same instant: FIFO rule -> uid order,
+    # which is construction order.
+    for i in (2, 0, 1):
+        sched.enqueue(Packet(f"f{i}", 500, seqno=0), 0.0)
+    assert [f for f, _ in _drain(sched)] == ["f2", "f0", "f1"]
+
+
+@pytest.mark.parametrize("name,legacy_cls", [("SFQ", LegacySFQ), ("SCFQ", LegacySCFQ)])
+def test_discard_tail_matches_seed_core(name, legacy_cls):
+    def run(factory):
+        sched = factory(auto_register=False)
+        sched.add_flow("a", 1.0)
+        sched.add_flow("b", 2.0)
+        for s in range(4):
+            sched.enqueue(Packet("a", 600, seqno=s), 0.0)
+            sched.enqueue(Packet("b", 300, seqno=s), 0.0)
+        dropped = [sched.discard_tail("a").seqno, sched.discard_tail("a").seqno]
+        assert sched.discard_tail("missing") is None
+        served = _drain(sched)
+        # Tag re-chaining after the discard must survive a refill.
+        sched.enqueue(Packet("a", 600, seqno=9), 1.0)
+        served += _drain(sched, now=1.0)
+        return dropped, served, sched.flows["a"].last_finish
+
+    assert run(lambda **kw: make_scheduler(name, **kw)) == run(legacy_cls)
+
+
+def test_discard_tail_empties_flow_completely():
+    sched = make_scheduler("SCFQ", auto_register=False)
+    sched.add_flow("a", 1.0)
+    sched.enqueue(Packet("a", 500, seqno=0), 0.0)
+    assert sched.discard_tail("a").seqno == 0
+    assert sched.discard_tail("a") is None
+    assert sched.dequeue(0.0) is None
+    assert not sched.flows["a"].backlogged
+
+
+def test_discard_tail_unsupported_on_wfq():
+    sched = make_scheduler("WFQ", auto_register=False, capacity=1e6)
+    sched.add_flow("a", 1.0)
+    sched.enqueue(Packet("a", 500), 0.0)
+    with pytest.raises(NotImplementedError):
+        sched.discard_tail("a")
+
+
+def test_debug_checks_detect_queue_heap_divergence():
+    sched = make_scheduler("SFQ", auto_register=False, debug_checks=True)
+    sched.add_flow("a", 1.0)
+    sched.add_flow("b", 1.0)
+    sched.enqueue(Packet("a", 500, seqno=0), 0.0)
+    sched.enqueue(Packet("a", 500, seqno=1), 0.0)
+    sched.enqueue(Packet("b", 500, seqno=0), 0.0)
+    # Corrupt the flow's FIFO behind the heap's back: the queue head no
+    # longer matches the packet the heap entry was built for.
+    sched.flows["a"].queue.popleft()
+    with pytest.raises(SchedulerError, match="head"):
+        _drain(sched)
+
+
+def test_debug_checks_off_is_default_and_quiet():
+    sched = make_scheduler("SFQ", auto_register=False)
+    assert sched.debug_checks is False
+    sched.add_flow("a", 1.0)
+    sched.enqueue(Packet("a", 500, seqno=0), 0.0)
+    assert _drain(sched) == [("a", 0)]
+
+
+def _churn_finish_tags(cycles):
+    """``cycles`` add/enqueue/serve/remove rounds beside an idle anchor;
+    returns the scheduler and the served packets' finish tags."""
+    sched = make_scheduler("SFQ", auto_register=False)
+    sched.add_flow("anchor", 1.0)  # keeps the scheduler non-empty
+    finishes = []
+    now = 0.0
+    for i in range(cycles):
+        fid = ("churn", i % 7)  # ids recur, like real churn pools
+        sched.add_flow(fid, 2.0)
+        sched.enqueue(Packet(fid, 1000, seqno=i), now)
+        pkt = sched.dequeue(now)
+        sched.on_service_complete(pkt, now + 0.1)
+        finishes.append(pkt.finish_tag)
+        sched.remove_flow(fid)
+        now += 0.25
+    return sched, finishes
+
+
+def test_10k_churn_cycles_leave_only_the_anchor():
+    """10,000 join/serve/leave cycles leave no per-flow state behind,
+    and the identical loop reproduces the identical tags."""
+    sched, finishes = _churn_finish_tags(10_000)
+    assert set(sched.flows) == {"anchor"}
+    assert _churn_finish_tags(10_000)[1] == finishes
 
 
 # ----------------------------------------------------------------------

@@ -1,20 +1,18 @@
 """Same-stimulus trace equivalence: optimized cores vs frozen seed cores.
 
-The flow-head-heap rewrite (``repro.core.headheap``) claims to be a pure
-performance change: for every tag scheduler, the sequence of scheduling
-decisions — and therefore every packet's (arrival, start-of-service,
-departure, dropped) trace — must be identical to the seed
-implementation's, packet for packet, bit for bit.
+The PIFO engine (``repro.core.pifo``) claims to be a pure performance
+change: for every tag scheduler, the sequence of scheduling decisions —
+and therefore every packet's (arrival, start-of-service, departure,
+dropped) trace — must be identical to the seed implementation's, packet
+for packet, bit for bit.
 
-This suite drives the optimized scheduler and its frozen seed copy
+This suite drives the optimized scheduler, constructed through
+``make_scheduler``, and its frozen seed copy
 (``tests/reference/legacy_cores.py``) through the *same* deterministic
 workload on the real ``Simulator`` + ``Link`` stack and compares the
-full trace record streams for exact equality. The optimized side is
-constructed through ``make_scheduler`` and parametrized over **both
-backends** — ``"object"`` (per-flow FlowState, ``repro.core.headheap``)
-and ``"array"`` (struct-of-arrays slab + int-keyed heap,
-``repro.core.arrayheap``) — so the slab layout is held to the same
-byte-identical standard as the original head-heap rewrite. Workloads
+full trace record streams for exact equality. The optimized side runs
+under both event-queue backends (``"heap"`` and ``"calendar"``), so
+each case doubles as a cross-event-queue equivalence check. Workloads
 are shaped after the paper's experiments:
 
 * ``table1``   — two flows, the second joining mid-busy-period
@@ -177,7 +175,7 @@ WORKLOADS = {
 
 
 # ----------------------------------------------------------------------
-# Scheduler pairs (optimized factory by backend, legacy factory)
+# Scheduler pairs (optimized factory, legacy factory, flow setup)
 # ----------------------------------------------------------------------
 def _edd_setup(sched, flow_ids):
     for fid in flow_ids:
@@ -185,17 +183,10 @@ def _edd_setup(sched, flow_ids):
 
 
 def _opt(name, **kwargs):
-    """Optimized-side factory: registry construction, backend-selectable."""
-
-    def factory(backend):
-        return make_scheduler(name, backend=backend, **kwargs)
-
-    return factory
+    """Optimized-side factory: registry construction."""
+    return lambda: make_scheduler(name, **kwargs)
 
 
-# Since the PIFO core every tag discipline, DelayEDD included, has a
-# real array variant (a rank function on ArrayPifoScheduler); both
-# backends must stay byte-identical to the frozen legacy cores.
 SCHEDULERS = {
     "SFQ": (_opt("SFQ"), lambda: LegacySFQ(), None),
     "SCFQ": (_opt("SCFQ"), lambda: LegacySCFQ(), None),
@@ -205,8 +196,6 @@ SCHEDULERS = {
     "VirtualClock": (_opt("VirtualClock"), lambda: LegacyVirtualClock(), None),
     "DelayEDD": (_opt("DelayEDD"), lambda: LegacyDelayEDD(), _edd_setup),
 }
-
-BACKENDS = ("object", "array")
 
 #: Event-queue backends the optimized side must be byte-identical under.
 #: The seed side always runs on the default binary heap, so each case
@@ -264,21 +253,23 @@ def _combos():
             yield sched_name, wl_name
 
 
+# The "-object" id segment names the one scheduler engine (formerly the
+# "object" backend); it is kept so the case ids stay stable.
 @pytest.mark.parametrize("eventq", EVENT_QUEUE_BACKENDS)
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("sched_name,wl_name", list(_combos()))
-def test_trace_equivalence(sched_name, wl_name, backend, eventq):
+@pytest.mark.parametrize(
+    "sched_name,wl_name",
+    [pytest.param(s, w, id=f"{s}-{w}-object") for s, w in _combos()],
+)
+def test_trace_equivalence(sched_name, wl_name, eventq):
     new_factory, legacy_factory, setup = SCHEDULERS[sched_name]
     # DelayEDD churn: auto-registered flows need deadlines; skip handled
     # in _combos. Everything else must match record-for-record.
-    optimized = run_trace(
-        lambda: new_factory(backend), setup, wl_name, event_queue=eventq
-    )
+    optimized = run_trace(new_factory, setup, wl_name, event_queue=eventq)
     legacy = run_trace(legacy_factory, setup, wl_name)
     assert len(optimized) == len(legacy)
     for i, (new_rec, old_rec) in enumerate(zip(optimized, legacy)):
         assert new_rec == old_rec, (
-            f"{sched_name}[{backend}]/{wl_name}/{eventq}: record {i} diverged:\n"
+            f"{sched_name}/{wl_name}/{eventq}: record {i} diverged:\n"
             f"  optimized: {new_rec}\n  seed:      {old_rec}"
         )
 
