@@ -43,6 +43,6 @@ class FIFO(Scheduler):
         return self._queue[0] if self._queue else None
 
     def _do_discard_tail(self, state: FlowState) -> Optional[Packet]:
-        packet = state.queue.pop()
+        packet = state.pop_tail()
         self._queue.remove(packet)  # O(n); FIFO is a baseline, not a fast path
         return packet

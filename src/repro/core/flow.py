@@ -6,6 +6,17 @@ flow's weight (interpreted as its rate :math:`r_f` in bits/s, Section
 eq. 4), the FIFO backlog of queued packets, and service accounting used
 by the fairness analysis.
 
+State is sized by backlog, not by flow count. An idle flow's ``queue``
+is :data:`IDLE_QUEUE`, one empty tuple shared by every idle flow; the
+flow takes a ``deque`` when its first packet arrives and puts the shared
+tuple back when its last packet leaves. Writers go through
+:meth:`FlowState.push`, :meth:`FlowState.pop` and
+:meth:`FlowState.pop_tail` (the PIFO engine inlines the same rule);
+readers (``len``, truth tests, ``[0]``, ``[-1]``, iteration) need not
+care which of the two they see. The tuple has no ``append``, so a
+writer that bypasses ``push`` fails loudly instead of queueing into
+shared state.
+
 Two hot-path caches live here as well:
 
 * ``inv_weight`` — the precomputed :math:`1/r_f`, kept in sync with
@@ -18,10 +29,13 @@ Two hot-path caches live here as well:
   seed core's;
 * ``heap_entry`` / ``tie_keys`` — scratch used by
   :class:`repro.core.pifo.PifoScheduler` to track this flow's
-  entry in the flow-head heap.
+  entry in the flow-head heap. ``tie_keys`` (non-FIFO tie rules only)
+  lives exactly as long as the flow's deque.
 
 The expected-arrival-time (EAT) tracker of eq. 37 also lives here since
-Virtual Clock, Delay EDD and the delay-bound analysis all need it:
+Virtual Clock, Delay EDD and Jitter EDD need it. It is created on first
+access, so disciplines that never read it (SFQ and the other tag-pair
+disciplines) never pay for it:
 
 .. math::
 
@@ -31,10 +45,14 @@ Virtual Clock, Delay EDD and the delay-bound analysis all need it:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Hashable, List, Optional, Tuple
+from typing import Any, Deque, Hashable, List, Optional, Tuple, Union
 
 from repro.core.packet import Packet
 from repro.core.tagmath import eat_step
+
+#: The queue of every idle flow: one shared empty tuple (see the module
+#: docstring).
+IDLE_QUEUE: Tuple[()] = ()
 
 
 class EATTracker:
@@ -77,10 +95,9 @@ class FlowState:
         "queue",
         "last_finish",
         "max_length_seen",
-        "bits_enqueued",
         "bits_served",
         "packets_served",
-        "eat",
+        "_eat",
         "user",
         "heap_entry",
         "tie_keys",
@@ -92,18 +109,19 @@ class FlowState:
         self.flow_id = flow_id
         self._weight = float(weight)
         self.inv_weight = 1.0 / self._weight
-        self.queue: Deque[Packet] = deque()
+        #: Queued packets: a deque while backlogged, IDLE_QUEUE while idle.
+        self.queue: Union[Deque[Packet], Tuple[()]] = IDLE_QUEUE
         # Finish tag of the last arrived packet: F(p_f^0) = 0 per the paper.
         self.last_finish = 0.0
         self.max_length_seen = 0
-        self.bits_enqueued = 0
         self.bits_served = 0
         self.packets_served = 0
-        self.eat = EATTracker()
+        self._eat: Optional[EATTracker] = None
         self.user: Optional[object] = None  # scheduler-specific scratch
         #: Live flow-head heap entry (PifoScheduler scratch), or None.
         self.heap_entry: Optional[List[Any]] = None
-        #: Parallel deque of tie-break keys (non-FIFO tie rules only).
+        #: Parallel deque of tie-break keys while backlogged (non-FIFO
+        #: tie rules only), else None.
         self.tie_keys: Optional[Deque[Tuple[Any, ...]]] = None
 
     @property
@@ -123,13 +141,35 @@ class FlowState:
     # Queue operations
     # ------------------------------------------------------------------
     def push(self, packet: Packet) -> None:
-        self.queue.append(packet)
-        self.bits_enqueued += packet.length
+        """Queue ``packet`` at the tail; the first packet takes a deque."""
+        queue = self.queue
+        if not queue:
+            queue = deque()
+            self.queue = queue
+        queue.append(packet)
         if packet.length > self.max_length_seen:
             self.max_length_seen = packet.length
 
     def pop(self) -> Packet:
-        return self.queue.popleft()
+        """Remove the head packet; the last one out releases the deque."""
+        queue = self.queue
+        if not queue:
+            raise IndexError(f"pop from idle flow {self.flow_id!r}")
+        packet = queue.popleft()
+        if not queue:
+            self.queue = IDLE_QUEUE
+        return packet
+
+    def pop_tail(self) -> Packet:
+        """Remove the tail packet (discard); the last one out releases the
+        deque."""
+        queue = self.queue
+        if not queue:
+            raise IndexError(f"pop from idle flow {self.flow_id!r}")
+        packet = queue.pop()
+        if not queue:
+            self.queue = IDLE_QUEUE
+        return packet
 
     def head(self) -> Optional[Packet]:
         return self.queue[0] if self.queue else None
@@ -149,6 +189,14 @@ class FlowState:
     def packet_rate(self, packet: Packet) -> float:
         """Rate assigned to ``packet``: its own rate or the flow weight."""
         return packet.rate if packet.rate is not None else self._weight
+
+    @property
+    def eat(self) -> EATTracker:
+        """The flow's eq. 37 tracker, created on first access."""
+        tracker = self._eat
+        if tracker is None:
+            tracker = self._eat = EATTracker()
+        return tracker
 
     def eat_on_arrival(self, arrival: float, length: int, rate: float) -> float:
         """Incremental expected-arrival-time step (eq. 37) for this flow."""

@@ -348,6 +348,18 @@ class HierarchicalScheduler(Scheduler):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    def backlogged_flows(self) -> List[Hashable]:
+        """Attached flows with packets not yet dequeued (O(flows x depth))."""
+        return [fid for fid in self._flow_to_leaf if self.flow_backlog(fid) > 0]
+
+    def discard_tail(self, flow_id: Hashable) -> Optional[Packet]:
+        # A flow's tail may be held as an offer above its leaf, out of a
+        # leaf discard's reach; longest-queue drop fails loudly here.
+        raise NotImplementedError(
+            f"{self.algorithm} does not support discard_tail(); use "
+            "drop-tail buffering with it"
+        )
+
     def flow_backlog(self, flow_id: Hashable) -> int:
         """Packets of ``flow_id`` not yet dequeued: queued at its leaf or
         held as an offer by any class from the leaf up (O(depth))."""

@@ -56,11 +56,12 @@ from typing import (
     List,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
 )
 
 from repro.core.base import Scheduler, SchedulerError, TieBreak, TieBreakRule
-from repro.core.flow import FlowState
+from repro.core.flow import IDLE_QUEUE, FlowState
 from repro.core.gps import GPSVirtualClock
 from repro.core.packet import Packet
 from repro.core.tagmath import start_finish
@@ -106,7 +107,7 @@ class RankFlow(Protocol):
     def weight(self) -> float: ...
 
     @property
-    def queue(self) -> Deque[Packet]: ...
+    def queue(self) -> Sequence[Packet]: ...
 
     def packet_rate(self, packet: Packet) -> float: ...
 
@@ -571,7 +572,12 @@ class PifoScheduler(Scheduler):
     off the previous packet's, eq. 4 or eq. 37), so a flow's minimum is
     its FIFO head and the heap only ever holds flow heads:
 
-    * per-flow FIFOs (``FlowState.queue``) hold the backlog;
+    * per-flow FIFOs (``FlowState.queue``) hold the backlog, and exist
+      only while a flow is backlogged: ``enqueue`` gives a flow's first
+      packet a fresh ``deque``, and the ``dequeue`` or ``discard_tail``
+      that removes its last packet puts back the shared empty
+      :data:`~repro.core.flow.IDLE_QUEUE` (and drops ``tie_keys``), so
+      idle flows cost no queue storage;
     * the heap holds at most one entry per backlogged flow, the 5-slot
       list ``[key, tie_key, uid, packet, state]``, ordered by
       ``(key, tie_key, uid)`` — the seed core's global packet-heap key,
@@ -665,8 +671,11 @@ class PifoScheduler(Scheduler):
         self._backlog_bits += length
         key, tie = self._rank.rank(state, packet, now)
         queue = state.queue
+        if not queue:
+            # FlowState.push, inlined: the first packet takes a deque.
+            queue = deque()
+            state.queue = queue
         queue.append(packet)
-        state.bits_enqueued += length
         if length > state.max_length_seen:
             state.max_length_seen = length
         if self._fifo_ties:
@@ -703,7 +712,7 @@ class PifoScheduler(Scheduler):
         state: FlowState = entry[4]
         state.heap_entry = None
         queue = state.queue
-        head = queue.popleft()
+        head = queue.popleft()  # type: ignore[union-attr]  # a flow with a heap entry is backlogged
         if self.debug_checks and head is not packet:
             raise SchedulerError(
                 f"{self.algorithm} internal error: flow {state.flow_id!r} "
@@ -716,6 +725,8 @@ class PifoScheduler(Scheduler):
                 fresh: HeapEntry = [rank.head_key(nxt), (), nxt.uid, nxt, state]
                 state.heap_entry = fresh
                 heappush(heap, fresh)
+            else:
+                state.queue = IDLE_QUEUE  # the last packet out releases the deque
         else:
             keys = state.tie_keys
             assert keys is not None  # non-FIFO enqueue always fills it
@@ -725,6 +736,9 @@ class PifoScheduler(Scheduler):
                 fresh = [rank.head_key(nxt), keys[0], nxt.uid, nxt, state]
                 state.heap_entry = fresh
                 heappush(heap, fresh)
+            else:
+                state.queue = IDLE_QUEUE
+                state.tie_keys = None
         rank.on_dequeue(state, packet)
         length = packet.length
         self._backlog_packets -= 1
@@ -797,12 +811,12 @@ class PifoScheduler(Scheduler):
     def _do_discard_tail(self, state: FlowState) -> Optional[Packet]:
         if not self._rank.supports_discard:
             return super()._do_discard_tail(state)  # raises, naming the algorithm
-        queue = state.queue
-        packet = queue.pop()
+        packet = state.pop_tail()
         if not self._fifo_ties and state.tie_keys:
             state.tie_keys.pop()
-        if not queue:
+        if not state.queue:
             # The tail was the flow's head: invalidate its entry in place.
+            state.tie_keys = None
             entry = state.heap_entry
             if entry is not None:
                 entry[3] = None

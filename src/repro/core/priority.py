@@ -85,6 +85,20 @@ class PriorityBands(Scheduler):
             return 0
         return self.bands[band].flow_backlog(flow_id)
 
+    # Flows live in the bands, so longest-queue drop asks them.
+    def backlogged_flows(self) -> List[Hashable]:
+        return [fid for band in self.bands for fid in band.backlogged_flows()]
+
+    def discard_tail(self, flow_id: Hashable) -> Optional[Packet]:
+        band = self._flow_band.get(flow_id)
+        if band is None:
+            return None
+        packet = self.bands[band].discard_tail(flow_id)
+        if packet is not None:
+            self._backlog_packets -= 1
+            self._backlog_bits -= packet.length
+        return packet
+
     # The abstract hooks are bypassed by the overridden public methods.
     def _do_enqueue(
         self, state: FlowState, packet: Packet, now: float

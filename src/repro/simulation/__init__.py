@@ -19,13 +19,7 @@ from repro.simulation.eventq import (
 from repro.simulation.events import Event, EventCancelled
 from repro.simulation.process import Process, Until, Waiter, spawn
 from repro.simulation.random import RandomStreams, derive_seed
-from repro.simulation.tracing import (
-    ColumnarTracer,
-    NullTracer,
-    PacketRecord,
-    SamplingTracer,
-    Tracer,
-)
+from repro.simulation.tracing import NullTracer, PacketRecord, Tracer
 
 __all__ = [
     "Simulator",
@@ -42,8 +36,6 @@ __all__ = [
     "PacketRecord",
     "Tracer",
     "NullTracer",
-    "SamplingTracer",
-    "ColumnarTracer",
     "Process",
     "spawn",
     "Until",

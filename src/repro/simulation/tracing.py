@@ -1,4 +1,4 @@
-"""Structured packet tracing — opt-in, with zero-cost and sampled tiers.
+"""Structured packet tracing — opt-in, with a zero-cost off switch.
 
 A tracer collects the (arrival, start-of-service, departure/drop) life
 of packets at a server. The analysis layer (:mod:`repro.analysis`)
@@ -8,7 +8,7 @@ a series).
 
 Tracer protocol
 ---------------
-All tracers implement the same small hot-path surface, driven by
+Both tracers implement the same small hot-path surface, driven by
 :class:`repro.servers.link.Link`:
 
 ``enabled``
@@ -17,10 +17,9 @@ All tracers implement the same small hot-path surface, driven by
     read per packet.
 ``on_arrival(flow, seqno, length, time) -> handle``
     Record an arrival; returns an opaque *handle* (or ``None`` to
-    decline recording this packet, as :class:`SamplingTracer` does for
-    unsampled arrivals). The handle is what the server passes back to
-    the ``mark_*`` methods — a :class:`PacketRecord` for
-    :class:`Tracer`, an integer row index for :class:`ColumnarTracer`.
+    decline recording this packet). The handle is what the server
+    passes back to the ``mark_*`` methods — the :class:`PacketRecord`
+    itself for :class:`Tracer`.
 ``mark_start(handle, time)`` / ``mark_departure(handle, time)`` /
 ``mark_dropped(handle)``
     Stamp lifecycle milestones on a previously returned handle.
@@ -100,9 +99,9 @@ class Tracer:
     ) -> Optional[PacketRecord]:
         """Record an arrival; the returned record is the mark handle.
 
-        Subclasses may return ``None`` to decline recording a packet
-        (as :class:`SamplingTracer` does), so the declared return type
-        is optional; this base implementation always records.
+        Subclasses may return ``None`` to decline recording a packet,
+        so the declared return type is optional; this base
+        implementation always records.
         """
         return self.add(
             PacketRecord(
@@ -275,200 +274,3 @@ class NullTracer:
 
     def __len__(self) -> int:
         return 0
-
-
-class SamplingTracer(Tracer):
-    """Record every ``period``-th arrival; decline the rest.
-
-    A middle tier between full tracing and :class:`NullTracer`: long
-    capacity-planning runs keep a statistically useful packet sample at
-    ``1/period`` of full-tracing cost. Unsampled packets get no handle
-    (``on_arrival`` returns ``None``), so the server skips their
-    ``mark_*`` calls entirely.
-    """
-
-    __slots__ = ("period", "arrivals_seen")
-
-    def __init__(self, name: str = "", period: int = 100) -> None:
-        if period < 1:
-            raise ValueError(f"period must be >= 1, got {period}")
-        super().__init__(name)
-        self.period = int(period)
-        self.arrivals_seen = 0
-
-    def on_arrival(
-        self, flow: Hashable, seqno: int, length: int, time: float
-    ) -> Optional[PacketRecord]:
-        """Record the arrival only if it falls on the sampling grid."""
-        seen = self.arrivals_seen
-        self.arrivals_seen = seen + 1
-        if seen % self.period:
-            return None
-        return super().on_arrival(flow, seqno, length, time)
-
-
-class ColumnarTracer:
-    """Full-fidelity tracing in columnar (struct-of-arrays) storage.
-
-    Stores each field of the record stream in a parallel append-only
-    list and hands out integer row indices as handles, so the per-packet
-    hot path performs only list appends — no :class:`PacketRecord`
-    dataclass allocation per packet per hop. Queries materialize
-    :class:`PacketRecord` objects on demand, making this a drop-in
-    replacement for :class:`Tracer` whose cost is shifted from the
-    simulation loop to analysis time (and whose columns are directly
-    consumable by numpy without an object walk).
-    """
-
-    __slots__ = (
-        "name",
-        "col_flow",
-        "col_seqno",
-        "col_length",
-        "col_arrival",
-        "col_start",
-        "col_departure",
-        "col_dropped",
-        "_by_flow",
-    )
-
-    enabled = True
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.col_flow: List[Hashable] = []
-        self.col_seqno: List[int] = []
-        self.col_length: List[int] = []
-        self.col_arrival: List[float] = []
-        self.col_start: List[Optional[float]] = []
-        self.col_departure: List[Optional[float]] = []
-        self.col_dropped: List[bool] = []
-        self._by_flow: Dict[Hashable, List[int]] = {}
-
-    # ------------------------------------------------------------------
-    # Hot path
-    # ------------------------------------------------------------------
-    def on_arrival(self, flow: Hashable, seqno: int, length: int, time: float) -> int:
-        """Append a row; the returned row index is the mark handle."""
-        idx = len(self.col_flow)
-        self.col_flow.append(flow)
-        self.col_seqno.append(seqno)
-        self.col_length.append(length)
-        self.col_arrival.append(time)
-        self.col_start.append(None)
-        self.col_departure.append(None)
-        self.col_dropped.append(False)
-        rows = self._by_flow.get(flow)
-        if rows is None:
-            rows = self._by_flow[flow] = []
-        rows.append(idx)
-        return idx
-
-    def mark_start(self, handle: int, time: float) -> None:
-        """Stamp start-of-service on a row index."""
-        self.col_start[handle] = time
-
-    def mark_departure(self, handle: int, time: float) -> None:
-        """Stamp departure on a row index."""
-        self.col_departure[handle] = time
-
-    def mark_dropped(self, handle: int) -> None:
-        """Flag a row index as dropped."""
-        self.col_dropped[handle] = True
-
-    # ------------------------------------------------------------------
-    # Queries (materialize PacketRecords on demand)
-    # ------------------------------------------------------------------
-    def _materialize(self, idx: int) -> PacketRecord:
-        return PacketRecord(
-            flow=self.col_flow[idx],
-            seqno=self.col_seqno[idx],
-            length=self.col_length[idx],
-            arrival=self.col_arrival[idx],
-            start_service=self.col_start[idx],
-            departure=self.col_departure[idx],
-            dropped=self.col_dropped[idx],
-            server=self.name,
-        )
-
-    @property
-    def records(self) -> Tuple[PacketRecord, ...]:
-        """All rows as :class:`PacketRecord` objects (materialized now)."""
-        return tuple(self._materialize(i) for i in range(len(self.col_flow)))
-
-    def flows(self) -> Tuple[Hashable, ...]:
-        """Flows with at least one row, in first-arrival order."""
-        return tuple(self._by_flow)
-
-    def for_flow(self, flow: Hashable) -> Tuple[PacketRecord, ...]:
-        """All of ``flow``'s rows, materialized."""
-        return tuple(self.iter_for_flow(flow))
-
-    def iter_for_flow(self, flow: Hashable) -> Iterator[PacketRecord]:
-        """Materialize ``flow``'s rows lazily."""
-        return (self._materialize(i) for i in self._by_flow.get(flow, ()))
-
-    def count_for_flow(self, flow: Hashable) -> int:
-        """Number of rows of ``flow`` — O(1)."""
-        rows = self._by_flow.get(flow)
-        return len(rows) if rows is not None else 0
-
-    def _indices(self, flow: Optional[Hashable]) -> Iterable[int]:
-        if flow is None:
-            return range(len(self.col_flow))
-        return self._by_flow.get(flow, ())
-
-    def departed(self, flow: Optional[Hashable] = None) -> Tuple[PacketRecord, ...]:
-        """Rows that completed service, materialized."""
-        return tuple(self.iter_departed(flow))
-
-    def iter_departed(self, flow: Optional[Hashable] = None) -> Iterator[PacketRecord]:
-        """Materialize departed rows lazily."""
-        departure = self.col_departure
-        return (
-            self._materialize(i)
-            for i in self._indices(flow)
-            if departure[i] is not None
-        )
-
-    def dropped(self, flow: Optional[Hashable] = None) -> Tuple[PacketRecord, ...]:
-        """Rows of dropped packets, materialized."""
-        flags = self.col_dropped
-        return tuple(self._materialize(i) for i in self._indices(flow) if flags[i])
-
-    def delays(self, flow: Optional[Hashable] = None) -> List[float]:
-        """Per-packet delays of departed rows, straight off the columns."""
-        departure = self.col_departure
-        arrival = self.col_arrival
-        out: List[float] = []
-        for i in self._indices(flow):
-            d = departure[i]
-            if d is not None:
-                out.append(d - arrival[i])
-        return out
-
-    def work_in_interval(self, flow: Hashable, t1: float, t2: float) -> int:
-        """Bits of ``flow`` served entirely within ``[t1, t2]`` (Section 1.2)."""
-        start = self.col_start
-        departure = self.col_departure
-        length = self.col_length
-        total = 0
-        for i in self._by_flow.get(flow, ()):
-            s, d = start[i], departure[i]
-            if s is not None and d is not None and s >= t1 and d <= t2:
-                total += length[i]
-        return total
-
-    def clear(self) -> None:
-        """Drop all rows."""
-        self.col_flow.clear()
-        self.col_seqno.clear()
-        self.col_length.clear()
-        self.col_arrival.clear()
-        self.col_start.clear()
-        self.col_departure.clear()
-        self.col_dropped.clear()
-        self._by_flow.clear()
-
-    def __len__(self) -> int:
-        return len(self.col_flow)

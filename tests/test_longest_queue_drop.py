@@ -4,24 +4,43 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DRR, SFQ, Packet
+from repro.core import DRR, SFQ, HierarchicalScheduler, Packet, make_scheduler
+from repro.core.priority import PriorityBands
 from repro.servers import ConstantCapacity, Link
 from repro.simulation import Simulator
 
 
-def make_link(policy="longest_queue", buffer_packets=4):
-    sim = Simulator()
+def _flat_sfq():
     sfq = SFQ(auto_register=False)
     sfq.add_flow("hog", 1.0)
     sfq.add_flow("meek", 1.0)
+    return sfq
+
+
+def _sfq_low_priority_band():
+    """Both flows in the SFQ band below an (idle) FIFO band."""
+    bands = PriorityBands(
+        [
+            make_scheduler("FIFO", auto_register=False),
+            make_scheduler("SFQ", auto_register=False),
+        ]
+    )
+    bands.assign_flow("hog", 1)
+    bands.assign_flow("meek", 1)
+    return bands
+
+
+def make_link(policy="longest_queue", buffer_packets=4, build=_flat_sfq):
+    sim = Simulator()
+    sched = build()
     link = Link(
         sim,
-        sfq,
+        sched,
         ConstantCapacity(100.0),
         buffer_packets=buffer_packets,
         drop_policy=policy,
     )
-    return sim, sfq, link
+    return sim, sched, link
 
 
 # ----------------------------------------------------------------------
@@ -80,18 +99,42 @@ def test_peek_skips_discarded_head():
 # Link-level policy
 # ----------------------------------------------------------------------
 def test_lqd_protects_light_flow_at_full_buffer():
-    sim, sfq, link = make_link()
-    # Fill the buffer with hog packets (1 in service + 4 queued).
-    sim.at(0.0, lambda: [link.send(Packet("hog", 100, seqno=i)) for i in range(5)])
-    # A meek packet arrives into the full buffer: under LQD it gets in,
-    # evicting the hog's youngest packet.
-    sim.at(0.5, lambda: link.send(Packet("meek", 100, seqno=0)))
-    sim.run()
-    assert len(link.tracer.departed("meek")) == 1
-    assert link.packets_dropped == 1
-    dropped = link.tracer.dropped("hog")
-    assert len(dropped) == 1
-    assert dropped[0].seqno == 4  # the youngest queued hog packet
+    # Flat SFQ, and SFQ as a band of a composite scheduler whose own
+    # flow table is empty: LQD must find the hog through the band.
+    for build in (_flat_sfq, _sfq_low_priority_band):
+        sim, sched, link = make_link(build=build)
+        # Fill the buffer with hog packets (1 in service + 4 queued).
+        sim.at(0.0, lambda: [link.send(Packet("hog", 100, seqno=i)) for i in range(5)])
+        # A meek packet arrives into the full buffer: under LQD it gets
+        # in, evicting the hog's youngest packet.
+        sim.at(0.5, lambda: link.send(Packet("meek", 100, seqno=0)))
+        sim.run()
+        assert len(link.tracer.departed("meek")) == 1
+        assert link.packets_dropped == 1
+        dropped = link.tracer.dropped("hog")
+        assert len(dropped) == 1
+        assert dropped[0].seqno == 4  # the youngest queued hog packet
+        assert sched.backlog_packets == 0 and sched.backlog_bits == 0
+
+
+def test_lqd_over_a_hierarchy_fails_loudly():
+    """The hierarchy lists its backlogged flows but cannot discard (a
+    flow's tail may be an offer held above its leaf): LQD raises at its
+    first eviction instead of silently dropping the arrival."""
+    sim = Simulator()
+    hs = HierarchicalScheduler()
+    hs.add_class("root", "leaf", weight=1.0)
+    hs.attach_flow("hog", "leaf")
+    hs.attach_flow("meek", "leaf")
+    link = Link(
+        sim, hs, ConstantCapacity(100.0), buffer_packets=2,
+        drop_policy="longest_queue",
+    )
+    for i in range(3):  # 1 in service + 2 queued: the buffer is full
+        link.send(Packet("hog", 100, seqno=i))
+    assert hs.backlogged_flows() == ["hog"]
+    with pytest.raises(NotImplementedError, match="Hierarchical"):
+        link.send(Packet("meek", 100, seqno=0))
 
 
 def test_drop_tail_would_have_dropped_the_meek_packet():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Packet, bits, kbps, mbps
-from repro.core.flow import EATTracker, FlowState
+from repro.core.flow import IDLE_QUEUE, EATTracker, FlowState
 
 
 # ----------------------------------------------------------------------
@@ -67,6 +67,7 @@ def test_unit_helpers():
 def test_flow_state_queue_ops():
     state = FlowState("f", 100.0)
     assert not state.backlogged
+    assert state.queue is IDLE_QUEUE  # idle flows share one empty tuple
     p1, p2 = Packet("f", 100), Packet("f", 200)
     state.push(p1)
     state.push(p2)
@@ -76,6 +77,21 @@ def test_flow_state_queue_ops():
     assert state.head() is p1
     assert state.pop() is p1
     assert state.head() is p2
+    assert state.pop() is p2
+    # The last packet out puts the shared tuple back ...
+    assert state.queue is IDLE_QUEUE
+    assert state.head() is None and state.backlog_bits == 0
+    with pytest.raises(IndexError):
+        state.pop()
+    # ... and so does a tail pop (discard) of the only packet.
+    state.push(p1)
+    assert state.pop_tail() is p1
+    assert state.queue is IDLE_QUEUE
+    with pytest.raises(IndexError):
+        state.pop_tail()
+    # A writer that bypasses push() fails loudly.
+    with pytest.raises(AttributeError):
+        state.queue.append(p1)
 
 
 def test_flow_state_tracks_max_length():

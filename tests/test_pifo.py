@@ -10,8 +10,9 @@ surface the PIFO redesign added on top:
   not behavior);
 * the engine's own bookkeeping — tie-break order and ``discard_tail``
   against the frozen seed cores, FIFO ties in uid order, the
-  ``debug_checks`` corruption detector, and flow churn that leaves no
-  state behind;
+  ``debug_checks`` corruption detector, flow churn that leaves no
+  state behind, and per-flow state sized by backlog (an idle flow
+  holds the shared empty queue and no EAT tracker);
 * ``SpPifoScheduler`` — determinism, the ``bands=None``/``bands=0``
   exact degenerate case, push-up/push-down bound adaptation, and the
   inversion/unpifoness accounting;
@@ -24,10 +25,16 @@ surface the PIFO redesign added on top:
 
 from __future__ import annotations
 
+import gc
+import sys
+import tracemalloc
+from collections import deque
+
 import pytest
 
 from repro.core import (
     LSTF,
+    HierarchicalScheduler,
     Packet,
     TieBreak,
     describe_scheduler,
@@ -35,6 +42,7 @@ from repro.core import (
     make_scheduler,
 )
 from repro.core.base import SchedulerError
+from repro.core.flow import IDLE_QUEUE
 from repro.core.pifo import (
     DelayEddRank,
     FqsRank,
@@ -179,13 +187,24 @@ def test_discard_tail_matches_seed_core(name, legacy_cls):
 
 
 def test_discard_tail_empties_flow_completely():
-    sched = make_scheduler("SCFQ", auto_register=False)
-    sched.add_flow("a", 1.0)
-    sched.enqueue(Packet("a", 500, seqno=0), 0.0)
-    assert sched.discard_tail("a").seqno == 0
-    assert sched.discard_tail("a") is None
-    assert sched.dequeue(0.0) is None
-    assert not sched.flows["a"].backlogged
+    for sched in (
+        make_scheduler("SCFQ", auto_register=False),
+        make_scheduler("SFQ", auto_register=False),
+        make_scheduler(
+            "SFQ", auto_register=False, tie_break=TieBreak.lowest_weight_first
+        ),
+        make_scheduler("FIFO", auto_register=False),
+    ):
+        sched.add_flow("a", 1.0)
+        sched.enqueue(Packet("a", 500, seqno=0), 0.0)
+        assert sched.discard_tail("a").seqno == 0
+        assert sched.discard_tail("a") is None
+        assert sched.dequeue(0.0) is None
+        state = sched.flows["a"]
+        assert not state.backlogged
+        # Discarding the only packet releases the flow's deque.
+        assert state.queue is IDLE_QUEUE
+        assert state.tie_keys is None
 
 
 def test_discard_tail_unsupported_on_wfq():
@@ -232,17 +251,121 @@ def _churn_finish_tags(cycles):
         pkt = sched.dequeue(now)
         sched.on_service_complete(pkt, now + 0.1)
         finishes.append(pkt.finish_tag)
+        assert sched.flows[fid].queue is IDLE_QUEUE
         sched.remove_flow(fid)
         now += 0.25
     return sched, finishes
 
 
 def test_10k_churn_cycles_leave_only_the_anchor():
-    """10,000 join/serve/leave cycles leave no per-flow state behind,
-    and the identical loop reproduces the identical tags."""
+    """10,000 join/serve/leave cycles leave no per-flow state behind
+    (each served flow is back on the shared idle queue before it
+    leaves), and the identical loop reproduces the identical tags."""
     sched, finishes = _churn_finish_tags(10_000)
     assert set(sched.flows) == {"anchor"}
+    assert sched.flows["anchor"].queue is IDLE_QUEUE
     assert _churn_finish_tags(10_000)[1] == finishes
+
+
+# ----------------------------------------------------------------------
+# Per-flow state sized by backlog: idle flows hold no queue
+# ----------------------------------------------------------------------
+
+
+def _flat(sched):
+    return sched, sched.flows
+
+
+def _hierarchy_leaf():
+    hs = HierarchicalScheduler()
+    hs.add_class("root", "leaf", weight=1.0)
+    return hs, hs.class_node("leaf").scheduler.flows
+
+
+#: Case -> builder of (scheduler, the dict holding its FlowStates).
+QUEUE_LIFETIME = {
+    "SFQ": lambda: _flat(make_scheduler("SFQ", auto_register=False)),
+    "SFQ-lowest-weight-ties": lambda: _flat(
+        make_scheduler(
+            "SFQ", auto_register=False, tie_break=TieBreak.lowest_weight_first
+        )
+    ),
+    "FIFO": lambda: _flat(make_scheduler("FIFO", auto_register=False)),
+    "DRR": lambda: _flat(
+        make_scheduler("DRR", auto_register=False, quantum_scale=500.0)
+    ),
+    "WRR": lambda: _flat(make_scheduler("WRR", auto_register=False)),
+    "hierarchy-leaf": _hierarchy_leaf,
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUEUE_LIFETIME))
+def test_idle_flows_hold_the_shared_empty_queue(case):
+    sched, states = QUEUE_LIFETIME[case]()
+    for fid, weight in (("a", 1.0), ("b", 2.0)):
+        if isinstance(sched, HierarchicalScheduler):
+            sched.attach_flow(fid, "leaf", weight)
+        else:
+            sched.add_flow(fid, weight)
+    assert all(state.queue is IDLE_QUEUE for state in states.values())
+    for i in range(3):
+        sched.enqueue(Packet("a", 500, seqno=i), 0.0)
+        sched.enqueue(Packet("b", 500, seqno=i), 0.0)
+    assert all(type(state.queue) is deque for state in states.values())
+    assert len(_drain(sched)) == 6
+    for state in states.values():
+        # The last packet out put the shared tuple back.
+        assert state.queue is IDLE_QUEUE
+        assert state.tie_keys is None
+
+
+def test_sfq_flow_never_creates_an_eat_tracker():
+    sfq = make_scheduler("SFQ")
+    vc = make_scheduler("VirtualClock")
+    for sched in (sfq, vc):
+        for i in range(4):
+            sched.enqueue(Packet("a", 500, seqno=i), 0.0)
+        _drain(sched)
+    # The eq. 37 tracker exists only where a discipline reads it.
+    assert sfq.flows["a"]._eat is None
+    assert vc.flows["a"]._eat is not None
+
+
+def _traced_bytes_per_flow(build, flows):
+    """tracemalloc bytes still held, per flow, by ``build(flows)``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sched = build(flows)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(sched.flows) == flows
+    return held / flows
+
+
+def test_idle_and_drained_flow_footprint_below_one_deque():
+    """An idle SFQ flow, fresh or drained, costs less than one empty
+    deque (the bound holds across CPython versions)."""
+
+    def registered(flows):
+        sched = make_scheduler("SFQ", auto_register=False)
+        for fid in range(flows):
+            sched.add_flow(fid, 1.0)
+        return sched
+
+    def drained(flows):
+        sched = registered(flows)
+        for fid in range(flows):
+            sched.enqueue(Packet(fid, 1000), 0.0)
+        _drain(sched)
+        return sched
+
+    one_deque = sys.getsizeof(deque())
+    assert _traced_bytes_per_flow(registered, 10_000) < one_deque
+    assert _traced_bytes_per_flow(drained, 10_000) < one_deque
 
 
 # ----------------------------------------------------------------------
