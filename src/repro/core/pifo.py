@@ -865,6 +865,14 @@ class SpPifoScheduler(Scheduler):
     Unlike the PIFO engine this scheduler does not forward the rank's
     exported state (no ``virtual_time``): it intentionally serves out of
     tag order, so virtual-time monitors must not attach to it.
+
+    Packets live only in the bands (or the exact heap), never in
+    ``FlowState.queue``, and a flow's packets may leave the bands out of
+    arrival order. So the scheduler counts each flow's queued packets
+    itself and answers :meth:`flow_backlog`, :meth:`backlogged_flows`
+    and the :meth:`remove_flow` check from that count. It cannot find a
+    flow's youngest packet without a scan, so :meth:`discard_tail`
+    raises: use drop-tail buffering with it.
     """
 
     __slots__ = (
@@ -880,6 +888,7 @@ class SpPifoScheduler(Scheduler):
         "push_downs",
         "_pending",
         "_done",
+        "_queued",
     )
 
     algorithm = "SP-PIFO"
@@ -923,6 +932,8 @@ class SpPifoScheduler(Scheduler):
         self._pending: List[Tuple[float, int]] = []
         #: uids dequeued while not at the side-heap top (lazy purge).
         self._done: Dict[int, None] = {}
+        #: Queued packets per backlogged flow (idle flows have no entry).
+        self._queued: Dict[Hashable, int] = {}
         rank_fn.bind(self)
 
     @property
@@ -949,6 +960,8 @@ class SpPifoScheduler(Scheduler):
     # ------------------------------------------------------------------
     def _do_enqueue(self, state: FlowState, packet: Packet, now: float) -> None:
         key, _tie = self._rank.rank(state, packet, now)
+        queued = self._queued
+        queued[packet.flow] = queued.get(packet.flow, 0) + 1
         heap = self._exact_heap
         if heap is not None:
             heapq.heappush(heap, (key, packet.uid, packet))
@@ -985,26 +998,31 @@ class SpPifoScheduler(Scheduler):
 
     def _do_dequeue(self, now: float) -> Optional[Packet]:
         heap = self._exact_heap
+        packet: Optional[Packet] = None
         if heap is not None:
             if not heap:
                 return None
-            _key, _uid, packet = heapq.heappop(heap)
-            self.dequeues += 1
-            self._rank.on_dequeue(self.flows[packet.flow], packet)
-            return packet
-        bands = self._bands
-        assert bands is not None  # exact mode returned above
-        packet = None
-        for band in bands:
-            if band:
-                packet = band.popleft()
-                break
-        if packet is None:
-            return None
+            packet = heapq.heappop(heap)[2]
+        else:
+            bands = self._bands
+            assert bands is not None  # exact mode has a heap
+            for band in bands:
+                if band:
+                    packet = band.popleft()
+                    break
+            if packet is None:
+                return None
+            if self.track_inversions:
+                self._record_inversion(packet)
         self.dequeues += 1
-        if self.track_inversions:
-            self._record_inversion(packet)
-        self._rank.on_dequeue(self.flows[packet.flow], packet)
+        flow = packet.flow
+        queued = self._queued
+        left = queued[flow] - 1
+        if left:
+            queued[flow] = left
+        else:
+            del queued[flow]
+        self._rank.on_dequeue(self.flows[flow], packet)
         return packet
 
     def _record_inversion(self, packet: Packet) -> None:
@@ -1031,6 +1049,23 @@ class SpPifoScheduler(Scheduler):
     def _do_service_complete(self, packet: Packet, now: float) -> None:
         if self._backlog_packets == 0:
             self._rank.on_idle()
+
+    def remove_flow(self, flow_id: Hashable) -> None:
+        if flow_id in self._queued:
+            raise SchedulerError(f"cannot remove backlogged flow {flow_id!r}")
+        super().remove_flow(flow_id)
+
+    def backlogged_flows(self) -> List[Hashable]:
+        return list(self._queued)
+
+    def flow_backlog(self, flow_id: Hashable) -> int:
+        return self._queued.get(flow_id, 0)
+
+    def discard_tail(self, flow_id: Hashable) -> Optional[Packet]:
+        raise NotImplementedError(
+            f"{self.algorithm} does not support discard_tail(); use "
+            "drop-tail buffering with it"
+        )
 
     def peek(self, now: float) -> Optional[Packet]:
         """Packet the next ``dequeue`` would return (no side effects)."""

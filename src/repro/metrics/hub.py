@@ -12,7 +12,10 @@ routes arrivals, departures, and drops into constant-memory instruments
 The per-flow hot path avoids repeated registry lookups with a handle
 cache (:class:`_FlowHandles`): the first packet of a flow resolves its
 six counters, two histograms and rate meter once; every later packet is
-a single dict get plus a handful of arithmetic updates.
+a single dict get plus a handful of arithmetic updates. A ``Link`` makes
+two hub calls per packet, :meth:`MetricsHub.on_arrival` and
+:meth:`MetricsHub.on_served`, each carrying the scheduler backlog after
+the event for the ``queue_depth`` and ``backlog_bits`` gauges.
 
 Standard instrument catalog (what :meth:`MetricsHub.on_arrival` and
 friends populate; see HACKING.md "Metrics" for the full description):
@@ -243,23 +246,42 @@ class MetricsHub:
             self._flow_cache[flow] = handles
         return handles
 
-    def on_arrival(self, flow: Hashable, length: float, now: float) -> None:
-        """An arrival was accepted into the queue."""
+    def on_arrival(
+        self,
+        flow: Hashable,
+        length: float,
+        now: float,
+        backlog_packets: int,
+        backlog_bits: float,
+    ) -> None:
+        """An arrival was accepted; the scheduler now holds
+        ``backlog_packets`` packets of ``backlog_bits`` bits."""
         handles = self._flow(flow)
         handles.packets_arrived.add(1)
         handles.bits_arrived.add(length)
         handles.packet_length.observe(length)
+        self._queue_depth.set(backlog_packets)
+        self._backlog_bits.set(backlog_bits)
 
     def on_served(
-        self, flow: Hashable, length: float, delay: float, now: float
+        self,
+        flow: Hashable,
+        length: float,
+        delay: float,
+        now: float,
+        backlog_packets: int,
+        backlog_bits: float,
     ) -> None:
-        """A packet finished transmission ``delay`` seconds after arrival."""
+        """A packet finished transmission ``delay`` seconds after arrival,
+        leaving ``backlog_packets`` packets of ``backlog_bits`` bits."""
         handles = self._flow(flow)
         handles.packets_served.add(1)
         handles.bits_served.add(length)
         handles.delay.observe(delay)
         handles.throughput.add(now, length)
         self._link_throughput.add(now, length)
+        self._queue_depth.set(backlog_packets)
+        self._backlog_bits.set(backlog_bits)
 
     def on_dropped(self, flow: Hashable, length: float, now: float) -> None:
         """A packet was lost (buffer reject, eviction, or outage)."""
@@ -268,7 +290,8 @@ class MetricsHub:
         handles.bits_dropped.add(length)
 
     def on_queue_sample(self, packets: int, bits: float) -> None:
-        """Record the scheduler backlog after a queue-changing event."""
+        """Record the scheduler backlog outside an arrival or departure
+        (those hooks take it as arguments)."""
         self._queue_depth.set(packets)
         self._backlog_bits.set(bits)
 

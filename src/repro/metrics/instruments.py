@@ -22,6 +22,7 @@ depending on) the ``ExperimentResult`` codec.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 __all__ = [
@@ -135,6 +136,16 @@ class Gauge:
         return f"Gauge(value={self.value!r}, high={self.high!r})"
 
 
+@lru_cache(maxsize=64)
+def _histogram_edges(lo: float, hi: float, bins: int) -> Tuple[float, ...]:
+    """Bucket boundaries of the ``(lo, hi, bins)`` layout, lo..hi
+    inclusive (``bins + 1`` edges). Every histogram of one layout shares
+    the one immutable tuple, so a metered flow does not pay for its own
+    copy of the edges."""
+    ratio = (hi / lo) ** (1.0 / bins)
+    return tuple(lo * ratio**i for i in range(bins + 1))
+
+
 class Histogram:
     """Fixed-bucket log-scale histogram (per-flow delay, packet length).
 
@@ -160,9 +171,8 @@ class Histogram:
         self.lo = float(lo)
         self.hi = float(hi)
         self.bins = int(bins)
-        ratio = (self.hi / self.lo) ** (1.0 / self.bins)
-        #: bucket boundaries, lo..hi inclusive (bins + 1 edges)
-        self._edges: List[float] = [self.lo * ratio**i for i in range(self.bins + 1)]
+        #: bucket boundaries, shared by every histogram of this layout
+        self._edges = _histogram_edges(self.lo, self.hi, self.bins)
         self.counts: List[int] = [0] * (self.bins + 2)
         self.count = 0
         self.total = 0.0

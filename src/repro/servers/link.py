@@ -186,9 +186,12 @@ class Link:
         scheduler.enqueue(packet, now)
         metrics = self.metrics
         if metrics.enabled:
-            metrics.on_arrival(packet.flow, packet.length, now)
-            metrics.on_queue_sample(
-                scheduler.backlog_packets, scheduler.backlog_bits
+            metrics.on_arrival(
+                packet.flow,
+                packet.length,
+                now,
+                scheduler.backlog_packets,
+                scheduler.backlog_bits,
             )
         if self.arrival_hooks:
             for hook in self.arrival_hooks:
@@ -339,10 +342,12 @@ class Link:
             self.packets_transmitted += 1
             if metrics.enabled:
                 metrics.on_served(
-                    packet.flow, packet.length, now - packet.arrival, now
-                )
-                metrics.on_queue_sample(
-                    scheduler.backlog_packets, scheduler.backlog_bits
+                    packet.flow,
+                    packet.length,
+                    now - packet.arrival,
+                    now,
+                    scheduler.backlog_packets,
+                    scheduler.backlog_bits,
                 )
             scheduler.on_service_complete(packet, now)
             if self.departure_hooks:

@@ -1,16 +1,12 @@
-"""Traffic sources: CBR/bulk, Poisson, on-off, MPEG VBR, traces, shaping."""
+"""Traffic sources: CBR/bulk, Poisson, on-off, MPEG VBR, traces, shaping.
+
+The vectorized batch arrival API lives in :mod:`repro.traffic.batch`
+and is not re-exported here: it is the only part of ``src/`` that
+imports numpy, and no per-packet source needs it, so importing this
+package loads neither. Import batch names from ``repro.traffic.batch``.
+"""
 
 from repro.traffic.base import Ingress, Source
-from repro.traffic.batch import (
-    ArrivalTimeline,
-    FleetTimeline,
-    FlowArrivals,
-    cbr_fleet_times,
-    cbr_times,
-    merge_arrivals,
-    poisson_times,
-    timeline_from_specs,
-)
 from repro.traffic.cbr import BulkSource, CBRSource, PacedWindowSource
 from repro.traffic.leaky_bucket import LeakyBucketShaper, conforms
 from repro.traffic.pareto import ParetoOnOffSource, pareto_sample
@@ -37,13 +33,4 @@ __all__ = [
     "record_source",
     "LeakyBucketShaper",
     "conforms",
-    # vectorized batch arrival API (repro.traffic.batch)
-    "ArrivalTimeline",
-    "FleetTimeline",
-    "FlowArrivals",
-    "cbr_times",
-    "cbr_fleet_times",
-    "poisson_times",
-    "merge_arrivals",
-    "timeline_from_specs",
 ]

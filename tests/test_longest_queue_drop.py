@@ -137,6 +137,19 @@ def test_lqd_over_a_hierarchy_fails_loudly():
         link.send(Packet("meek", 100, seqno=0))
 
 
+def test_lqd_over_sp_pifo_fails_loudly():
+    """SP-PIFO lists its backlogged flows from its own per-flow count but
+    cannot find a flow's youngest packet in its bands: LQD raises at its
+    first eviction instead of silently running drop-tail."""
+    sim, sched, link = make_link(build=lambda: make_scheduler("SP-SFQ"))
+    for i in range(5):  # 1 in service + 4 queued: the buffer is full
+        link.send(Packet("hog", 100, seqno=i))
+    assert sched.backlogged_flows() == ["hog"]
+    assert sched.flow_backlog("hog") == 4
+    with pytest.raises(NotImplementedError, match="SP-PIFO"):
+        link.send(Packet("light", 100, seqno=0))
+
+
 def test_drop_tail_would_have_dropped_the_meek_packet():
     sim, sfq, link = make_link(policy="drop_tail")
     sim.at(0.0, lambda: [link.send(Packet("hog", 100, seqno=i)) for i in range(5)])

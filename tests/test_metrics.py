@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import random
 
 import pytest
 
@@ -159,8 +160,8 @@ def test_hub_create_on_first_use_and_kind_conflict():
 
 def test_hub_standard_catalog_via_hot_path_hooks():
     hub = MetricsHub("srv")
-    hub.on_arrival("f", 800.0, 0.0)
-    hub.on_served("f", 800.0, 0.02, 0.02)
+    hub.on_arrival("f", 800.0, 0.0, 1, 800.0)
+    hub.on_served("f", 800.0, 0.02, 0.02, 0, 0.0)
     hub.on_dropped("g", 400.0, 0.03)
     hub.on_queue_sample(3, 2400.0)
     assert hub.counter("packets_arrived", "f").value == 1
@@ -174,8 +175,8 @@ def test_hub_standard_catalog_via_hot_path_hooks():
 
 def test_hub_payload_roundtrip_is_lossless():
     hub = MetricsHub("srv", rate_window=0.25)
-    hub.on_arrival(("tup", 1), 100.0, 0.0)
-    hub.on_served(("tup", 1), 100.0, 0.5, 0.5)
+    hub.on_arrival(("tup", 1), 100.0, 0.0, 1, 100.0)
+    hub.on_served(("tup", 1), 100.0, 0.5, 0.5, 0, 0.0)
     hub.counter("custom").add(5)
     restored = MetricsHub.from_payload(hub.to_payload())
     assert restored.to_payload() == hub.to_payload()
@@ -186,9 +187,9 @@ def test_hub_payload_roundtrip_is_lossless():
 def test_hub_merge_sums_counters_and_copies_missing():
     a = MetricsHub("srv")
     b = MetricsHub("srv")
-    a.on_served("f", 100.0, 0.1, 0.1)
-    b.on_served("f", 300.0, 0.2, 0.2)
-    b.on_served("only-b", 50.0, 0.3, 0.3)
+    a.on_served("f", 100.0, 0.1, 0.1, 0, 0.0)
+    b.on_served("f", 300.0, 0.2, 0.2, 0, 0.0)
+    b.on_served("only-b", 50.0, 0.3, 0.3, 0, 0.0)
     a.merge(b)
     assert a.counter("bits_served", "f").value == 400.0
     assert a.counter("packets_served", "only-b").value == 1
@@ -201,7 +202,78 @@ def test_null_hub_is_disabled_but_fully_functional():
     assert MetricsHub("x").enabled is True
     # Unguarded writes must not raise (and are simply never exported).
     NULL_METRICS.counter("whatever").add()
-    NULL_METRICS.on_arrival("f", 1.0, 0.0)
+    NULL_METRICS.on_arrival("f", 1.0, 0.0, 1, 1.0)
+
+
+def _feed_through_instruments(hub, events):
+    """The hub hooks' contract, spelled with the instruments' own
+    update methods: the reference the hooks must match."""
+    for kind, flow, length, delay, now, packets, bits in events:
+        handles = hub._flow(flow)
+        if kind == "arrival":
+            handles.packets_arrived.add(1)
+            handles.bits_arrived.add(length)
+            handles.packet_length.observe(length)
+        elif kind == "served":
+            handles.packets_served.add(1)
+            handles.bits_served.add(length)
+            handles.delay.observe(delay)
+            handles.throughput.add(now, length)
+            hub.get("link_throughput").add(now, length)
+        else:
+            handles.packets_dropped.add(1)
+            handles.bits_dropped.add(length)
+            continue
+        hub.gauge("queue_depth").set(packets)
+        hub.gauge("backlog_bits").set(bits)
+
+
+def _feed_through_hooks(hub, events):
+    for kind, flow, length, delay, now, packets, bits in events:
+        if kind == "arrival":
+            hub.on_arrival(flow, length, now, packets, bits)
+        elif kind == "served":
+            hub.on_served(flow, length, delay, now, packets, bits)
+        else:
+            hub.on_dropped(flow, length, now)
+
+
+def test_hub_hooks_match_instrument_methods_on_a_seeded_stream():
+    rng = random.Random(2024)
+    flows = ["a", "b", 7, ("t", 1)]
+    events, queued, now = [], [], 0.0
+    for _ in range(3000):
+        now += rng.expovariate(50.0)
+        roll = rng.random()
+        if roll < 0.5 or not queued:
+            flow, length = rng.choice(flows), rng.choice((0, 64, 512, 12_000, 10**8))
+            if roll < 0.08:  # a reject never enters the queue
+                events.append(("dropped", flow, length, 0.0, now, 0, 0))
+                continue
+            queued.append((flow, length, now))
+            kind, delay = "arrival", 0.0
+        else:
+            flow, length, arrived = queued.pop(rng.randrange(len(queued)))
+            kind, delay = "served", now - arrived
+        events.append(
+            (kind, flow, length, delay, now, len(queued), sum(q[1] for q in queued))
+        )
+
+    payloads = []
+    for feed in (_feed_through_instruments, _feed_through_hooks):
+        hub = MetricsHub("srv", rate_window=0.05)
+        feed(hub, events)
+        payloads.append(json.dumps(hub.to_payload(), sort_keys=True))
+    assert payloads[0] == payloads[1]
+    served = sum(hub.counter("packets_served", f).value for f in flows)
+    assert served == sum(e[0] == "served" for e in events) > 0
+
+
+def test_histograms_of_one_layout_share_their_edges():
+    hub = MetricsHub("srv")
+    hub.on_served("f", 100, 0.1, 0.1, 0, 0)
+    hub.on_served("g", 100, 0.2, 0.2, 0, 0)
+    assert hub.get("delay", "f")._edges is hub.get("delay", "g")._edges
 
 
 # ----------------------------------------------------------------------
@@ -458,6 +530,23 @@ def test_campaign_merges_shard_snapshots(tmp_path):
     # Shard results no longer carry raw payloads (lifted pre-aggregate).
     for outcome in campaign.outcomes:
         assert "metrics_snapshot" not in outcome.result.data
+
+
+def test_campaign_metrics_aggregate_across_a_process_pool(tmp_path):
+    from repro.experiments.campaign import run_campaign
+
+    snapshots = [
+        run_campaign(
+            ["figure1"],
+            seeds=2,
+            jobs=jobs,
+            cache=False,
+            results_dir=str(tmp_path / f"jobs{jobs}"),
+            metrics=True,
+        ).summaries["figure1"].data["metrics_snapshot"]
+        for jobs in (1, 2)
+    ]
+    assert snapshots[1] == snapshots[0]
 
 
 def test_campaign_snapshot_survives_result_cache(tmp_path):

@@ -14,8 +14,9 @@ surface the PIFO redesign added on top:
   state behind, and per-flow state sized by backlog (an idle flow
   holds the shared empty queue and no EAT tracker);
 * ``SpPifoScheduler`` — determinism, the ``bands=None``/``bands=0``
-  exact degenerate case, push-up/push-down bound adaptation, and the
-  inversion/unpifoness accounting;
+  exact degenerate case, push-up/push-down bound adaptation, the
+  inversion/unpifoness accounting, and the per-flow backlog that
+  per-flow buffer caps and ``remove_flow`` read;
 * registry v2 — ``make_scheduler(name, rank_fn=...)`` for ad-hoc
   disciplines (the ten-line demo below), ``list_schedulers`` and
   ``describe_scheduler``;
@@ -55,6 +56,8 @@ from repro.core.pifo import (
     Wf2qRank,
     WfqRank,
 )
+from repro.servers import ConstantCapacity, Link
+from repro.simulation import Simulator
 
 from tests.reference.legacy_cores import LegacySCFQ, LegacySFQ
 from tests.test_trace_equivalence import (
@@ -517,6 +520,43 @@ def test_sp_pifo_registered_as_discipline():
     assert isinstance(sched, SpPifoScheduler)
     assert sched.band_count == 8  # spec default
     assert "SP-SFQ" in list_schedulers()
+
+
+@pytest.mark.parametrize("bands", [8, 0], ids=["banded", "exact"])
+def test_sp_pifo_counts_each_flows_queued_packets(bands):
+    """Packets live in the bands, never in FlowState.queue: the per-flow
+    backlog is the scheduler's own count, and it guards remove_flow."""
+    sched = make_scheduler("SP-SFQ", bands=bands)
+    for i in range(3):
+        sched.enqueue(Packet("a", 100, seqno=i), 0.0)
+    sched.enqueue(Packet("b", 300, seqno=0), 0.0)
+    assert (sched.flow_backlog("a"), sched.flow_backlog("b")) == (3, 1)
+    assert sched.backlogged_flows() == ["a", "b"]
+    with pytest.raises(SchedulerError, match="backlogged"):
+        sched.remove_flow("a")
+    now = 0.0
+    while (packet := sched.dequeue(now)) is not None:
+        now += packet.length / 1000.0
+        sched.on_service_complete(packet, now)
+    assert (sched.flow_backlog("a"), sched.backlogged_flows()) == (0, [])
+    sched.remove_flow("a")
+    assert "a" not in sched.flows
+
+
+def test_per_flow_buffer_cap_holds_over_sp_pifo():
+    sim = Simulator()
+    link = Link(
+        sim,
+        make_scheduler("SP-SFQ"),
+        ConstantCapacity(1000.0),
+        per_flow_buffer_packets={"f": 2},
+    )
+    link.pause()  # keep every arrival in the scheduler
+    assert [link.send(Packet("f", 100, seqno=i)) for i in range(4)] == [
+        True, True, False, False,
+    ]
+    assert link.send(Packet("g", 100, seqno=0))  # another flow is not capped
+    assert link.packets_dropped == 2
 
 
 # ----------------------------------------------------------------------
