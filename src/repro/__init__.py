@@ -41,19 +41,13 @@ Quickstart
 from repro.core import (
     DRR,
     FIFO,
-    FQS,
-    SCFQ,
-    SFQ,
-    WFQ,
     WRR,
-    DelayEDD,
     FairAirport,
     HierarchicalScheduler,
     Packet,
     Scheduler,
     SchedulerError,
     TieBreak,
-    VirtualClock,
     available_schedulers,
     bits,
     describe_scheduler,
@@ -65,7 +59,6 @@ from repro.core import (
 )
 from repro.core.priority import PriorityBands
 from repro.metrics import MetricsSession, Snapshot
-from repro.core.wf2q import WF2Q
 from repro.servers import (
     BernoulliCapacity,
     ConstantCapacity,
@@ -100,16 +93,9 @@ __all__ = [
     "Scheduler",
     "SchedulerError",
     "TieBreak",
-    "SFQ",
-    "SCFQ",
-    "WFQ",
-    "FQS",
-    "WF2Q",
     "DRR",
     "WRR",
     "FIFO",
-    "VirtualClock",
-    "DelayEDD",
     "FairAirport",
     "HierarchicalScheduler",
     "PriorityBands",

@@ -28,11 +28,7 @@ from repro.chaos.campaign import (
     ChaosFailure,
     run_chaos_campaign,
 )
-from repro.chaos.fixtures import (
-    BrokenSFQ,
-    ensure_fixture_registered,
-    is_fixture,
-)
+from repro.chaos.fixtures import ensure_fixture_registered, is_fixture
 from repro.chaos.runner import (
     CHECKED_FAIRNESS,
     DEFAULT_ZOO,
@@ -56,7 +52,6 @@ from repro.chaos.shrink import (
 )
 
 __all__ = [
-    "BrokenSFQ",
     "CHECKED_FAIRNESS",
     "ChaosCampaignResult",
     "ChaosFailure",

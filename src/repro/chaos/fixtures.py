@@ -6,9 +6,10 @@ the test suite and the CI ``chaos-smoke`` job to demonstrate that the
 monitors fire, the shrinker minimizes, and the replay artifact
 reproduces.
 
-:class:`BrokenSFQ` is SFQ with the classic start-tag bug — the
-``max(v, last_finish)`` clamp dropped, so a flow that was idle (or
-joined late) gets start tags from its stale ``last_finish`` chain.
+``BrokenSFQ`` is SFQ with the classic start-tag bug
+(:class:`BrokenSfqRank`) — the ``max(v, last_finish)`` clamp dropped,
+so a flow that was idle (or joined late) gets start tags from its stale
+``last_finish`` chain.
 Serving such a packet drags the system virtual time *backwards*, which
 the :class:`repro.faults.monitors.VirtualTimeMonitor` detects on plain
 multi-flow traffic with a single late-starting flow — no fault events
@@ -16,26 +17,27 @@ required, which is why the shrinker can typically minimize a BrokenSFQ
 failure all the way to an empty fault list.
 
 Fixtures are registered into the scheduler registry on demand (never
-at import of :mod:`repro.chaos`), so ordinary experiments and the
-stock zoo never see them unless a test or replay asks.
+at import of :mod:`repro.chaos`), through the same
+:func:`~repro.core.registry.rank_spec` as the built-in disciplines, so
+ordinary experiments and the stock zoo never see them unless a test or
+replay asks.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple, Type
+from typing import Any, Dict, Tuple
 
-from repro.core.base import Scheduler, TieBreak, TieBreakRule
 from repro.core.packet import Packet
-from repro.core.pifo import PifoScheduler, RankFlow, SfqRank
+from repro.core.pifo import RankFlow, SfqRank
 from repro.core.registry import (
-    SchedulerSpec,
+    RankFactory,
     available_schedulers,
+    rank_spec,
     register_scheduler,
     scheduler_spec,
 )
 
 __all__ = [
-    "BrokenSFQ",
     "BrokenSfqRank",
     "FIXTURES",
     "ensure_fixture_registered",
@@ -69,35 +71,11 @@ class BrokenSfqRank(SfqRank):
         return start, ()
 
 
-class BrokenSFQ(PifoScheduler):
-    """The PIFO engine on :class:`BrokenSfqRank`, with SFQ's constructor
-    surface so the registry builds it like ``make_scheduler("SFQ")``."""
-
-    __slots__ = ()
-
-    algorithm = "BrokenSFQ"
-
-    def __init__(
-        self,
-        tie_break: TieBreakRule = TieBreak.fifo,
-        auto_register: bool = True,
-        default_weight: float = 1.0,
-        debug_checks: bool = False,
-    ) -> None:
-        super().__init__(
-            BrokenSfqRank(),
-            tie_break=tie_break,
-            auto_register=auto_register,
-            default_weight=default_weight,
-            debug_checks=debug_checks,
-        )
-
-
-#: fixture name -> (scheduler class, name of the registered discipline
-#: whose constructor surface it shares). Every entry self-identifies
-#: via ``algorithm`` so reports show the fixture name, not "SFQ".
-FIXTURES: Dict[str, Tuple[Type[Scheduler], str]] = {
-    "BrokenSFQ": (BrokenSFQ, "SFQ"),
+#: fixture name -> (rank function, name of the registered discipline
+#: whose parameters it shares). The registered engine subclass carries
+#: the fixture name as ``algorithm``, so reports show it, not "SFQ".
+FIXTURES: Dict[str, Tuple[RankFactory, str]] = {
+    "BrokenSFQ": (BrokenSfqRank, "SFQ"),
 }
 
 
@@ -116,17 +94,15 @@ def ensure_fixture_registered(name: str) -> bool:
     entry = FIXTURES.get(name)
     if entry is None:
         return False
-    cls, like = entry
+    rank_fn, like = entry
     if name not in available_schedulers():
-        base = scheduler_spec(like)
         register_scheduler(
-            SchedulerSpec(
+            rank_spec(
                 name,
-                cls,
+                rank_fn,
                 f"chaos fixture: deliberately broken {like} "
                 "(see repro.chaos.fixtures)",
-                needs_capacity=base.needs_capacity,
-                params=base.params,
+                params=scheduler_spec(like).params,
             )
         )
     return True

@@ -1,20 +1,18 @@
 """Packet schedulers: the paper's SFQ plus every algorithm it compares.
 
-The primary contribution is :class:`repro.core.sfq.SFQ`. Baselines:
-WFQ/PGPS, FQS, SCFQ, DRR, WRR, Virtual Clock, Delay EDD, FIFO, and the
-Fair Airport composite of Appendix B. :class:`HierarchicalScheduler`
-implements Section 3's link-sharing tree over any of them.
+The primary contribution is SFQ (:class:`~repro.core.pifo.SfqRank`).
+Baselines: WFQ/PGPS, FQS, SCFQ, DRR, WRR, Virtual Clock, Delay EDD,
+FIFO, and the Fair Airport composite of Appendix B.
+:class:`HierarchicalScheduler` implements Section 3's link-sharing tree
+over any of them.
 
-Since the PIFO core, the tag disciplines are rank functions
-(:mod:`repro.core.pifo`) on one shared engine,
-:class:`~repro.core.pifo.PifoScheduler`, plus the
-:class:`~repro.core.pifo.SpPifoScheduler` band approximation. The
-named discipline classes remain importable as deprecation shims;
-construct through :func:`make_scheduler`.
+The tag disciplines are rank functions (:mod:`repro.core.pifo`) on one
+shared engine, :class:`~repro.core.pifo.PifoScheduler`, plus the
+:class:`~repro.core.pifo.SpPifoScheduler` band approximation. Every
+discipline is built one way, by name: :func:`make_scheduler`.
 """
 
 from repro.core.base import Scheduler, SchedulerError, TieBreak
-from repro.core.delay_edd import DelayEDD
 from repro.core.drr import DRR, WRR
 from repro.core.fair_airport import FairAirport
 from repro.core.fifo import FIFO
@@ -48,11 +46,6 @@ from repro.core.registry import (
     register_scheduler,
     scheduler_spec,
 )
-from repro.core.scfq import SCFQ
-from repro.core.sfq import SFQ
-from repro.core.virtual_clock import VirtualClock
-from repro.core.wf2q import WF2Q
-from repro.core.wfq import FQS, WFQ
 
 __all__ = [
     "Scheduler",
@@ -62,16 +55,9 @@ __all__ = [
     "FlowState",
     "EATTracker",
     "GPSVirtualClock",
-    "SFQ",
-    "SCFQ",
-    "WFQ",
-    "FQS",
-    "WF2Q",
     "DRR",
     "WRR",
     "FIFO",
-    "VirtualClock",
-    "DelayEDD",
     "JitterEDD",
     "FairAirport",
     "LSTF",
@@ -103,21 +89,3 @@ __all__ = [
     "SchedulerSpec",
     "ParamSpec",
 ]
-
-#: Back-compat name->class map. Prefer :func:`make_scheduler`, which
-#: also validates parameters and handles ``assumed_capacity``.
-ALGORITHMS = {
-    "SFQ": SFQ,
-    "SCFQ": SCFQ,
-    "WFQ": WFQ,
-    "FQS": FQS,
-    "WF2Q": WF2Q,
-    "DRR": DRR,
-    "WRR": WRR,
-    "FIFO": FIFO,
-    "VirtualClock": VirtualClock,
-    "DelayEDD": DelayEDD,
-    "JitterEDD": JitterEDD,
-    "FairAirport": FairAirport,
-    "LSTF": LSTF,
-}

@@ -17,9 +17,10 @@ makes that abstraction the single implementation:
   scheduler event;
 * the seven tag disciplines — SFQ, SCFQ, WFQ, FQS, WF²Q, Virtual Clock,
   Delay EDD — re-expressed as rank functions (:class:`SfqRank` ...),
-  with the historical classes kept as thin deprecation shims. Tag math
-  still flows through :mod:`repro.core.tagmath`, so the engine is
-  byte-identical to the per-discipline cores it replaces (gated by
+  each registered by name on this engine (:func:`repro.make_scheduler`
+  is the one way to build them). Tag math still flows through
+  :mod:`repro.core.tagmath`, so the engine is byte-identical to the
+  per-discipline cores it replaces (gated by
   ``tests/test_trace_equivalence.py``);
 * :class:`SpPifoScheduler` — the SP-PIFO approximation (Alcoz et al.,
   "Everything Matters in Programmable Packet Scheduling"): k strict-
@@ -43,16 +44,13 @@ time, exactly as before).
 from __future__ import annotations
 
 import heapq
-import warnings
 from collections import deque
-from contextlib import contextmanager
 from heapq import heappop, heappush
 from typing import (
     Any,
     Deque,
     Dict,
     Hashable,
-    Iterator,
     List,
     Optional,
     Protocol,
@@ -85,8 +83,6 @@ __all__ = [
     "DelayEddRank",
     "LstfRank",
     "LSTF",
-    "registry_construction",
-    "warn_direct_construction",
 ]
 
 
@@ -192,44 +188,6 @@ class RankFn:
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims: direct class construction warns, once per site
-# ----------------------------------------------------------------------
-
-_REGISTRY_CONSTRUCTIONS = 0
-
-
-@contextmanager
-def registry_construction() -> Iterator[None]:
-    """Suppress the direct-construction warning (used by the registry)."""
-    global _REGISTRY_CONSTRUCTIONS
-    _REGISTRY_CONSTRUCTIONS += 1  # lint: disable=CACHE001  balanced re-entrancy counter; restored on exit, so entry points stay pure
-    try:
-        yield
-    finally:
-        _REGISTRY_CONSTRUCTIONS -= 1  # lint: disable=CACHE001  balanced re-entrancy counter; restored on exit, so entry points stay pure
-
-
-def warn_direct_construction(shim: type, actual: type) -> None:
-    """Warn when a legacy discipline class is constructed directly.
-
-    Silent for subclasses (``BrokenSFQ``-style test doubles legitimately
-    extend the shims) and inside :func:`registry_construction` (the
-    registry builds through the same classes to keep ``isinstance``
-    contracts).
-    """
-    if actual is not shim or _REGISTRY_CONSTRUCTIONS:
-        return
-    warnings.warn(
-        f"constructing {shim.__name__} directly is deprecated; use "
-        f"repro.make_scheduler({shim.__name__!r}, ...). The class remains "
-        "importable as a thin shim over the PIFO rank-function engine "
-        "(repro.core.pifo).",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-# ----------------------------------------------------------------------
 # The seven disciplines as rank functions
 # ----------------------------------------------------------------------
 
@@ -278,7 +236,14 @@ class _TagPairRank(RankFn):
 
 
 class SfqRank(_TagPairRank):
-    """Start-time Fair Queuing (the paper's algorithm, Section 2)."""
+    """Start-time Fair Queuing (the paper's algorithm, Section 2).
+
+    An arriving packet gets start tag ``S = max(v(A), F(prev))`` and
+    finish tag ``F = S + l/r`` (eq. 4–5; ``r`` is the flow weight unless
+    the packet carries its own rate, eq. 36). Service is in start-tag
+    order; ``v(t)`` is the start tag of the packet in service, and the
+    largest finish tag served once a busy period ends (rule 2).
+    """
 
     __slots__ = ()
 
@@ -309,7 +274,12 @@ class SfqRank(_TagPairRank):
 
 
 class ScfqRank(_TagPairRank):
-    """Self-Clocked Fair Queuing (Golestani 1994; paper Section 1.2)."""
+    """Self-Clocked Fair Queuing (Golestani 1994; paper Section 1.2).
+
+    SFQ's tags served in finish-tag order, with ``v(t)`` the finish tag
+    of the packet in service: the same fairness measure as SFQ, but a
+    maximum delay larger by ``l/r - l/C`` (eq. 56–57).
+    """
 
     __slots__ = ()
 
@@ -339,7 +309,12 @@ class ScfqRank(_TagPairRank):
 
 
 class WfqRank(RankFn):
-    """Weighted Fair Queuing / PGPS (finish-tag order over fluid GPS)."""
+    """Weighted Fair Queuing / PGPS (finish-tag order over fluid GPS).
+
+    Tags follow eq. 1–2 off the fluid GPS round number (eq. 3), which
+    is simulated at ``assumed_capacity``: on a server whose real rate
+    differs, WFQ is unfair (Example 2, Figure 1(b)).
+    """
 
     __slots__ = ("gps",)
 
@@ -400,7 +375,13 @@ class FqsRank(WfqRank):
 
 
 class Wf2qRank(WfqRank):
-    """Worst-case Fair WFQ (eligibility-gated finish-tag order)."""
+    """Worst-case Fair WFQ (eligibility-gated finish-tag order).
+
+    Bennett & Zhang: the smallest finish tag among *eligible* packets,
+    ``S(p) <= v(t)``. With none eligible the smallest start tag is
+    served, ties by uid (the work-conserving fallback). Tags are
+    monotone within a flow, so only flow heads need checking.
+    """
 
     __slots__ = ()
 
@@ -412,7 +393,12 @@ class Wf2qRank(WfqRank):
 
 
 class VcRank(RankFn):
-    """Virtual Clock (Zhang 1990): EAT + l/r stamp order, eq. 37."""
+    """Virtual Clock (Zhang 1990): EAT + l/r stamp order, eq. 37.
+
+    WFQ's delay guarantee without fairness: a flow that used idle
+    bandwidth is punished later. It is Fair Airport's Guaranteed
+    Service Queue (Appendix B).
+    """
 
     __slots__ = ()
 
@@ -439,7 +425,13 @@ class VcRank(RankFn):
 
 
 class DelayEddRank(RankFn):
-    """Delay Earliest-Due-Date (paper Section 3, eq. 66)."""
+    """Delay Earliest-Due-Date (paper Section 3, eq. 66).
+
+    Deadline ``EAT(p, r_f) + d_f``, served earliest first; flows need
+    :meth:`add_flow_with_deadline`. Theorem 7 bounds departures on an
+    FC server that passes eq. 67
+    (:func:`repro.analysis.admission.delay_edd_schedulable`).
+    """
 
     __slots__ = ("deadlines", "_scheduler")
 

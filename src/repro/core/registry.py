@@ -29,13 +29,21 @@ a rank function, and the registry exposes that seam:
 * :func:`list_schedulers` / :func:`describe_scheduler` introspect the
   registry without constructing anything.
 
+Rank disciplines are registered one way: :func:`rank_spec` builds a
+per-name subclass of the PIFO engine (so ``scheduler.algorithm`` and
+trace labels carry the discipline's name) and a spec holding the rank
+factory. The built-in tag disciplines (all but LSTF, whose class also
+takes ``default_slack``), ad-hoc ``rank_fn=`` registrations and the
+chaos fixtures all go through it, so :func:`make_scheduler` has one
+construction branch for them.
+
 Uniform-ladder contract
 -----------------------
 ``capacity`` may always be passed: disciplines that need it receive it
-as ``assumed_capacity`` (rank-function factories are handed
-``assumed_capacity=`` once, at spec level — no per-discipline special
-cases), self-clocked disciplines (SFQ, SCFQ, DRR, ...) ignore it. A
-missing capacity raises ``TypeError`` naming the offending discipline.
+as their rank factory's ``assumed_capacity`` (handed once, at spec
+level — no per-discipline special cases), self-clocked disciplines
+(SFQ, SCFQ, DRR, ...) ignore it. A missing capacity raises
+``TypeError`` naming the offending discipline.
 That one rule lets a comparison ladder construct every Table-1
 algorithm with a single call shape instead of per-algorithm lambdas.
 
@@ -43,14 +51,14 @@ Normalized defaults
 -------------------
 Raw constructors disagree on ``auto_register``: most schedulers default
 ``True`` (first packet of an unknown flow registers it at
-``default_weight``) but ``DelayEDD``/``JitterEDD`` default ``False``
-(their flows need an explicit deadline/rate anyway, so silent
-registration only defers the error). The registry removes the
-inconsistency: :func:`make_scheduler` passes ``auto_register=True`` for
-*every* discipline unless the caller says otherwise. EDD disciplines
-still require :meth:`add_flow_with_deadline` before a flow's first
-enqueue — the normalization changes when the mistake is reported, not
-the requirement.
+``default_weight``) but ``JitterEDD`` defaults ``False`` (its flows
+need an explicit deadline/rate anyway, so silent registration only
+defers the error). The registry removes the inconsistency:
+:func:`make_scheduler` passes ``auto_register=True`` for *every*
+discipline unless the caller says otherwise. EDD disciplines still
+require :meth:`add_flow_with_deadline` before a flow's first enqueue —
+the normalization changes when the mistake is reported, not the
+requirement.
 """
 
 from __future__ import annotations
@@ -60,7 +68,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Type, cast
 
 from repro.core.base import Scheduler
 from repro.core.drr import DRR, WRR
-from repro.core.delay_edd import DelayEDD
 from repro.core.fair_airport import FairAirport
 from repro.core.fifo import FIFO
 from repro.core.jitter_edd import JitterEDD
@@ -77,13 +84,7 @@ from repro.core.pifo import (
     VcRank,
     Wf2qRank,
     WfqRank,
-    registry_construction,
 )
-from repro.core.scfq import SCFQ
-from repro.core.sfq import SFQ
-from repro.core.virtual_clock import VirtualClock
-from repro.core.wf2q import WF2Q
-from repro.core.wfq import FQS, WFQ
 
 __all__ = [
     "ParamSpec",
@@ -92,6 +93,7 @@ __all__ = [
     "describe_scheduler",
     "list_schedulers",
     "make_scheduler",
+    "rank_spec",
     "register_scheduler",
     "scheduler_spec",
 ]
@@ -131,9 +133,9 @@ class SchedulerSpec:
     #: Default SP-PIFO band count for specs constructed on
     #: :class:`~repro.core.pifo.SpPifoScheduler` (``cls`` is the engine).
     bands: Optional[int] = None
-    #: True when ``cls`` is a bare PIFO engine taking the rank as its
-    #: first argument (ad-hoc ``rank_fn=`` registrations),
-    #: rather than named discipline classes that build their own rank.
+    #: True when ``cls`` is a PIFO engine taking the rank as its first
+    #: argument (every :func:`rank_spec` registration), rather than a
+    #: named discipline class that builds its own rank.
     rank_engine: bool = False
 
     def param_names(self) -> Tuple[str, ...]:
@@ -278,43 +280,49 @@ def _build_rank(spec: SchedulerSpec, capacity: Optional[float]) -> RankFn:
     return factory()
 
 
-def _ensure_rank_spec(name: str, rank_fn: RankFactory) -> SchedulerSpec:
-    """Resolve (registering on first use) the spec for an ad-hoc rank.
+def rank_spec(
+    name: str,
+    rank_fn: RankFactory,
+    description: str,
+    params: Tuple[ParamSpec, ...] = (_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
+) -> SchedulerSpec:
+    """Spec for the PIFO engine running ``rank_fn`` under ``name``.
 
-    The registered spec's ``cls`` is a dynamically named subclass of
-    the bare PIFO engine, so ``scheduler.algorithm`` and trace labels
-    carry the discipline's name.
+    ``cls`` is a dynamically named subclass of
+    :class:`~repro.core.pifo.PifoScheduler`, so ``scheduler.algorithm``
+    and trace labels carry the discipline's name. The capacity
+    requirement comes from the rank's ``needs_capacity`` flag.
     """
-    canonical = _ALIASES.get(name.lower())
-    if canonical is not None:
-        spec = _REGISTRY[canonical]
-        if not spec.rank_engine:
-            raise TypeError(
-                f"{spec.name} is already registered as a built-in "
-                "discipline; pick a new name for an ad-hoc rank_fn"
-            )
-        if spec.rank_fn is not rank_fn:
-            raise TypeError(
-                f"{spec.name} is already registered with a different "
-                "rank_fn; re-register explicitly via register_scheduler()"
-            )
-        return spec
-    needs_capacity = bool(getattr(rank_fn, "needs_capacity", False))
-    rank_label = getattr(rank_fn, "__name__", repr(rank_fn))
     cls = cast(
         Type[Scheduler],
         type(name, (PifoScheduler,), {"__slots__": (), "algorithm": name}),
     )
+    return SchedulerSpec(
+        name,
+        cls,
+        description,
+        needs_capacity=bool(getattr(rank_fn, "needs_capacity", False)),
+        params=params,
+        rank_fn=rank_fn,
+        rank_engine=True,
+    )
+
+
+def _ensure_rank_spec(name: str, rank_fn: RankFactory) -> SchedulerSpec:
+    """Resolve (registering on first use) the spec for an ad-hoc rank."""
+    canonical = _ALIASES.get(name.lower())
+    if canonical is not None:
+        spec = _REGISTRY[canonical]
+        if spec.rank_fn is not rank_fn or not spec.rank_engine:
+            raise TypeError(
+                f"{spec.name} is already registered; pick a new name for "
+                "an ad-hoc rank_fn, or re-register explicitly via "
+                "register_scheduler()"
+            )
+        return spec
+    rank_label = getattr(rank_fn, "__name__", repr(rank_fn))
     return register_scheduler(
-        SchedulerSpec(
-            name,
-            cls,
-            f"ad-hoc rank-function discipline ({rank_label})",
-            needs_capacity=needs_capacity,
-            params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-            rank_fn=rank_fn,
-            rank_engine=True,
-        )
+        rank_spec(name, rank_fn, f"ad-hoc rank-function discipline ({rank_label})")
     )
 
 
@@ -373,35 +381,23 @@ def make_scheduler(
                 + ", ".join(sorted(_SP_PIFO_PARAMS))
             )
         kwargs.setdefault("auto_register", True)
-        rank = _build_rank(spec, capacity)
-        with registry_construction():
-            return SpPifoScheduler(
-                rank,
-                bands=None if resolved_bands in (None, 0) else resolved_bands,
-                **kwargs,
-            )
+        return SpPifoScheduler(
+            _build_rank(spec, capacity),
+            bands=None if resolved_bands in (None, 0) else resolved_bands,
+            **kwargs,
+        )
 
     _validate_params(spec, kwargs)
     # Normalized default (see module docstring): explicit for every
     # discipline, so DelayEDD/JitterEDD behave like the rest.
     kwargs.setdefault("auto_register", True)
 
-    # --- Ad-hoc rank-engine specs: the engine takes the rank object.
+    # --- Rank disciplines: the engine subclass takes the rank object.
     if spec.rank_engine:
-        rank = _build_rank(spec, capacity)
-        with registry_construction():
-            return spec.cls(rank, **kwargs)
+        return spec.cls(_build_rank(spec, capacity), **kwargs)
 
-    # --- Named discipline classes (legacy construction surface).
-    if spec.needs_capacity:
-        if capacity is None:
-            raise TypeError(
-                f"{spec.name} is rate-proportional and needs the link "
-                f"rate: make_scheduler({spec.name!r}, capacity=...)"
-            )
-        kwargs["assumed_capacity"] = capacity
-    with registry_construction():
-        return spec.cls(**kwargs)
+    # --- Named discipline classes that build their own state.
+    return spec.cls(**kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -409,61 +405,35 @@ def make_scheduler(
 # the PIFO-era additions: LSTF and the SP-PIFO approximation of SFQ).
 # ----------------------------------------------------------------------
 register_scheduler(
-    SchedulerSpec(
-        "SFQ",
-        SFQ,
-        "Start-time Fair Queueing (the paper's algorithm)",
-        params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        rank_fn=SfqRank,
-    )
+    rank_spec("SFQ", SfqRank, "Start-time Fair Queueing (the paper's algorithm)")
 )
 register_scheduler(
-    SchedulerSpec(
-        "SCFQ",
-        SCFQ,
-        "Self-Clocked Fair Queueing (Golestani 1994)",
-        params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        rank_fn=ScfqRank,
-    )
+    rank_spec("SCFQ", ScfqRank, "Self-Clocked Fair Queueing (Golestani 1994)")
 )
 register_scheduler(
-    SchedulerSpec(
+    rank_spec(
         "WFQ",
-        WFQ,
+        WfqRank,
         "Weighted Fair Queueing / PGPS (finish-tag order over fluid GPS)",
-        needs_capacity=True,
-        params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        rank_fn=WfqRank,
     )
 )
 register_scheduler(
-    SchedulerSpec(
+    rank_spec(
         "FQS",
-        FQS,
+        FqsRank,
         "Fair Queueing by Start-time (Greenberg & Madras 1992)",
-        needs_capacity=True,
-        params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        rank_fn=FqsRank,
     )
 )
 register_scheduler(
-    SchedulerSpec(
+    rank_spec(
         "WF2Q",
-        WF2Q,
+        Wf2qRank,
         "Worst-case Fair WFQ (eligibility-gated finish-tag order)",
-        needs_capacity=True,
         params=(_DEBUG_CHECKS,) + _COMMON,
-        rank_fn=Wf2qRank,
     )
 )
 register_scheduler(
-    SchedulerSpec(
-        "VirtualClock",
-        VirtualClock,
-        "Virtual Clock (Zhang 1990)",
-        params=(_TIE_BREAK, _DEBUG_CHECKS) + _COMMON,
-        rank_fn=VcRank,
-    )
+    rank_spec("VirtualClock", VcRank, "Virtual Clock (Zhang 1990)")
 )
 register_scheduler(
     SchedulerSpec(
@@ -497,12 +467,11 @@ register_scheduler(
     )
 )
 register_scheduler(
-    SchedulerSpec(
+    rank_spec(
         "DelayEDD",
-        DelayEDD,
+        DelayEddRank,
         "Delay Earliest-Due-Date (flows need add_flow_with_deadline)",
         params=(_DEBUG_CHECKS,) + _COMMON,
-        rank_fn=DelayEddRank,
     )
 )
 register_scheduler(

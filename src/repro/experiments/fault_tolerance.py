@@ -31,7 +31,6 @@ reproduces the identical faulted run, byte for byte.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.core.base import Scheduler
@@ -61,21 +60,6 @@ def _scheduler(algorithm: str) -> Scheduler:
     # WFQ must be told a capacity; it has no way to see the outage. The
     # registry routes it to assumed_capacity and SFQ ignores it.
     return make_scheduler(algorithm, capacity=CAPACITY, auto_register=False)
-
-
-def _make_scheduler(algorithm: str) -> Scheduler:
-    """Deprecated pre-registry construction path.
-
-    .. deprecated::
-        Use :func:`repro.core.registry.make_scheduler` instead.
-    """
-    warnings.warn(
-        "fault_tolerance._make_scheduler is deprecated; use "
-        "repro.core.registry.make_scheduler(name, capacity=...)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _scheduler(algorithm)
 
 
 def run_outage_scenario(

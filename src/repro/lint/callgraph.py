@@ -3,8 +3,8 @@
 Builds, for a loaded :class:`~repro.lint.project.Project`:
 
 * a **symbol table** — every function, class, and method in the
-  project under its fully-qualified name (``repro.core.sfq.SFQScheduler
-  ._do_enqueue``), plus per-class attribute types recovered from
+  project under its fully-qualified name (``repro.core.pifo.PifoScheduler
+  .enqueue``), plus per-class attribute types recovered from
   ``__init__`` assignments of annotated parameters and from annotated
   class/instance attributes (the ``__slots__``-and-annotations
   discipline the tree already follows is what makes this tractable);

@@ -20,8 +20,8 @@ analyze:
     neither pay for neither.
 
 Module names are derived from file paths relative to the scan roots,
-with a leading ``src/`` component dropped — ``src/repro/core/sfq.py``
-becomes ``repro.core.sfq`` whether the tree is scanned as ``src`` or
+with a leading ``src/`` component dropped — ``src/repro/core/pifo.py``
+becomes ``repro.core.pifo`` whether the tree is scanned as ``src`` or
 from inside it, and fixture projects in temporary directories resolve
 the same way (``<tmp>/proj/experiments/__init__.py`` scanned at
 ``<tmp>`` is ``proj.experiments``).

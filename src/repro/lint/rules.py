@@ -19,7 +19,7 @@ TAG001     float ``==``/``!=`` on virtual-time/tag expressions
 PERF001    hot-path classes under ``repro.core``/``repro.simulation``
            without ``__slots__``
 PERF002    direct ``heapq`` operations on the simulator event queue
-           outside :mod:`repro.simulation.eventq` (the backend seam)
+           outside :mod:`repro.simulation.eventq` (the queue's home)
 PERF003    per-call/per-iteration allocation and repeated attribute
            chains inside functions marked ``# lint: hot``
 =========  ==============================================================
@@ -762,7 +762,7 @@ class ChaosSeedProvenanceRule(Rule):
 # ---------------------------------------------------------------------------
 
 #: heapq calls that mutate a heap in place (reads like ``nsmallest``
-#: don't bypass the seam).
+#: don't bypass the queue).
 _HEAPQ_MUTATORS = frozenset(
     {"heappush", "heappop", "heapify", "heapreplace", "heappushpop"}
 )
@@ -772,17 +772,17 @@ _HEAPQ_MUTATORS = frozenset(
 class EventQueueSeamRule(Rule):
     """No direct ``heapq`` operations on the simulator event queue.
 
-    The event queue is a pluggable backend seam
-    (:mod:`repro.simulation.eventq`): the binary heap is just one
-    implementation, and a simulation may be running on the calendar
-    queue instead. Code that reaches around the seam and ``heappush``\\ es
-    onto a simulator's storage directly is wrong on every other backend
-    — and invisible to the trace-equivalence gate until someone flips
-    ``REPRO_EVENT_QUEUE``. Inside ``repro/simulation/`` every heap *is*
-    (part of) the event queue, so any heapq mutation outside
-    ``eventq.py`` is flagged; elsewhere only receivers that name the
-    simulator or its event queue are flagged — schedulers' own internal
-    heaps (flow-head heaps, GPS trackers, regulators) are fine.
+    The event queue lives in one module (:mod:`repro.simulation.eventq`),
+    which also holds the inlined drain loop; that module is what the
+    optional compiled build replaces. Code that reaches around the
+    queue's ``push``/``pop``/``peek_live``/``drain`` and ``heappush``\\ es
+    onto a simulator's storage directly couples itself to the queue's
+    entry layout and bypasses the one place it is defined. Inside
+    ``repro/simulation/`` every heap *is* (part of) the event queue, so
+    any heapq mutation outside ``eventq.py`` is flagged; elsewhere only
+    receivers that name the simulator or its event queue are flagged —
+    schedulers' own internal heaps (flow-head heaps, GPS trackers,
+    regulators) are fine.
     """
 
     code = "PERF002"
@@ -790,7 +790,7 @@ class EventQueueSeamRule(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if ctx.norm_path.endswith("repro/simulation/eventq.py"):
-            return  # the seam itself: the one home of the inlined heap ops
+            return  # the queue itself: the one home of the inlined heap ops
         module_aliases: Set[str] = set()
         func_aliases: Dict[str, str] = {}
         for node in ast.walk(ctx.tree):
@@ -816,8 +816,8 @@ class EventQueueSeamRule(Rule):
                     ctx,
                     node,
                     f"`{op}` on the event queue outside repro.simulation."
-                    "eventq; go through the EventQueue interface (push/"
-                    "pop/peek_live/drain) so every backend stays correct",
+                    "eventq; go through the queue's push/pop/peek_live/"
+                    "drain so its entry layout stays in one module",
                 )
             elif node.args and self._names_event_queue(node.args[0]):
                 yield self.finding(
@@ -825,7 +825,7 @@ class EventQueueSeamRule(Rule):
                     node,
                     f"`{op}` reaches into a simulator's event queue from "
                     "outside repro.simulation.eventq; use the Simulator "
-                    "scheduling API or the EventQueue interface instead",
+                    "scheduling API instead",
                 )
 
     @staticmethod

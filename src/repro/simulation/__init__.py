@@ -9,13 +9,7 @@ experiment in the reproduction runs: a heapq-based event loop
 """
 
 from repro.simulation.engine import ArrivalStream, Simulator
-from repro.simulation.eventq import (
-    EVENT_QUEUES,
-    BinaryHeapQueue,
-    CalendarQueue,
-    make_event_queue,
-    set_default_event_queue,
-)
+from repro.simulation.eventq import BinaryHeapQueue
 from repro.simulation.events import Event, EventCancelled
 from repro.simulation.process import Process, Until, Waiter, spawn
 from repro.simulation.random import RandomStreams, derive_seed
@@ -25,10 +19,6 @@ __all__ = [
     "Simulator",
     "ArrivalStream",
     "BinaryHeapQueue",
-    "CalendarQueue",
-    "EVENT_QUEUES",
-    "make_event_queue",
-    "set_default_event_queue",
     "Event",
     "EventCancelled",
     "RandomStreams",

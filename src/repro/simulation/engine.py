@@ -1,4 +1,4 @@
-"""Discrete-event simulation loop over a pluggable event queue.
+"""Discrete-event simulation loop over a binary-heap event queue.
 
 The :class:`Simulator` is deliberately small: a priority queue of
 pending callbacks, a clock, and run controls. Everything else in the
@@ -30,14 +30,10 @@ globally unique, so comparison never reaches the payload slots):
   so the common case schedules and fires an event with zero object
   allocations beyond the queue tuple itself.
 
-Which container orders those tuples is a backend choice
-(:mod:`repro.simulation.eventq`): the seed binary heap
-(:class:`~repro.simulation.eventq.BinaryHeapQueue`, the default) or a
-calendar queue (:class:`~repro.simulation.eventq.CalendarQueue`) whose
-push/pop are O(1) amortized. Both yield the identical pop order, and
-both carry their own inlined ``drain`` hot loop that
-:meth:`Simulator.run` delegates to on the common path (no streams, no
-``max_events`` budget).
+One binary heap orders those tuples
+(:class:`~repro.simulation.eventq.BinaryHeapQueue`); it carries the
+inlined ``drain`` hot loop that :meth:`Simulator.run` delegates to on
+the common path (no streams, no ``max_events`` budget).
 
 Busy-period timer elision
 -------------------------
@@ -76,12 +72,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, List, Optional, Protocol, Tuple
 
-from repro.simulation.eventq import (
-    BinaryHeapQueue,
-    EventQueue,
-    EventQueueSpec,
-    make_event_queue,
-)
+from repro.simulation.eventq import BinaryHeapQueue
 from repro.simulation.events import Event, _sequence
 
 
@@ -110,12 +101,6 @@ class Simulator:
     ----------
     start_time:
         Initial clock value.
-    event_queue:
-        Event-queue backend: a name from
-        :data:`repro.simulation.eventq.EVENT_QUEUES` (``"heap"``,
-        ``"calendar"``), a queue instance, a factory, or ``None`` for
-        the ambient default (``set_default_event_queue`` /
-        ``REPRO_EVENT_QUEUE`` / binary heap).
     """
 
     __slots__ = (
@@ -132,13 +117,9 @@ class Simulator:
         "_budget_left",
     )
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        event_queue: EventQueueSpec = None,
-    ) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: EventQueue = make_event_queue(event_queue)
+        self._queue = BinaryHeapQueue()
         self._push = self._queue.push
         self._peek_live = self._queue.peek_live
         self._streams: List[ArrivalStream] = []
@@ -161,11 +142,6 @@ class Simulator:
     def events_processed(self) -> int:
         """Number of events fired so far (for complexity accounting)."""
         return self._events_processed
-
-    @property
-    def event_queue(self) -> EventQueue:
-        """The event-queue backend this simulator runs on."""
-        return self._queue
 
     @property
     def truncated(self) -> bool:
@@ -361,7 +337,7 @@ class Simulator:
             if self._streams or max_events is not None:
                 self._run_generic(limit)
             else:
-                # Common case: the backend's own inlined hot loop.
+                # Common case: the queue's own inlined hot loop.
                 self._queue.drain(self, limit)
         finally:
             self._running = False
@@ -374,7 +350,7 @@ class Simulator:
 
         Kept out of the common path so simulations without either pay
         nothing; goes through the queue interface only (the inlined
-        container loops live in :mod:`repro.simulation.eventq`). A
+        heap loop lives in :mod:`repro.simulation.eventq`). A
         stream arrival wins ties against queue timers at the same
         instant.
         """

@@ -1,49 +1,21 @@
-"""Pluggable event-queue backends for the simulation engine.
+"""The simulator's event queue: one ``heapq`` tuple heap.
 
-The :class:`~repro.simulation.engine.Simulator` does not own a heap any
-more — it owns an *event queue*, an object storing the pending-timer
-tuples described in :mod:`repro.simulation.engine` (shapes
+The :class:`~repro.simulation.engine.Simulator` owns a
+:class:`BinaryHeapQueue`, which stores the pending-timer tuples
+described in :mod:`repro.simulation.engine` (shapes
 ``(time, priority, seq, event)`` and
-``(time, priority, seq, None, callback, args)``) and yielding them in
-``(time, priority, seq)`` order. Two backends implement that contract:
+``(time, priority, seq, None, callback, args)``) and yields them in
+``(time, priority, seq)`` order. ``seq`` is globally unique, so
+comparison never reaches the payload slots.
 
-:class:`BinaryHeapQueue`
-    The seed implementation: one ``heapq`` tuple heap. O(log N) per
-    push/pop, unbeatable constants at small N, and the default.
-
-:class:`CalendarQueue`
-    A calendar/ladder queue (Brown 1988; Tang & Wong's ladder refinement
-    for the far future). The current "year" ``[epoch, epoch + nbuck *
-    width)`` is an array of buckets, each a *tiny* tuple heap; events
-    beyond the year go to an unsorted-by-bucket *overflow* heap that is
-    only touched when the year drains. Push and pop are O(1) amortized
-    when the bucket width tracks the inter-event gap, which a
-    deterministic, load-driven resize policy maintains (see
-    :meth:`CalendarQueue._rebuild`). Intra-bucket ordering is the exact
-    ``(time, priority, seq)`` tuple comparison of the heap backend and
-    ``seq`` is globally unique, so the pop order of the two backends is
-    identical for any push sequence — the property the randomized parity
-    test in ``tests/test_eventq.py`` and the trace-equivalence suite
-    enforce.
-
-Why the run loops live here
+Why the run loop lives here
 ---------------------------
-Each backend carries its own ``drain(sim, limit)`` — the stream-free,
-unlimited-budget hot loop — with the container operations inlined.
-Keeping the inlined ``heapq`` calls *in this module* is what makes the
-PERF002 lint rule (no direct heap surgery on the simulator event queue
-outside ``repro.simulation.eventq``) enforceable: everything outside
-this file goes through the queue interface.
-
-Selection
----------
-``Simulator(event_queue=...)`` takes a backend name, an instance, or a
-factory; :func:`set_default_event_queue` changes the process-wide
-default; the ``REPRO_EVENT_QUEUE`` environment variable (read at
-``Simulator`` construction time) does the same from the outside, e.g.
-``REPRO_EVENT_QUEUE=calendar python -m repro run figure1``. Explicit
-argument beats :func:`set_default_event_queue` beats the environment
-variable beats the built-in default (``"heap"``).
+The queue carries ``drain(sim, limit)`` — the stream-free,
+unlimited-budget hot loop — with the ``heapq`` calls inlined. Keeping
+those calls *in this module* is what makes the PERF002 lint rule (no
+direct heap surgery on the simulator event queue outside
+``repro.simulation.eventq``) enforceable: everything outside this file
+goes through the queue's ``push``/``pop``/``peek_live``/``drain``.
 
 An optional compiled extension of this module may be built with
 ``scripts/build_compiled.py`` (mypyc); the import system then prefers
@@ -53,29 +25,19 @@ repo requires the compiled form — it is a pure, byte-identical speedup.
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple
 
 Entry = Tuple[Any, ...]
 
-__all__ = [
-    "BinaryHeapQueue",
-    "CalendarQueue",
-    "EVENT_QUEUES",
-    "make_event_queue",
-    "set_default_event_queue",
-    "default_event_queue_name",
-]
+__all__ = ["BinaryHeapQueue"]
 
 
 class BinaryHeapQueue:
-    """The seed event queue: a single ``heapq`` tuple heap."""
+    """The event queue: a single ``heapq`` tuple heap."""
 
     __slots__ = ("_heap", "push")
-
-    name = "heap"
 
     def __init__(self) -> None:
         self._heap: List[Entry] = []
@@ -88,11 +50,6 @@ class BinaryHeapQueue:
 
     def pop(self) -> Entry:
         return heappop(self._heap)
-
-    def peek(self) -> Optional[Entry]:
-        """Head entry (cancelled or not) without removing it."""
-        heap = self._heap
-        return heap[0] if heap else None
 
     def peek_live(self) -> Optional[Entry]:
         """Head entry, discarding cancelled entries in place."""
@@ -139,382 +96,3 @@ class BinaryHeapQueue:
         finally:
             sim._events_processed += fired
         return fired
-
-
-class CalendarQueue:
-    """Calendar queue with an overflow heap for the far future.
-
-    The year is ``[epoch, year_end)`` split into ``nbuck`` buckets of
-    ``width`` seconds; ``_cur`` is a monotone scan cursor that is never
-    ahead of the earliest in-year entry (pushes below it pull it back).
-    Entries at or past ``year_end`` wait in ``_overflow`` (a plain
-    heap) until a rollover re-anchors the year at the overflow head.
-
-    All resize decisions are pure functions of the queue's own state
-    (entry counts and stored timestamps), so two runs that push/pop the
-    same sequence make the same decisions — determinism does not depend
-    on the bucket layout, but keeping the layout reproducible makes
-    performance reproducible too.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_nbuck",
-        "_width",
-        "_inv",
-        "_epoch",
-        "_year_end",
-        "_cur",
-        "_year_size",
-        "_overflow",
-        "_size",
-        "_thin_rollovers",
-    )
-
-    name = "calendar"
-
-    #: Initial/minimum bucket count (power of two).
-    MIN_BUCKETS = 256
-    #: Upper bound on the bucket array (memory guard).
-    MAX_BUCKETS = 1 << 20
-    #: Grow/re-estimate when the year holds more than this many entries
-    #: per bucket on average.
-    OCCUPANCY_LIMIT = 2
-    #: Consecutive near-empty rollovers before the width is doubled.
-    THIN_ROLLOVER_LIMIT = 8
-
-    def __init__(self, width: float = 1.0, buckets: int = MIN_BUCKETS) -> None:
-        if not width > 0.0:
-            raise ValueError(f"bucket width must be positive, got {width}")
-        n = 1
-        while n < max(buckets, 1):
-            n <<= 1
-        self._nbuck = n
-        self._buckets: List[List[Entry]] = [[] for _ in range(n)]
-        self._width = float(width)
-        self._inv = 1.0 / self._width
-        self._epoch = 0.0
-        self._year_end = self._epoch + n * self._width
-        self._cur = 0
-        self._year_size = 0
-        self._overflow: List[Entry] = []
-        self._size = 0
-        self._thin_rollovers = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    # ------------------------------------------------------------------
-    # Core operations
-    # ------------------------------------------------------------------
-    def _bucket_index(self, time: float) -> int:
-        """Bucket index for an in-year timestamp.
-
-        Clamped at both ends: times before ``epoch`` (legal — a push at
-        ``now`` can precede a rollover-chosen epoch) land in bucket 0,
-        and float rounding at the year boundary lands in the last
-        bucket. Clamping is monotone, so bucket order still follows
-        time order — the invariant the pop scan relies on.
-        """
-        offset = (time - self._epoch) * self._inv
-        if offset > 0.0:  # NaN-safe: inf-inf compares False, falls to 0
-            index = int(offset)
-            nbuck = self._nbuck
-            return index if index < nbuck else nbuck - 1
-        return 0
-
-    def push(self, entry: Entry) -> None:
-        time = entry[0]
-        if time < self._year_end:
-            j = self._bucket_index(time)
-            heappush(self._buckets[j], entry)
-            if j < self._cur:
-                self._cur = j
-            self._year_size += 1
-            self._size += 1
-            if self._year_size > self.OCCUPANCY_LIMIT * self._nbuck:
-                self._rebuild()
-        else:
-            heappush(self._overflow, entry)
-            self._size += 1
-
-    def pop(self) -> Entry:
-        if not self._size:
-            raise IndexError("pop from an empty CalendarQueue")
-        if not self._year_size:
-            self._rollover()
-        buckets = self._buckets
-        j = self._cur
-        while True:
-            b = buckets[j]
-            if b:
-                self._cur = j
-                self._year_size -= 1
-                self._size -= 1
-                return heappop(b)
-            j += 1
-
-    def peek(self) -> Optional[Entry]:
-        """Head entry (cancelled or not) without removing it.
-
-        May promote overflow entries into the year (a rollover), which
-        rearranges storage but never order.
-        """
-        if not self._size:
-            return None
-        if not self._year_size:
-            self._rollover()
-        buckets = self._buckets
-        j = self._cur
-        while True:
-            b = buckets[j]
-            if b:
-                self._cur = j
-                return b[0]
-            j += 1
-
-    def peek_live(self) -> Optional[Entry]:
-        """Head entry, discarding cancelled entries in place.
-
-        The :meth:`peek`/:meth:`pop` pair is fused into one scan: this
-        runs once per successful ``reserve_inline`` (the link fast
-        path), where the extra call frames would show.
-        """
-        while self._size:
-            if not self._year_size:
-                self._rollover()
-            buckets = self._buckets
-            j = self._cur
-            while True:
-                b = buckets[j]
-                if b:
-                    break
-                j += 1
-            self._cur = j
-            head = b[0]
-            event = head[3]
-            if event is not None and event.cancelled:
-                heappop(b)
-                self._year_size -= 1
-                self._size -= 1
-                continue
-            return head
-        return None
-
-    # ------------------------------------------------------------------
-    # Year management
-    # ------------------------------------------------------------------
-    def _rollover(self) -> None:
-        """Re-anchor the (empty) year at the overflow head and promote.
-
-        The head entry is always promoted (guaranteeing progress even
-        when ``epoch + span`` cannot be represented as a larger float),
-        then everything else inside the new year. A rollover that
-        promotes almost nothing means the width is far below the actual
-        event gaps; after :attr:`THIN_ROLLOVER_LIMIT` consecutive thin
-        rollovers the width doubles.
-        """
-        overflow = self._overflow
-        head_time: float = overflow[0][0]
-        self._epoch = head_time
-        self._year_end = head_time + self._nbuck * self._width
-        self._cur = 0
-        # Promote the head unconditionally, then the rest of the year.
-        entry = heappop(overflow)
-        heappush(self._buckets[self._bucket_index(entry[0])], entry)
-        promoted = 1
-        year_end = self._year_end
-        while overflow and overflow[0][0] < year_end:
-            entry = heappop(overflow)
-            heappush(self._buckets[self._bucket_index(entry[0])], entry)
-            promoted += 1
-        self._year_size = promoted
-        if promoted > self.OCCUPANCY_LIMIT * self._nbuck:
-            self._rebuild()
-        elif promoted <= 2:
-            self._thin_rollovers += 1
-            if self._thin_rollovers >= self.THIN_ROLLOVER_LIMIT:
-                self._thin_rollovers = 0
-                self._width *= 2.0
-                self._inv = 1.0 / self._width
-                self._year_end = self._epoch + self._nbuck * self._width
-                # Newly covered overflow entries join the year lazily at
-                # the next rollover; widening now only affects pushes.
-        else:
-            self._thin_rollovers = 0
-
-    def _rebuild(self) -> None:
-        """Re-estimate width/bucket count from the year's own entries.
-
-        Triggered when the year overfills (many entries per bucket).
-        The new width is twice the mean gap between the 64 earliest
-        distinct timestamps — wide enough that consecutive events
-        usually map to nearby buckets, narrow enough that a bucket
-        rarely holds more than a couple of entries. Entries the tighter
-        year no longer covers are demoted to the overflow heap.
-        """
-        entries: List[Entry] = []
-        for b in self._buckets:
-            entries.extend(b)
-            del b[:]
-        entries.sort()
-        count = len(entries)
-        sample = entries[: min(64, count)]
-        gaps = [
-            later[0] - earlier[0]
-            for earlier, later in zip(sample, sample[1:])
-            if later[0] > earlier[0]
-        ]
-        if gaps:
-            width = 2.0 * (sum(gaps) / len(gaps))
-            if width > 0.0 and width != float("inf"):
-                self._width = width
-                self._inv = 1.0 / width
-        nbuck = self._nbuck
-        while nbuck * self.OCCUPANCY_LIMIT < count and nbuck < self.MAX_BUCKETS:
-            nbuck <<= 1
-        if nbuck != self._nbuck:
-            self._nbuck = nbuck
-            self._buckets = [[] for _ in range(nbuck)]
-        self._epoch = entries[0][0] if entries else self._epoch
-        self._year_end = self._epoch + nbuck * self._width
-        year_end = self._year_end
-        year_size = 0
-        overflow = self._overflow
-        for entry in entries:
-            if entry[0] < year_end:
-                heappush(self._buckets[self._bucket_index(entry[0])], entry)
-                year_size += 1
-            else:
-                heappush(overflow, entry)
-        self._year_size = year_size
-        self._cur = 0
-        self._thin_rollovers = 0
-
-    # ------------------------------------------------------------------
-    # Hot loop
-    # ------------------------------------------------------------------
-    def drain(self, sim: Any, limit: float) -> int:  # lint: hot
-        """Fire events in order while ``time <= limit`` (no budget).
-
-        Same contract as :meth:`BinaryHeapQueue.drain`, with the bucket
-        scan inlined. Mutable cursor state (``_cur``, the bucket list)
-        is re-read every iteration because callbacks push — and a push
-        can pull the cursor back or trigger a rebuild.
-        """
-        fired = 0
-        try:
-            while self._size and not sim._stopped:
-                if not self._year_size:
-                    if self._overflow[0][0] > limit:
-                        break
-                    self._rollover()
-                buckets = self._buckets
-                j = self._cur
-                while True:
-                    b = buckets[j]
-                    if b:
-                        break
-                    j += 1
-                entry = b[0]
-                event = entry[3]
-                if event is not None and event.cancelled:
-                    heappop(b)
-                    self._cur = j
-                    self._year_size -= 1
-                    self._size -= 1
-                    continue
-                time = entry[0]
-                if time > limit:
-                    self._cur = j
-                    break
-                heappop(b)
-                self._cur = j
-                self._year_size -= 1
-                self._size -= 1
-                sim._now = time
-                fired += 1
-                if event is None:
-                    entry[4](*entry[5])
-                else:
-                    event._fire()
-        finally:
-            sim._events_processed += fired
-        return fired
-
-
-EventQueue = Union[BinaryHeapQueue, CalendarQueue]
-
-#: Registry of named backends (the strings accepted by
-#: ``Simulator(event_queue=...)``, ``set_default_event_queue`` and the
-#: ``REPRO_EVENT_QUEUE`` environment variable).
-EVENT_QUEUES: "dict[str, Callable[[], EventQueue]]" = {
-    "heap": BinaryHeapQueue,
-    "calendar": CalendarQueue,
-}
-
-EventQueueSpec = Union[None, str, EventQueue, Callable[[], EventQueue]]
-
-_default_spec: Optional[EventQueueSpec] = None
-
-
-def set_default_event_queue(spec: EventQueueSpec) -> None:
-    """Set the process-wide default backend for new ``Simulator``\\ s.
-
-    ``spec`` is a registry name, a factory callable, or ``None`` to
-    fall back to the ``REPRO_EVENT_QUEUE`` environment variable / the
-    built-in default. Passing a queue *instance* is rejected — a
-    default shared by every simulator would alias their timers.
-    """
-    if spec is not None and not isinstance(spec, str) and not callable(spec):
-        raise TypeError(
-            f"default event queue must be a name or factory, got {spec!r}"
-        )
-    if isinstance(spec, str) and spec not in EVENT_QUEUES:
-        raise ValueError(
-            f"unknown event queue {spec!r}; known: {sorted(EVENT_QUEUES)}"
-        )
-    global _default_spec
-    _default_spec = spec
-
-
-def default_event_queue_name() -> str:
-    """Name of the backend a plain ``Simulator()`` would get (a
-    non-registry factory default reports ``"custom"``)."""
-    spec = _default_spec
-    if spec is None:
-        return os.environ.get("REPRO_EVENT_QUEUE", "heap")
-    if isinstance(spec, str):
-        return spec
-    return getattr(spec, "name", "custom")
-
-
-def make_event_queue(spec: EventQueueSpec = None) -> EventQueue:
-    """Resolve an ``event_queue=`` argument to a fresh queue instance.
-
-    Resolution order for ``None``: :func:`set_default_event_queue`
-    value, then ``REPRO_EVENT_QUEUE``, then ``"heap"``.
-    """
-    if spec is None:
-        spec = _default_spec
-    if spec is None:
-        spec = os.environ.get("REPRO_EVENT_QUEUE", "heap")  # lint: disable=CACHE001  queue backend is result-invariant: the trace-equivalence suite gates byte-identical schedules across queues
-    if isinstance(spec, str):
-        try:
-            factory = EVENT_QUEUES[spec]
-        except KeyError:
-            raise ValueError(
-                f"unknown event queue {spec!r}; known: {sorted(EVENT_QUEUES)}"
-            ) from None
-        return factory()
-    if isinstance(spec, (BinaryHeapQueue, CalendarQueue)):
-        return spec
-    if callable(spec):
-        queue = spec()
-        if not hasattr(queue, "drain"):
-            raise TypeError(
-                f"event queue factory returned {queue!r}, which does not "
-                "implement the event-queue interface"
-            )
-        return queue
-    raise TypeError(f"cannot make an event queue from {spec!r}")

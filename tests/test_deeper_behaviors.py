@@ -9,7 +9,7 @@ import random
 import pytest
 
 from tests.helpers import run_schedule
-from repro.core import SFQ, WFQ, Packet
+from repro.core import Packet, make_scheduler
 from repro.core.gps import GPSVirtualClock
 from repro.servers import ConstantCapacity, Link, PiecewiseCapacity
 from repro.simulation import RandomStreams, Simulator
@@ -27,8 +27,8 @@ def test_wfq_unfair_when_real_capacity_higher_than_assumed():
     real = PiecewiseCapacity.from_list([(0.0, 1000.0)])
     results = {}
     for name, sched in (
-        ("WFQ", WFQ(assumed_capacity=100.0)),  # 10x underestimate
-        ("SFQ", SFQ()),
+        ("WFQ", make_scheduler("WFQ", capacity=100.0)),  # 10x underestimate
+        ("SFQ", make_scheduler("SFQ")),
     ):
         sched.add_flow("f", 1.0)
         sched.add_flow("m", 1.0)
@@ -163,7 +163,7 @@ def test_third_dupack_halves_and_retransmits():
 # ----------------------------------------------------------------------
 def test_fairness_after_flow_churn():
     sim = Simulator()
-    sfq = SFQ(auto_register=False)
+    sfq = make_scheduler("SFQ", auto_register=False)
     sfq.add_flow("a", 1.0)
     sfq.add_flow("b", 1.0)
     link = Link(sim, sfq, ConstantCapacity(1000.0))

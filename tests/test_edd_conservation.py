@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import DelayEDD, JitterEDD, Packet
+from repro.core import JitterEDD, Packet, make_scheduler
 from repro.servers import ConstantCapacity, Link
 from repro.simulation import Simulator
 
@@ -32,7 +32,7 @@ def _registered(make):
 @settings(max_examples=25, deadline=None)
 @given(schedule=arrivals, which=st.sampled_from(["DelayEDD", "JitterEDD"]))
 def test_edd_variants_conserve_packets(schedule, which):
-    makers = {"DelayEDD": DelayEDD, "JitterEDD": JitterEDD}
+    makers = {"DelayEDD": lambda: make_scheduler("DelayEDD"), "JitterEDD": JitterEDD}
     sim = Simulator()
     sched = _registered(makers[which])
     link = Link(sim, sched, ConstantCapacity(1000.0))

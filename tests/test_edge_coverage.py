@@ -102,8 +102,8 @@ def test_tracer_aggregate_departed_and_dropped():
 
 
 def test_flow_weight_change_error_message_names_flow():
-    from repro.core import SFQ, SchedulerError
+    from repro.core import SchedulerError, make_scheduler
 
-    sfq = SFQ(auto_register=False)
+    sfq = make_scheduler("SFQ", auto_register=False)
     with pytest.raises(SchedulerError, match="ghost"):
         sfq.enqueue(Packet("ghost", 100), 0.0)

@@ -1,11 +1,13 @@
-"""Event-queue backends: parity, calendar internals, selection API.
+"""The event queue against an independent reference engine.
 
 The headline test drives >=10^5 randomized mixed operations
-(``call_at``/``call_after``/``at``+cancel/``run_for``) through the heap
-and calendar backends side by side and asserts the two simulators fire
-the identical event sequence and end on identical clocks — the
-operational form of the guarantee the trace-equivalence suite checks
-end-to-end. Seeds are rooted in ``derive_seed`` (DET005 discipline).
+(``call_at``/``call_after``/``at``+cancel/``run_for``) through the
+``Simulator`` and the frozen seed engine
+(``tests/reference/legacy_engine.py``, one ``Event`` per timer on a
+plain ``heapq``) side by side and asserts the two fire the identical
+event sequence and end on identical clocks — the operational form of
+the guarantee the trace-equivalence suite checks end-to-end. Seeds are
+rooted in ``derive_seed`` (DET005 discipline).
 """
 
 from __future__ import annotations
@@ -15,28 +17,32 @@ import random
 
 import pytest
 
-from repro.simulation import (
-    BinaryHeapQueue,
-    CalendarQueue,
-    EVENT_QUEUES,
-    Simulator,
-    derive_seed,
-    make_event_queue,
-    set_default_event_queue,
-)
+from repro.simulation import Simulator, derive_seed
 
-BACKENDS = sorted(EVENT_QUEUES)
+from tests.reference.legacy_engine import LegacySimulator
+
+#: The engine under test and its independent reference.
+ENGINES = (Simulator, LegacySimulator)
 
 
 # ---------------------------------------------------------------------------
-# Randomized cross-backend parity
+# Randomized parity against the reference engine
 # ---------------------------------------------------------------------------
 
 
-def _drive(sim: Simulator, rng: random.Random, ops: int, log: list) -> None:
+def _timers(sim):
+    """``(call_at, call_after)`` of ``sim``: the reference engine has no
+    fire-and-forget timers, so its ``at``/``after`` stand in."""
+    if isinstance(sim, LegacySimulator):
+        return sim.at, sim.after
+    return sim.call_at, sim.call_after
+
+
+def _drive(sim, rng: random.Random, ops: int, log: list) -> None:
     """Apply a seeded operation mix to ``sim``, recording every firing."""
     counter = [0]
     handles = []
+    call_at, call_after = _timers(sim)
 
     def fire(tag: int) -> None:
         log.append((round(sim.now, 9), tag))
@@ -46,11 +52,11 @@ def _drive(sim: Simulator, rng: random.Random, ops: int, log: list) -> None:
         if roll < 0.42:
             tag = counter[0]
             counter[0] += 1
-            sim.call_at(sim.now + rng.uniform(0.0, 7.0), fire, tag)
+            call_at(sim.now + rng.uniform(0.0, 7.0), fire, tag)
         elif roll < 0.70:
             tag = counter[0]
             counter[0] += 1
-            sim.call_after(rng.uniform(0.0, 0.2), fire, tag)
+            call_after(rng.uniform(0.0, 0.2), fire, tag)
         elif roll < 0.88:
             tag = counter[0]
             counter[0] += 1
@@ -66,20 +72,18 @@ def test_randomized_parity_100k_ops():
     """>=10^5 mixed ops: identical pop order and final clocks."""
     ops = 100_000
     seed = derive_seed("eventq-parity", ops)
-    logs = {}
-    clocks = {}
-    for backend in BACKENDS:
-        rng = random.Random(seed)  # same op sequence for every backend
-        sim = Simulator(event_queue=backend)
+    logs = []
+    clocks = []
+    for engine in ENGINES:
+        rng = random.Random(seed)  # same op sequence for both engines
+        sim = engine()
         log: list = []
         _drive(sim, rng, ops, log)
-        logs[backend] = log
-        clocks[backend] = sim.now
-    reference = logs[BACKENDS[0]]
-    assert len(reference) > ops // 2  # the mix actually fired things
-    for backend in BACKENDS[1:]:
-        assert logs[backend] == reference
-        assert clocks[backend] == clocks[BACKENDS[0]]
+        logs.append(log)
+        clocks.append(sim.now)
+    assert len(logs[0]) > ops // 2  # the mix actually fired things
+    assert logs[0] == logs[1]
+    assert clocks[0] == clocks[1]
 
 
 @pytest.mark.parametrize("case", range(3))
@@ -87,9 +91,9 @@ def test_randomized_parity_small_cases(case):
     """Smaller seeds x cases for quicker shrinking when parity breaks."""
     seed = derive_seed("eventq-parity-small", case)
     logs = []
-    for backend in BACKENDS:
+    for engine in ENGINES:
         rng = random.Random(seed)
-        sim = Simulator(event_queue=backend)
+        sim = engine()
         log: list = []
         _drive(sim, rng, 2_000, log)
         logs.append(log)
@@ -97,158 +101,23 @@ def test_randomized_parity_small_cases(case):
 
 
 def test_identical_timestamp_fifo_order_across_backends():
-    for backend in BACKENDS:
-        sim = Simulator(event_queue=backend)
+    for engine in ENGINES:
+        sim = engine()
         order: list = []
+        call_at, _ = _timers(sim)
         for i in range(50):
-            sim.call_at(1.0, order.append, i)
+            call_at(1.0, order.append, i)
         sim.run()
         assert order == list(range(50))
 
 
 # ---------------------------------------------------------------------------
-# CalendarQueue internals
+# Engine behavior
 # ---------------------------------------------------------------------------
 
 
-def _entry(t: float, seq: int):
-    return (t, 0, seq, None, lambda: None, ())
-
-
-def test_calendar_pop_order_with_far_future_overflow():
-    q = CalendarQueue()
-    times = [1e12, 0.5, 3.0, 1e9, 0.25, 7.5, 2e12]
-    for i, t in enumerate(times):
-        q.push(_entry(t, i))
-    assert len(q) == len(times)
-    popped = [q.pop()[0] for _ in range(len(times))]
-    assert popped == sorted(times)
-    assert len(q) == 0
-    with pytest.raises(IndexError):
-        q.pop()
-
-
-def test_calendar_rollover_promotes_overflow():
-    q = CalendarQueue(width=1.0, buckets=256)
-    # Everything far beyond the initial year [0, 256): all overflow.
-    for i in range(100):
-        q.push(_entry(1e6 + i * 0.5, i))
-    popped = [q.pop()[0] for _ in range(100)]
-    assert popped == sorted(popped)
-
-
-def test_calendar_rebuild_on_dense_year():
-    # Thousands of entries in a tiny time span force occupancy-driven
-    # rebuilds; order must survive them.
-    q = CalendarQueue(width=1.0, buckets=256)
-    n = 4_000
-    for i in range(n):
-        q.push(_entry((i * 7919 % n) * 1e-6, i))
-    popped = [q.pop()[:3] for _ in range(n)]
-    assert popped == sorted(popped)
-    assert q._nbuck > 256  # the rebuild actually grew the year
-
-
-def test_calendar_clamps_pre_epoch_and_boundary_times():
-    q = CalendarQueue(width=1.0, buckets=256)
-    q.push(_entry(1000.0, 0))
-    q.pop()  # re-anchors the year at epoch=1000 via rollover
-    # A push before the epoch is legal (now <= epoch always holds for
-    # the engine, but the queue itself tolerates any ordering).
-    q.push(_entry(999.5, 1))
-    q.push(_entry(1000.5, 2))
-    assert q.pop()[0] == 999.5
-    assert q.pop()[0] == 1000.5
-
-
-def test_calendar_peek_live_discards_cancelled():
-    sim = Simulator(event_queue="calendar")
-    first = sim.at(1.0, lambda: None)
-    sim.at(2.0, lambda: None)
-    first.cancel()
-    assert sim.peek() == 2.0
-
-
-def test_calendar_thin_rollovers_widen_buckets():
-    q = CalendarQueue(width=1e-9, buckets=256)
-    # Events spaced vastly wider than the year (256 ns): every rollover
-    # promotes one entry, so the width must adapt upward.
-    for i in range(200):
-        q.push(_entry(float(i), i))
-    start_width = q._width
-    popped = [q.pop()[0] for _ in range(200)]
-    assert popped == sorted(popped)
-    assert q._width > start_width
-
-
-# ---------------------------------------------------------------------------
-# Selection API
-# ---------------------------------------------------------------------------
-
-
-def test_explicit_backend_selection(monkeypatch):
-    # The suite itself may run under REPRO_EVENT_QUEUE (CI's
-    # eventq-smoke job does); pin the environment for default checks.
-    monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
-    assert isinstance(Simulator().event_queue, BinaryHeapQueue)
-    assert isinstance(
-        Simulator(event_queue="calendar").event_queue, CalendarQueue
-    )
-    assert isinstance(
-        Simulator(event_queue=CalendarQueue).event_queue, CalendarQueue
-    )
-    queue = BinaryHeapQueue()
-    assert Simulator(event_queue=queue).event_queue is queue
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown event queue"):
-        Simulator(event_queue="splay")
-    with pytest.raises(TypeError):
-        make_event_queue(42)
-
-
-def test_set_default_event_queue(monkeypatch):
-    monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
-    try:
-        set_default_event_queue("calendar")
-        assert isinstance(Simulator().event_queue, CalendarQueue)
-        set_default_event_queue(None)
-        assert isinstance(Simulator().event_queue, BinaryHeapQueue)
-    finally:
-        set_default_event_queue(None)
-
-
-def test_set_default_rejects_instances():
-    with pytest.raises(TypeError, match="name or factory"):
-        set_default_event_queue(BinaryHeapQueue())
-
-
-def test_env_var_selection(monkeypatch):
-    monkeypatch.setenv("REPRO_EVENT_QUEUE", "calendar")
-    assert isinstance(Simulator().event_queue, CalendarQueue)
-    # Explicit argument and set_default both beat the environment.
-    assert isinstance(Simulator(event_queue="heap").event_queue, BinaryHeapQueue)
-    try:
-        set_default_event_queue("heap")
-        assert isinstance(Simulator().event_queue, BinaryHeapQueue)
-    finally:
-        set_default_event_queue(None)
-
-
-def test_factory_must_implement_interface():
-    with pytest.raises(TypeError, match="event-queue interface"):
-        make_event_queue(lambda: object())
-
-
-# ---------------------------------------------------------------------------
-# Engine behavior on both backends
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_run_until_and_budget(backend):
-    sim = Simulator(event_queue=backend)
+def test_run_until_and_budget():
+    sim = Simulator()
     fired: list = []
     for i in range(10):
         sim.call_at(float(i), fired.append, i)
@@ -261,9 +130,8 @@ def test_run_until_and_budget(backend):
     assert fired == list(range(10))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_stop_mid_run(backend):
-    sim = Simulator(event_queue=backend)
+def test_stop_mid_run():
+    sim = Simulator()
     fired: list = []
     sim.call_at(1.0, fired.append, 1)
     sim.call_at(2.0, sim.stop)
@@ -273,11 +141,10 @@ def test_stop_mid_run(backend):
     assert sim.now == 2.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_past_and_nan_scheduling_rejected(backend):
+def test_past_and_nan_scheduling_rejected():
     from repro.simulation.engine import SimulationError
 
-    sim = Simulator(event_queue=backend, start_time=5.0)
+    sim = Simulator(start_time=5.0)
     with pytest.raises(SimulationError, match="past"):
         sim.call_at(4.0, lambda: None)
     with pytest.raises(SimulationError, match="NaN"):

@@ -1,4 +1,4 @@
-"""Smoke-run every example script so they can never rot.
+"""Smoke-run every example script, and README's code, so they can never rot.
 
 Each example is executed in-process (fresh __main__-style namespace);
 its own embedded assertions run too, so these double as integration
@@ -8,11 +8,15 @@ tests of the public API surface the examples exercise.
 from __future__ import annotations
 
 import pathlib
+import re
 import runpy
+import warnings
 
 import pytest
 
-EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO_ROOT / "examples"
+README = REPO_ROOT / "README.md"
 
 FAST_EXAMPLES = [
     "quickstart.py",
@@ -45,3 +49,16 @@ def test_every_example_file_is_covered():
     on_disk = {p.name for p in EXAMPLES_DIR.glob("*.py")}
     covered = set(FAST_EXAMPLES) | {"scheduler_comparison.py"}
     assert on_disk == covered
+
+
+def test_readme_python_blocks_run(capsys):
+    # The blocks run in order in one namespace (the second uses the
+    # first's ``mbps``), with every warning an error.
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+    assert "SFQ" in capsys.readouterr().out

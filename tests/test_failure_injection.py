@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import FIFO, SFQ, Packet
+from repro.core import FIFO, Packet, make_scheduler
 from repro.core.priority import PriorityBands
 from repro.servers import ConstantCapacity, Link, PiecewiseCapacity
 from repro.servers.base import CapacityError
@@ -29,7 +29,7 @@ def test_flooding_flow_cannot_degrade_a_conforming_flow():
 
     for flood_factor in (1, 20):
         sim = Simulator()
-        sfq = SFQ(auto_register=False)
+        sfq = make_scheduler("SFQ", auto_register=False)
         sfq.add_flow("good", 400.0)
         sfq.add_flow("evil", 600.0)
         link = Link(sim, sfq, ConstantCapacity(1000.0))
@@ -58,7 +58,7 @@ def test_zero_length_packet_rejected_at_creation():
 
 
 def test_duplicate_service_complete_is_harmless():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 1.0)
     sfq.enqueue(Packet("f", 100), 0.0)
     p = sfq.dequeue(0.0)

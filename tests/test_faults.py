@@ -8,7 +8,6 @@ from repro.core.drr import DRR
 from repro.core.packet import Packet
 from repro.core.pifo import PifoScheduler, SfqRank
 from repro.core.registry import make_scheduler
-from repro.core.sfq import SFQ
 from repro.faults import (
     FlowChurn,
     InvariantViolation,
@@ -30,7 +29,7 @@ from repro.transport.sink import PacketSink
 
 
 def make_link(sim, capacity=1000.0, scheduler=None, name="link"):
-    scheduler = scheduler if scheduler is not None else SFQ()
+    scheduler = scheduler if scheduler is not None else make_scheduler("SFQ")
     return Link(sim, scheduler, ConstantCapacity(capacity), name=name)
 
 
@@ -233,7 +232,9 @@ def test_seeded_outage_is_reproducible():
 # ----------------------------------------------------------------------
 def test_churn_joins_and_removes_flows():
     sim = Simulator()
-    link = make_link(sim, capacity=1e6, scheduler=SFQ(auto_register=False))
+    link = make_link(
+        sim, capacity=1e6, scheduler=make_scheduler("SFQ", auto_register=False)
+    )
     link.scheduler.add_flow("base", 1.0)
     CBRSource(sim, "base", link.send, 3e5, 8000).start()
 
@@ -313,7 +314,7 @@ def test_rejoining_flow_restarts_tags_at_current_virtual_time():
     # SFQ's restart rule: after remove_flow/add_flow the tag chain
     # restarts at v(t), not at the flow's stale last finish tag.
     sim = Simulator()
-    scheduler = SFQ(auto_register=False)
+    scheduler = make_scheduler("SFQ", auto_register=False)
     scheduler.add_flow("a", 1.0)
     scheduler.add_flow("b", 1.0)
     link = make_link(sim, scheduler=scheduler)
@@ -404,7 +405,9 @@ def overload_two_flows(sim, link, rate_each):
 
 def test_monitors_stay_clean_on_sfq():
     sim = Simulator()
-    link = make_link(sim, capacity=1000.0, scheduler=SFQ(auto_register=False))
+    link = make_link(
+        sim, capacity=1000.0, scheduler=make_scheduler("SFQ", auto_register=False)
+    )
     monitors = install_monitors(link, mode="record")
     overload_two_flows(sim, link, 700.0)  # 1.4x overload
     sim.run(until=60.0)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from tests.helpers import drive_greedy, run_schedule, service_order
-from repro.core import FQS, WFQ, Packet
+from repro.core import Packet, make_scheduler
 from repro.core.gps import GPSVirtualClock
 from repro.servers import ConstantCapacity, Link, PiecewiseCapacity
 from repro.simulation import Simulator
@@ -66,7 +66,7 @@ def test_rejects_nonpositive_capacity():
 def test_wfq_schedules_by_finish_tag():
     # Blocker in service while a and b queue; WFQ then picks smaller F.
     link = run_schedule(
-        WFQ(assumed_capacity=100.0),
+        make_scheduler("WFQ", capacity=100.0),
         ConstantCapacity(100.0),
         [(0.0, "z", 100), (0.0, "a", 1000), (0.0, "b", 500)],
         weights={"z": 100.0, "a": 100.0, "b": 100.0},
@@ -76,7 +76,7 @@ def test_wfq_schedules_by_finish_tag():
 
 def test_fqs_schedules_by_start_tag():
     link = run_schedule(
-        FQS(assumed_capacity=100.0),
+        make_scheduler("FQS", capacity=100.0),
         ConstantCapacity(100.0),
         # Same workload: FQS orders by S (both 0) -> arrival order wins.
         [(0.0, "z", 100), (0.0, "a", 1000), (0.0, "b", 500)],
@@ -87,7 +87,7 @@ def test_fqs_schedules_by_start_tag():
 
 def test_wfq_weighted_shares_on_correct_capacity():
     link = drive_greedy(
-        WFQ(assumed_capacity=3000.0),
+        make_scheduler("WFQ", capacity=3000.0),
         ConstantCapacity(3000.0),
         [("a", 1000.0, 100, 600), ("b", 2000.0, 100, 600)],
         until=10.0,
@@ -104,7 +104,7 @@ def test_wfq_example2_unfair_on_slower_real_capacity():
         [(0.0, 1.0), (1.0, c), (2.0, c)], average_rate=c
     )
     sim = Simulator()
-    wfq = WFQ(assumed_capacity=c)
+    wfq = make_scheduler("WFQ", capacity=c)
     wfq.add_flow("f", 1.0)
     wfq.add_flow("m", 1.0)
     link = Link(sim, wfq, capacity)
@@ -119,7 +119,7 @@ def test_wfq_example2_unfair_on_slower_real_capacity():
 
 
 def test_wfq_tags_use_gps_virtual_time():
-    wfq = WFQ(assumed_capacity=100.0)
+    wfq = make_scheduler("WFQ", capacity=100.0)
     wfq.add_flow("a", 50.0)
     wfq.add_flow("b", 50.0)
     pa = Packet("a", 100, seqno=0)
@@ -133,7 +133,7 @@ def test_wfq_tags_use_gps_virtual_time():
 
 
 def test_gps_pieces_counter_tracks_work():
-    wfq = WFQ(assumed_capacity=100.0)
+    wfq = make_scheduler("WFQ", capacity=100.0)
     wfq.add_flow("a", 100.0)
     for i in range(10):
         wfq.enqueue(Packet("a", 100, seqno=i), float(i))
@@ -161,7 +161,7 @@ def test_gps_retirements_counted_individually():
 
 
 def test_wfq_peek_matches_dequeue():
-    wfq = WFQ(assumed_capacity=10.0)
+    wfq = make_scheduler("WFQ", capacity=10.0)
     wfq.add_flow("a", 1.0)
     wfq.add_flow("b", 1.0)
     wfq.enqueue(Packet("a", 100, seqno=0), 0.0)

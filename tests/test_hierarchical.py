@@ -7,8 +7,6 @@ import pytest
 from repro.core import (
     DRR,
     FIFO,
-    SFQ,
-    DelayEDD,
     HierarchicalScheduler,
     Packet,
     SchedulerError,

@@ -95,9 +95,9 @@ def test_requires_deadline_registration():
 
 
 def test_work_conserving_scheduler_next_eligible_is_none():
-    from repro.core import SFQ
+    from repro.core import make_scheduler
 
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 1.0)
     sfq.enqueue(Packet("f", 100), 0.0)
     assert sfq.next_eligible_time(0.0) is None

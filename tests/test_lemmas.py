@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import SFQ, Packet
+from repro.core import Packet, make_scheduler
 from repro.servers import ConstantCapacity, Link, PiecewiseCapacity, TwoRateSquareWave
 from repro.simulation import Simulator
 
@@ -29,7 +29,7 @@ LMAX = {"f": 400, "m": 250}
 def run_with_v_samples(capacity, schedule, sample_times):
     """Run SFQ and record v(t) at each sample time."""
     sim = Simulator()
-    sfq = SFQ(auto_register=False)
+    sfq = make_scheduler("SFQ", auto_register=False)
     for flow, rate in FLOWS.items():
         sfq.add_flow(flow, rate)
     link = Link(sim, sfq, capacity)

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import DRR, SFQ, HierarchicalScheduler, Packet, make_scheduler
+from repro.core import DRR, HierarchicalScheduler, Packet, make_scheduler
 from repro.core.priority import PriorityBands
 from repro.servers import ConstantCapacity, Link
 from repro.simulation import Simulator
 
 
 def _flat_sfq():
-    sfq = SFQ(auto_register=False)
+    sfq = make_scheduler("SFQ", auto_register=False)
     sfq.add_flow("hog", 1.0)
     sfq.add_flow("meek", 1.0)
     return sfq
@@ -47,7 +47,7 @@ def make_link(policy="longest_queue", buffer_packets=4, build=_flat_sfq):
 # SFQ.discard_tail mechanics
 # ----------------------------------------------------------------------
 def test_discard_tail_removes_youngest_packet():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 1.0)
     p0, p1 = Packet("f", 100, seqno=0), Packet("f", 100, seqno=1)
     sfq.enqueue(p0, 0.0)
@@ -60,7 +60,7 @@ def test_discard_tail_removes_youngest_packet():
 
 
 def test_discard_tail_rechains_finish_tags():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 100.0)
     sfq.enqueue(Packet("f", 100, seqno=0), 0.0)  # F = 1
     sfq.enqueue(Packet("f", 100, seqno=1), 0.0)  # F = 2
@@ -73,7 +73,7 @@ def test_discard_tail_rechains_finish_tags():
 
 
 def test_discard_tail_empty_flow_returns_none():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 1.0)
     assert sfq.discard_tail("f") is None
     assert sfq.discard_tail("ghost") is None
@@ -88,7 +88,7 @@ def test_discard_tail_unsupported_scheduler_raises():
 
 
 def test_peek_skips_discarded_head():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 1.0)
     sfq.enqueue(Packet("f", 100, seqno=0), 0.0)
     sfq.discard_tail("f")
@@ -164,7 +164,7 @@ def test_lqd_falls_back_to_drop_when_nothing_to_evict():
     # buffer_packets >= 1; emulate per-flow cap: the arriving flow over
     # its own cap must NOT steal from others.
     sim = Simulator()
-    sfq = SFQ(auto_register=False)
+    sfq = make_scheduler("SFQ", auto_register=False)
     sfq.add_flow("hog", 1.0)
     sfq.add_flow("meek", 1.0)
     link = Link(
@@ -187,7 +187,7 @@ def test_lqd_falls_back_to_drop_when_nothing_to_evict():
 
 def test_lqd_evicts_enough_for_a_large_packet_under_bits_buffer():
     sim = Simulator()
-    sfq = SFQ(auto_register=False)
+    sfq = make_scheduler("SFQ", auto_register=False)
     sfq.add_flow("hog", 1.0)
     sfq.add_flow("meek", 1.0)
     link = Link(
@@ -209,7 +209,9 @@ def test_lqd_evicts_enough_for_a_large_packet_under_bits_buffer():
 def test_invalid_policy_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
-        Link(sim, SFQ(), ConstantCapacity(1.0), drop_policy="random")
+        Link(
+            sim, make_scheduler("SFQ"), ConstantCapacity(1.0), drop_policy="random"
+        )
 
 
 def test_lqd_keeps_aggregate_buffer_bounded():

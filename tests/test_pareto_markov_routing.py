@@ -8,7 +8,7 @@ import random
 import pytest
 
 from repro.analysis.servers import measure_fc_delta
-from repro.core import SFQ, Packet
+from repro.core import Packet, make_scheduler
 from repro.network import RoutedNetwork
 from repro.servers import ConstantCapacity, GilbertElliottCapacity
 from repro.servers.base import CapacityError
@@ -127,7 +127,7 @@ def build_diamond(sim):
     """s -> {a, b} -> d diamond; the a-path is shorter by weight."""
     net = RoutedNetwork(
         sim,
-        scheduler_factory=lambda: SFQ(),
+        scheduler_factory=lambda: make_scheduler("SFQ"),
         capacity_factory=lambda: ConstantCapacity(10_000.0),
     )
     for node in ("s", "a", "b", "d"):

@@ -112,10 +112,8 @@ def test_engine_forwards_rank_exports():
 def test_engine_subclass_overriding_removed_hook_fails_loudly(hook):
     # The single-frame engine never calls these; a stale override would
     # be silently ignored, so defining one raises, pointing at RankFn.
-    from repro.core.sfq import SFQ
-
     with pytest.raises(TypeError, match="RankFn"):
-        type("StaleSFQ", (SFQ,), {hook: lambda self, *args: None})
+        type("StaleSFQ", (PifoScheduler,), {hook: lambda self, *args: None})
 
 
 # ----------------------------------------------------------------------

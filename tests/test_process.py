@@ -167,11 +167,11 @@ def test_processes_interleave_with_events():
 
 def test_process_driving_a_link():
     """Processes compose with the packet machinery."""
-    from repro.core import SFQ, Packet
+    from repro.core import Packet, make_scheduler
     from repro.servers import ConstantCapacity, Link
 
     sim = Simulator()
-    sched = SFQ()
+    sched = make_scheduler("SFQ")
     link = Link(sim, sched, ConstantCapacity(1000.0))
 
     def talker():

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.delay_bounds import expected_arrival_times
 from repro.analysis.fairness import empirical_fairness_measure, sfq_fairness_bound
-from repro.core import DRR, FIFO, SCFQ, SFQ, FairAirport, Packet, VirtualClock, WFQ
+from repro.core import DRR, FIFO, FairAirport, Packet, make_scheduler
 from repro.servers import ConstantCapacity, Link, PiecewiseCapacity
 from repro.simulation import Simulator
 
@@ -75,7 +75,7 @@ def run_workload(scheduler, capacity, schedule) -> Link:
 @settings(max_examples=40, deadline=None)
 @given(schedule=arrival_schedule, profile=rate_profiles)
 def test_sfq_fairness_bound_any_server(schedule, profile):
-    link = run_workload(SFQ(), build_capacity(profile), schedule)
+    link = run_workload(make_scheduler("SFQ"), build_capacity(profile), schedule)
     lmax_f = max((l for _t, f, l in schedule if f == "f"), default=50)
     lmax_m = max((l for _t, f, l in schedule if f == "m"), default=50)
     h = empirical_fairness_measure(link.tracer, "f", "m", 500.0, 250.0)
@@ -85,7 +85,7 @@ def test_sfq_fairness_bound_any_server(schedule, profile):
 @settings(max_examples=25, deadline=None)
 @given(schedule=arrival_schedule, profile=rate_profiles)
 def test_scfq_fairness_bound_any_server(schedule, profile):
-    link = run_workload(SCFQ(), build_capacity(profile), schedule)
+    link = run_workload(make_scheduler("SCFQ"), build_capacity(profile), schedule)
     lmax_f = max((l for _t, f, l in schedule if f == "f"), default=50)
     lmax_m = max((l for _t, f, l in schedule if f == "m"), default=50)
     h = empirical_fairness_measure(link.tracer, "f", "m", 500.0, 250.0)
@@ -102,10 +102,10 @@ def test_scfq_fairness_bound_any_server(schedule, profile):
 )
 def test_conservation_and_flow_fifo(schedule, which):
     makers = {
-        "SFQ": lambda: SFQ(),
-        "SCFQ": lambda: SCFQ(),
-        "WFQ": lambda: WFQ(assumed_capacity=1000.0),
-        "VC": lambda: VirtualClock(),
+        "SFQ": lambda: make_scheduler("SFQ"),
+        "SCFQ": lambda: make_scheduler("SCFQ"),
+        "WFQ": lambda: make_scheduler("WFQ", capacity=1000.0),
+        "VC": lambda: make_scheduler("VirtualClock"),
         "DRR": lambda: DRR(quantum_scale=2.0),
         "FIFO": lambda: FIFO(),
         "FA": lambda: FairAirport(),
@@ -137,7 +137,7 @@ def test_conservation_and_flow_fifo(schedule, which):
 @given(schedule=arrival_schedule)
 def test_sfq_virtual_time_monotone(schedule):
     sim = Simulator()
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 500.0)
     sfq.add_flow("m", 250.0)
     link = Link(sim, sfq, ConstantCapacity(1000.0))

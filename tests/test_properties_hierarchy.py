@@ -8,8 +8,7 @@ from typing import List, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import HierarchicalScheduler, Packet
-from repro.core.wf2q import WF2Q
+from repro.core import HierarchicalScheduler, Packet, make_scheduler
 from repro.servers import ConstantCapacity, Link
 from repro.simulation import Simulator
 
@@ -92,7 +91,7 @@ def test_hierarchy_class_accounting_consistent(shape, schedule):
 @given(schedule=arrivals)
 def test_wf2q_conservation(schedule):
     sim = Simulator()
-    sched = WF2Q(assumed_capacity=1000.0)
+    sched = make_scheduler("WF2Q", capacity=1000.0)
     sched.add_flow("f", 500.0)
     sched.add_flow("m", 250.0)
     link = Link(sim, sched, ConstantCapacity(1000.0))

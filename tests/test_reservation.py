@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.delay_bounds import expected_arrival_times, sfq_delay_bound
 from repro.analysis.reservation import AdmissionError, ReservationManager
-from repro.core import SFQ, Packet
+from repro.core import Packet, make_scheduler
 from repro.servers import ConstantCapacity, Link
 from repro.simulation import Simulator
 
@@ -74,7 +74,7 @@ def test_configure_scheduler_and_bounds_hold_in_simulation():
     for flow, rate, lmax in specs:
         mgr.admit_with_headroom(flow, rate, lmax, bound_headroom=1.0)
     sim = Simulator()
-    sfq = SFQ(auto_register=False)
+    sfq = make_scheduler("SFQ", auto_register=False)
     mgr.configure_scheduler(sfq)
     link = Link(sim, sfq, ConstantCapacity(10_000.0))
     for flow, rate, lmax in specs:

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import SFQ, Packet, SchedulerError, TieBreak
+from repro.core import Packet, SchedulerError, TieBreak, make_scheduler
 from repro.core.base import Scheduler
 
 
 def test_duplicate_flow_rejected():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 1.0)
     with pytest.raises(SchedulerError):
         sfq.add_flow("f", 2.0)
@@ -18,11 +18,11 @@ def test_duplicate_flow_rejected():
 
 def test_add_flow_rejects_bad_weight():
     with pytest.raises(ValueError):
-        SFQ().add_flow("f", 0.0)
+        make_scheduler("SFQ").add_flow("f", 0.0)
 
 
 def test_remove_idle_flow():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 1.0)
     sfq.remove_flow("f")
     assert "f" not in sfq.flows
@@ -30,11 +30,11 @@ def test_remove_idle_flow():
 
 def test_remove_unknown_flow_raises():
     with pytest.raises(SchedulerError):
-        SFQ().remove_flow("ghost")
+        make_scheduler("SFQ").remove_flow("ghost")
 
 
 def test_remove_backlogged_flow_refused():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 1.0)
     sfq.enqueue(Packet("f", 100), 0.0)
     with pytest.raises(SchedulerError):
@@ -42,7 +42,7 @@ def test_remove_backlogged_flow_refused():
 
 
 def test_set_weight_applies_to_new_packets():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 100.0)
     p1 = Packet("f", 100, seqno=0)
     sfq.enqueue(p1, 0.0)
@@ -55,7 +55,7 @@ def test_set_weight_applies_to_new_packets():
 
 
 def test_set_weight_validates():
-    sfq = SFQ(auto_register=False)
+    sfq = make_scheduler("SFQ", auto_register=False)
     sfq.add_flow("f", 1.0)
     with pytest.raises(SchedulerError):
         sfq.set_weight("f", -1.0)
@@ -64,7 +64,7 @@ def test_set_weight_validates():
 
 
 def test_total_weight_and_backlogged_filter():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("a", 1.0)
     sfq.add_flow("b", 2.0)
     assert sfq.total_weight() == pytest.approx(3.0)
@@ -74,7 +74,7 @@ def test_total_weight_and_backlogged_filter():
 
 
 def test_in_service_tracking():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 1.0)
     sfq.enqueue(Packet("f", 100), 0.0)
     assert sfq.in_service is None
@@ -85,7 +85,7 @@ def test_in_service_tracking():
 
 
 def test_len_reflects_backlog():
-    sfq = SFQ()
+    sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 1.0)
     assert len(sfq) == 0
     sfq.enqueue(Packet("f", 100), 0.0)
@@ -93,7 +93,7 @@ def test_len_reflects_backlog():
 
 
 def test_flow_backlog_unknown_flow_is_zero():
-    assert SFQ().flow_backlog("ghost") == 0
+    assert make_scheduler("SFQ").flow_backlog("ghost") == 0
 
 
 def test_tiebreak_rules_return_sortable_keys():

@@ -10,10 +10,8 @@ This suite drives the optimized scheduler, constructed through
 ``make_scheduler``, and its frozen seed copy
 (``tests/reference/legacy_cores.py``) through the *same* deterministic
 workload on the real ``Simulator`` + ``Link`` stack and compares the
-full trace record streams for exact equality. The optimized side runs
-under both event-queue backends (``"heap"`` and ``"calendar"``), so
-each case doubles as a cross-event-queue equivalence check. Workloads
-are shaped after the paper's experiments:
+full trace record streams for exact equality. Workloads are shaped
+after the paper's experiments:
 
 * ``table1``   — two flows, the second joining mid-busy-period
   (Table 1's f/m throughput split);
@@ -197,19 +195,14 @@ SCHEDULERS = {
     "DelayEDD": (_opt("DelayEDD"), lambda: LegacyDelayEDD(), _edd_setup),
 }
 
-#: Event-queue backends the optimized side must be byte-identical under.
-#: The seed side always runs on the default binary heap, so each case
-#: doubles as a cross-event-queue equivalence check.
-EVENT_QUEUE_BACKENDS = ("heap", "calendar")
-
 #: Schedulers supporting discard_tail (the others raise NotImplementedError).
 DISCARD_CAPABLE = {"SFQ", "SCFQ"}
 
 
-def run_trace(scheduler_factory, setup, workload_name, event_queue=None):
+def run_trace(scheduler_factory, setup, workload_name):
     """Run one (scheduler, workload) combination; return the trace."""
     flow_ids, arrivals, link_kwargs = WORKLOADS[workload_name]()
-    sim = Simulator() if event_queue is None else Simulator(event_queue=event_queue)
+    sim = Simulator()
     sched = scheduler_factory()
     if setup is not None:
         setup(sched, flow_ids)
@@ -253,23 +246,23 @@ def _combos():
             yield sched_name, wl_name
 
 
-# The "-object" id segment names the one scheduler engine (formerly the
-# "object" backend); it is kept so the case ids stay stable.
-@pytest.mark.parametrize("eventq", EVENT_QUEUE_BACKENDS)
+# The "-object" and "-heap" id segments name the one scheduler engine
+# and the one event queue (formerly selectable backends); they are kept
+# so the case ids stay stable.
 @pytest.mark.parametrize(
     "sched_name,wl_name",
-    [pytest.param(s, w, id=f"{s}-{w}-object") for s, w in _combos()],
+    [pytest.param(s, w, id=f"{s}-{w}-object-heap") for s, w in _combos()],
 )
-def test_trace_equivalence(sched_name, wl_name, eventq):
+def test_trace_equivalence(sched_name, wl_name):
     new_factory, legacy_factory, setup = SCHEDULERS[sched_name]
     # DelayEDD churn: auto-registered flows need deadlines; skip handled
     # in _combos. Everything else must match record-for-record.
-    optimized = run_trace(new_factory, setup, wl_name, event_queue=eventq)
+    optimized = run_trace(new_factory, setup, wl_name)
     legacy = run_trace(legacy_factory, setup, wl_name)
     assert len(optimized) == len(legacy)
     for i, (new_rec, old_rec) in enumerate(zip(optimized, legacy)):
         assert new_rec == old_rec, (
-            f"{sched_name}/{wl_name}/{eventq}: record {i} diverged:\n"
+            f"{sched_name}/{wl_name}: record {i} diverged:\n"
             f"  optimized: {new_rec}\n  seed:      {old_rec}"
         )
 

@@ -7,7 +7,7 @@ import pytest
 from tests.helpers import drive_greedy, run_schedule, service_order
 from repro.analysis.admission import delay_edd_schedulable
 from repro.analysis.delay_bounds import edd_delay_bound
-from repro.core import DelayEDD, Packet, VirtualClock
+from repro.core import Packet, make_scheduler
 from repro.core.base import SchedulerError
 from repro.servers import ConstantCapacity, PeriodicStall
 
@@ -16,7 +16,7 @@ from repro.servers import ConstantCapacity, PeriodicStall
 # Virtual Clock
 # ----------------------------------------------------------------------
 def test_vc_timestamp_is_eat_plus_service():
-    vc = VirtualClock()
+    vc = make_scheduler("VirtualClock")
     vc.add_flow("f", 100.0)
     p1 = Packet("f", 200, seqno=0)
     vc.enqueue(p1, 1.0)
@@ -30,7 +30,7 @@ def test_vc_timestamp_is_eat_plus_service():
 
 def test_vc_weighted_shares_when_backlogged():
     link = drive_greedy(
-        VirtualClock(),
+        make_scheduler("VirtualClock"),
         ConstantCapacity(3000.0),
         [("a", 1000.0, 100, 600), ("b", 2000.0, 100, 600)],
         until=10.0,
@@ -46,7 +46,7 @@ def test_vc_punishes_past_idle_bandwidth_use():
     schedule = [(float(i), "greedy", 100) for i in range(20)]  # 2x its rate
     schedule += [(10.0, "newcomer", 100)] * 5
     link = run_schedule(
-        VirtualClock(),
+        make_scheduler("VirtualClock"),
         ConstantCapacity(100.0),
         schedule,
         weights={"greedy": 50.0, "newcomer": 50.0},
@@ -67,14 +67,14 @@ def test_vc_punishes_past_idle_bandwidth_use():
 # Delay EDD
 # ----------------------------------------------------------------------
 def test_edd_requires_deadline_registration():
-    edd = DelayEDD()
+    edd = make_scheduler("DelayEDD")
     edd.add_flow("f", 100.0)  # registered without a deadline
     with pytest.raises(SchedulerError):
         edd.enqueue(Packet("f", 100), 0.0)
 
 
 def test_edd_deadline_is_eat_plus_offset():
-    edd = DelayEDD()
+    edd = make_scheduler("DelayEDD")
     edd.add_flow_with_deadline("f", rate=100.0, deadline=0.5)
     p = Packet("f", 100, seqno=0)
     edd.enqueue(p, 2.0)
@@ -82,7 +82,7 @@ def test_edd_deadline_is_eat_plus_offset():
 
 
 def test_edd_orders_by_deadline_not_rate():
-    edd = DelayEDD()
+    edd = make_scheduler("DelayEDD")
     edd.add_flow_with_deadline("slow_urgent", rate=10.0, deadline=0.1)
     edd.add_flow_with_deadline("fast_lax", rate=1000.0, deadline=5.0)
     edd.add_flow_with_deadline("blocker", rate=1000.0, deadline=10.0)
@@ -97,13 +97,13 @@ def test_edd_orders_by_deadline_not_rate():
 
 def test_edd_rejects_bad_deadline():
     with pytest.raises(SchedulerError):
-        DelayEDD().add_flow_with_deadline("f", 1.0, 0.0)
+        make_scheduler("DelayEDD").add_flow_with_deadline("f", 1.0, 0.0)
 
 
 def test_theorem7_bound_on_fc_server():
     """Deadline guarantee on a periodically stalling server (eq. 68)."""
     capacity = PeriodicStall(2000.0, 0.5, 1.0)  # mean 1000, delta = 500
-    edd = DelayEDD()
+    edd = make_scheduler("DelayEDD")
     flows = [("u", 200.0, 1.0), ("v", 400.0, 2.0)]
     for flow, rate, deadline in flows:
         edd.add_flow_with_deadline(flow, rate, deadline)
