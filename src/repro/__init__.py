@@ -13,12 +13,12 @@ Subpackages
     Constant, Fluctuation Constrained (FC) and Exponentially Bounded
     Fluctuation (EBF) capacity processes; the Link service loop.
 ``repro.traffic``
-    CBR / bulk / Poisson / on-off / MPEG-VBR / trace sources, leaky
+    CBR / bulk / Poisson / on-off / Pareto / MPEG-VBR sources, leaky
     bucket shaping.
 ``repro.transport``
     Simplified TCP Reno and packet sinks.
 ``repro.network``
-    Output-queued switches, topologies, multi-hop tandems.
+    Multi-hop tandems (Corollary 1's K-server paths).
 ``repro.analysis``
     Empirical fairness measures, the paper's theorem bounds (Theorems
     1-9, Corollary 1), admission control, statistics.
@@ -68,7 +68,6 @@ from repro.servers import (
     PeriodicStall,
     PiecewiseCapacity,
     TwoRateSquareWave,
-    UniformSlotCapacity,
 )
 from repro.simulation import RandomStreams, Simulator, Tracer
 
@@ -111,6 +110,5 @@ __all__ = [
     "PeriodicStall",
     "FluctuationConstrainedCapacity",
     "BernoulliCapacity",
-    "UniformSlotCapacity",
     "GilbertElliottCapacity",
 ]

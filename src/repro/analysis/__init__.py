@@ -37,10 +37,8 @@ from repro.analysis.fairness import (
     empirical_fairness_measure,
     golestani_lower_bound,
     jain_index,
-    normalized_service_gap,
     scfq_fairness_bound,
     sfq_fairness_bound,
-    wfq_fairness_lower_bound,
 )
 from repro.analysis.servers import measure_fc_delta, sample_ebf_deficits
 from repro.analysis.stats import (
@@ -56,10 +54,8 @@ __all__ = [
     "golestani_lower_bound",
     "sfq_fairness_bound",
     "scfq_fairness_bound",
-    "wfq_fairness_lower_bound",
     "drr_fairness_bound",
     "empirical_fairness_measure",
-    "normalized_service_gap",
     "backlogged_intervals",
     "jain_index",
     # delay / throughput bounds

@@ -40,11 +40,6 @@ def sfq_fairness_bound(lf_max: float, rf: float, lm_max: float, rm: float) -> fl
 scfq_fairness_bound = sfq_fairness_bound
 
 
-def wfq_fairness_lower_bound(lf_max: float, rf: float, lm_max: float, rm: float) -> float:
-    """Example 1: WFQ's H(f, m) is *at least* this (≥ 2x the lower bound)."""
-    return lf_max / rf + lm_max / rm
-
-
 def drr_fairness_bound(lf_max: float, rf: float, lm_max: float, rm: float) -> float:
     """DRR's H(f, m) with weights normalized so min weight = 1.
 
@@ -90,21 +85,6 @@ def _intersect(
         else:
             j += 1
     return out
-
-
-def normalized_service_gap(
-    tracer: Tracer,
-    flow_f: Hashable,
-    flow_m: Hashable,
-    rf: float,
-    rm: float,
-    t1: float,
-    t2: float,
-) -> float:
-    """|W_f(t1,t2)/r_f - W_m(t1,t2)/r_m| for one interval."""
-    wf = tracer.work_in_interval(flow_f, t1, t2)
-    wm = tracer.work_in_interval(flow_m, t1, t2)
-    return abs(wf / rf - wm / rm)
 
 
 def empirical_fairness_measure(

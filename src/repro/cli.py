@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.experiments import (
     ACCEPTS_DURATION,
@@ -34,15 +34,6 @@ from repro.experiments import (
     load_experiment,
 )
 from repro.experiments.harness import ExperimentResult
-
-#: Backwards-compatible aliases (pre-registry callers).
-_RUNNERS = DESCRIPTIONS
-_ACCEPTS_SEED = ACCEPTS_SEED
-_ACCEPTS_DURATION = ACCEPTS_DURATION
-
-
-def _load(name: str) -> Callable[..., ExperimentResult]:
-    return load_experiment(name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,8 +262,8 @@ def run_experiment_with_metrics(
     """Run one experiment inside a :class:`repro.metrics.MetricsSession`.
 
     Returns ``(result, snapshot)`` where the snapshot covers every
-    Link/Switch the experiment constructed (ambient wiring — the
-    experiment itself is unmodified).
+    Link the experiment constructed (ambient wiring — the experiment
+    itself is unmodified).
     """
     from repro.metrics import MetricsSession
 
@@ -452,7 +443,18 @@ def _run_chaos_command(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("run", "metrics") and args.experiment != "all":
+        for flag, value, accepting in (
+            ("--seed", args.seed, ACCEPTS_SEED),
+            ("--duration", args.duration, ACCEPTS_DURATION),
+        ):
+            if value is not None and args.experiment not in accepting:
+                parser.error(
+                    f"{args.experiment} does not take {flag}; "
+                    f"experiments that do: {', '.join(sorted(accepting))}"
+                )
     if args.command == "list":
         width = max(len(n) for n in DESCRIPTIONS)
         for name in sorted(DESCRIPTIONS):

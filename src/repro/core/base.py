@@ -19,9 +19,6 @@ Protocol
     Called when the transmission of the packet returned by the previous
     ``dequeue`` finishes. Used for virtual-time / busy-period
     bookkeeping.
-``peek(now)``
-    Optional: the packet the next ``dequeue`` would return, without side
-    effects. Required of schedulers used inside a hierarchy.
 """
 
 from __future__ import annotations
@@ -130,13 +127,6 @@ class Scheduler(ABC):
         if self.in_service is packet:
             self.in_service = None
         self._do_service_complete(packet, now)
-
-    def peek(self, now: float) -> Optional[Packet]:
-        """Packet the next ``dequeue`` would return (no side effects)."""
-        raise NotImplementedError(
-            f"{self.algorithm} does not support peek(); it cannot be used "
-            "as an interior node of a hierarchy"
-        )
 
     def discard_tail(self, flow_id: Hashable) -> Optional[Packet]:
         """Remove and return the *youngest* queued packet of ``flow_id``.

@@ -109,12 +109,6 @@ class DRR(Scheduler):
             self._active.append(flow_id)
             self._current = None
 
-    def peek(self, now: float) -> Optional[Packet]:
-        raise NotImplementedError(
-            "DRR dequeue mutates round state; it cannot be peeked and so "
-            "cannot serve as an interior node of a hierarchy"
-        )
-
 
 class WRR(Scheduler):
     """Weighted Round Robin with per-round packet counts.
@@ -168,6 +162,3 @@ class WRR(Scheduler):
                 state.user = False
                 self._current = None
             return packet
-
-    def peek(self, now: float) -> Optional[Packet]:
-        raise NotImplementedError("WRR cannot be peeked (round state mutates)")

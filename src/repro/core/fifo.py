@@ -39,9 +39,6 @@ class FIFO(Scheduler):
         assert popped is packet
         return packet
 
-    def peek(self, now: float) -> Optional[Packet]:
-        return self._queue[0] if self._queue else None
-
     def _do_discard_tail(self, state: FlowState) -> Optional[Packet]:
         packet = state.pop_tail()
         self._queue.remove(packet)  # O(n); FIFO is a baseline, not a fast path

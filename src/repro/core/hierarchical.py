@@ -2,7 +2,7 @@
 
 The link-sharing structure is a tree of *classes*. Each class (other
 than leaves) is treated as a virtual server: its scheduler — SFQ by
-default, but any peekable :class:`~repro.core.base.Scheduler` — fairly
+default, but any :class:`~repro.core.base.Scheduler` — fairly
 distributes the bandwidth the class receives among its subclasses. The
 paper's key observation (Example 3) is that the virtual server seen by a
 subclass has *fluctuating* capacity (siblings come and go), so the
@@ -326,15 +326,6 @@ class HierarchicalScheduler(Scheduler):
             node.scheduler.on_service_complete(node.dequeued.popleft(), now)
             node = node.parent
         leaf.scheduler.on_service_complete(packet, now)
-
-    def peek(self, now: float) -> Optional[Packet]:
-        wrapper = self.root.scheduler.peek(now)
-        if wrapper is None:
-            return None
-        node = self.root.children[wrapper.flow]
-        if node.offered is None:  # pragma: no cover - defensive
-            raise SchedulerError("scheduled child lost its offer")
-        return node.offered
 
     # The abstract hooks are bypassed by the overridden public methods.
     def _do_enqueue(

@@ -92,7 +92,3 @@ class JitterEDD(Scheduler):
         if self._held:
             return self._held[0][0]
         return None
-
-    def peek(self, now: float) -> Optional[Packet]:
-        self._promote(now)
-        return self._ready[0][2] if self._ready else None

@@ -578,7 +578,7 @@ class PifoScheduler(Scheduler):
     * ``discard_tail`` is O(1): the victim is the FIFO tail, which is in
       the heap only when it is the flow's sole packet; that entry is
       invalidated in place (``entry[3] = None``) and reaped lazily by
-      the next dequeue/peek.
+      the next dequeue.
 
     With ``debug_checks=True`` every dequeue re-verifies that the served
     entry is its flow's FIFO head and raises
@@ -780,25 +780,6 @@ class PifoScheduler(Scheduler):
             for entry in shelved:
                 heappush(heap, entry)
         return chosen
-
-    def peek(self, now: float) -> Optional[Packet]:
-        """Packet the next ``dequeue`` would return (no side effects)."""
-        heap = self._head_heap
-        while heap and heap[0][3] is None:
-            heappop(heap)
-        if not heap:
-            return None
-        if not self._eligibility:
-            head: Packet = heap[0][3]
-            return head
-        v = self._rank.advance(now)
-        live = [e for e in heap if e[3] is not None]
-        eligible = [e for e in live if e[3].start_tag <= v + 1e-12]
-        if eligible:
-            head = min(eligible, key=lambda e: (e[3].finish_tag, e[2]))[3]
-        else:
-            head = min(live, key=lambda e: (e[3].start_tag, e[2]))[3]
-        return head
 
     def _do_discard_tail(self, state: FlowState) -> Optional[Packet]:
         if not self._rank.supports_discard:
@@ -1058,18 +1039,6 @@ class SpPifoScheduler(Scheduler):
             f"{self.algorithm} does not support discard_tail(); use "
             "drop-tail buffering with it"
         )
-
-    def peek(self, now: float) -> Optional[Packet]:
-        """Packet the next ``dequeue`` would return (no side effects)."""
-        heap = self._exact_heap
-        if heap is not None:
-            return heap[0][2] if heap else None
-        bands = self._bands
-        assert bands is not None  # exact mode returned above
-        for band in bands:
-            if band:
-                return band[0]
-        return None
 
 
 # ----------------------------------------------------------------------

@@ -72,13 +72,6 @@ class PriorityBands(Scheduler):
         if band is not None:
             self.bands[band].on_service_complete(packet, now)
 
-    def peek(self, now: float) -> Optional[Packet]:
-        for band in self.bands:
-            packet = band.peek(now)
-            if packet is not None:
-                return packet
-        return None
-
     def flow_backlog(self, flow_id: Hashable) -> int:
         band = self._flow_band.get(flow_id)
         if band is None:

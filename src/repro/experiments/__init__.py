@@ -28,11 +28,7 @@ from __future__ import annotations
 import importlib
 from typing import Callable, Dict
 
-from repro.experiments.harness import (
-    ExperimentResult,
-    comparison_row,
-    geometric_sweep,
-)
+from repro.experiments.harness import ExperimentResult
 
 #: CLI name -> lazy ``module:function`` target returning ExperimentResult.
 REGISTRY: Dict[str, str] = {
@@ -125,8 +121,6 @@ def load_experiment(name: str) -> Callable[..., ExperimentResult]:
 
 __all__ = [
     "ExperimentResult",
-    "comparison_row",
-    "geometric_sweep",
     "REGISTRY",
     "DESCRIPTIONS",
     "ACCEPTS_SEED",

@@ -330,7 +330,7 @@ def _execute(
 ) -> ExperimentResult:
     func = resolve_target(target)
     if metrics:
-        # Ambient session: every Link/Switch the shard constructs
+        # Ambient session: every Link the shard constructs
         # self-registers a hub. The snapshot rides inside result.data so
         # it crosses the worker queue and the cache with the result.
         from repro.metrics import MetricsSession

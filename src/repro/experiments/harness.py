@@ -19,7 +19,7 @@ import dataclasses
 import importlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 #: Sentinel keys used by the JSON codec; a plain dict containing one of
 #: these as a key is itself escaped through the pair encoding.
@@ -197,23 +197,3 @@ def _fmt(value: Any) -> str:
             return f"{value:.4g}"
         return f"{value:.4f}".rstrip("0").rstrip(".")
     return str(value)
-
-
-def comparison_row(
-    label: str, paper_value: Optional[float], measured: float, unit: str = ""
-) -> List[Any]:
-    """A (label, paper, measured, ratio) row for EXPERIMENTS.md tables."""
-    if paper_value in (None, 0):
-        ratio = ""
-    else:
-        ratio = f"{measured / paper_value:.3f}"
-    paper_cell = "" if paper_value is None else _fmt(paper_value) + unit
-    return [label, paper_cell, _fmt(measured) + unit, ratio]
-
-
-def geometric_sweep(start: float, stop: float, n: int) -> List[float]:
-    """n geometrically spaced points from start to stop inclusive."""
-    if n < 2:
-        return [start]
-    ratio = (stop / start) ** (1 / (n - 1))
-    return [start * ratio**i for i in range(n)]

@@ -3,7 +3,7 @@
 The paper proves SFQ's fairness and delay bounds hold on servers whose
 rate *fluctuates*; this package asks what happens when the network
 actually *breaks* — link outages and flaps, flow churn, lost and
-misrouted and reordered packets — and watches the guarantees online
+reordered packets — and watches the guarantees online
 while it happens.
 
 Two halves:

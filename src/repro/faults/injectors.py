@@ -1,6 +1,6 @@
 """Fault injectors: outages, flow churn, and packet-level faults.
 
-Each injector composes with the existing engine/link/switch stack — it
+Each injector composes with the existing engine/link stack — it
 schedules ordinary events on the shared :class:`Simulator` and drives
 public APIs (``Link.pause/resume``, ``Scheduler.add_flow/remove_flow``,
 an ingress callable). All randomness is drawn from named
@@ -15,9 +15,8 @@ with the same seed and schedule produce byte-identical traces.
   exercising ``add_flow``/``remove_flow`` and SFQ's virtual-time
   restart rule (a re-joining flow's tag chain restarts at the current
   ``v(t)``, Section 2);
-* :class:`PacketFaults` — seeded loss, header corruption (misrouting)
-  and reordering applied at an ingress point, upstream of a switch or
-  link;
+* :class:`PacketFaults` — seeded loss and reordering applied at an
+  ingress point, upstream of a link;
 * :class:`ServerStall` — short scheduler freezes: the link stops
   *dispatching* for a moment (the in-flight transmission finishes, no
   new one starts), the paper's fluctuation-constrained server in its
@@ -315,14 +314,10 @@ class FlowChurn:
 class PacketFaults:
     """Seeded packet-level faults applied at an ingress point.
 
-    Wraps any ingress callable (``switch.receive``, ``link.send``) and
-    forwards packets through a fault pipeline:
+    Wraps any ingress callable (e.g. ``link.send``) and forwards
+    packets through a fault pipeline:
 
     * **loss** — with probability ``p_loss`` the packet vanishes;
-    * **misroute** — with probability ``p_misroute`` the packet's flow
-      id is rewritten to ``misroute_flow`` (header corruption); at a
-      switch with no route installed for that id this exercises the
-      ``no_route_policy`` path;
     * **reorder** — with probability ``p_reorder`` the packet is held
       for ``Uniform(0, max_reorder_delay)`` before delivery, letting
       packets behind it overtake.
@@ -341,15 +336,12 @@ class PacketFaults:
         *,
         streams: RandomStreams,
         p_loss: float = 0.0,
-        p_misroute: float = 0.0,
-        misroute_flow: Hashable = "__misrouted__",
         p_reorder: float = 0.0,
         max_reorder_delay: float = 0.0,
         name: str = "pktfaults",
     ) -> None:
         for label, p in (
             ("p_loss", p_loss),
-            ("p_misroute", p_misroute),
             ("p_reorder", p_reorder),
         ):
             if not 0.0 <= p <= 1.0:
@@ -359,13 +351,10 @@ class PacketFaults:
         self.sim = sim
         self.ingress = ingress
         self.p_loss = float(p_loss)
-        self.p_misroute = float(p_misroute)
-        self.misroute_flow = misroute_flow
         self.p_reorder = float(p_reorder)
         self.max_reorder_delay = float(max_reorder_delay)
         self._rng = streams.stream(f"pktfaults:{name}")
         self.lost = 0
-        self.misrouted = 0
         self.reordered = 0
         self.delivered = 0
 
@@ -375,10 +364,6 @@ class PacketFaults:
         if self.p_loss > 0 and rng.random() < self.p_loss:
             self.lost += 1
             return
-        if self.p_misroute > 0 and rng.random() < self.p_misroute:
-            packet.meta["misrouted_from"] = packet.flow
-            packet.flow = self.misroute_flow
-            self.misrouted += 1
         if self.p_reorder > 0 and rng.random() < self.p_reorder:
             delay = rng.uniform(0.0, self.max_reorder_delay)
             self.reordered += 1
@@ -395,7 +380,7 @@ class PacketFaults:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"PacketFaults(lost={self.lost}, misrouted={self.misrouted}, "
+            f"PacketFaults(lost={self.lost}, "
             f"reordered={self.reordered}, delivered={self.delivered})"
         )
 

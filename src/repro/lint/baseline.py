@@ -91,13 +91,6 @@ class Baseline:
                 out.append(finding)
         return out
 
-    def suppressed_count(self) -> int:
-        """Findings absorbed by the last :meth:`filter` call."""
-        used = sum(
-            self.entries[key] - left for key, left in self._remaining.items()
-        )
-        return used
-
     def unused(self) -> List[_Key]:
         """Entries (or counts) no current finding matched — stale rows."""
         return sorted(

@@ -163,19 +163,6 @@ class Project:
         """Look up a module by (normalized) display path."""
         return self.by_path.get(path.replace("\\", "/"))
 
-    def combined_digest(self) -> str:
-        """Digest of every (path, file digest) pair — the project key.
-
-        Any content change in any file changes this, which is what the
-        project-level analysis cache keys on.
-        """
-        acc = hashlib.sha256()
-        for path in sorted(self.by_path):
-            info = self.by_path[path]
-            acc.update(path.encode("utf-8"))
-            acc.update(info.digest.encode("ascii"))
-        return acc.hexdigest()
-
     def callgraph(self) -> "CallGraph":
         """The project call graph (built once, memoized)."""
         if self._callgraph is None:

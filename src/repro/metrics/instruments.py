@@ -194,15 +194,6 @@ class Histogram:
         """Exact mean of all observations (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
-    def bucket_bounds(self, index: int) -> Tuple[float, float]:
-        """``(low, high)`` bounds of bucket ``index`` (0 = underflow,
-        ``bins + 1`` = overflow; infinite outer bounds)."""
-        if index == 0:
-            return (float("-inf"), self.lo)
-        if index == self.bins + 1:
-            return (self.hi, float("inf"))
-        return (self._edges[index - 1], self._edges[index])
-
     def quantile(self, q: float) -> float:
         """Approximate ``q``-quantile from the bucket layout.
 

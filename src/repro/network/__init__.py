@@ -1,15 +1,5 @@
-"""Network substrate: switches, topologies, multi-hop tandems."""
+"""Network substrate: multi-hop tandems."""
 
 from repro.network.path import Tandem
-from repro.network.routing import RoutedNetwork
-from repro.network.switch import RoutingError, Switch
-from repro.network.topology import Network, single_switch_topology
 
-__all__ = [
-    "Switch",
-    "RoutingError",
-    "Network",
-    "single_switch_topology",
-    "Tandem",
-    "RoutedNetwork",
-]
+__all__ = ["Tandem"]

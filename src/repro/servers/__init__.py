@@ -15,14 +15,12 @@ from repro.servers.base import (
 )
 from repro.servers.ebf import (
     BernoulliCapacity,
-    UniformSlotCapacity,
     ebf_envelope_from_trace,
 )
 from repro.servers.fluctuation import (
     FluctuationConstrainedCapacity,
     PeriodicStall,
     TwoRateSquareWave,
-    make_fc,
 )
 from repro.servers.link import Link
 from repro.servers.markov import GilbertElliottCapacity
@@ -36,9 +34,7 @@ __all__ = [
     "TwoRateSquareWave",
     "PeriodicStall",
     "FluctuationConstrainedCapacity",
-    "make_fc",
     "BernoulliCapacity",
-    "UniformSlotCapacity",
     "GilbertElliottCapacity",
     "ebf_envelope_from_trace",
     "residual_from_demand",

@@ -10,8 +10,8 @@ satisfies, for all intervals of a busy period,
 i.e. the work deficit beyond δ has an exponentially decaying tail. Any
 slotted rate process whose per-slot work is i.i.d. (or suitably mixing)
 with mean at least C and bounded support is EBF by a Chernoff bound;
-this module provides two such processes plus the closed-form Chernoff
-parameters used by the Theorem 3/5 experiments.
+this module provides one such process plus the envelope fit used by the
+Theorem 3/5 experiments.
 
 For a Bernoulli process serving ``2C`` with probability ``p >= 1/2``
 (else 0) in slots of length τ, Hoeffding gives, per n-slot window,
@@ -52,30 +52,6 @@ class BernoulliCapacity(PiecewiseCapacity):
                 t += slot
 
         super().__init__(segments(), peak * p, name="ebf-bernoulli")
-
-
-class UniformSlotCapacity(PiecewiseCapacity):
-    """Per-slot rate uniform on ``[low, high]``, i.i.d."""
-
-    def __init__(
-        self,
-        low: float,
-        high: float,
-        slot: float,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if low < 0 or high <= low or slot <= 0:
-            raise CapacityError("need 0 <= low < high, slot > 0")
-        rng = rng if rng is not None else random.Random(0)
-        self.low, self.high, self.slot = float(low), float(high), float(slot)
-
-        def segments() -> Iterator[Tuple[float, float]]:
-            t = 0.0
-            while True:
-                yield (t, rng.uniform(low, high))
-                t += slot
-
-        super().__init__(segments(), (low + high) / 2, name="ebf-uniform")
 
 
 def ebf_envelope_from_trace(

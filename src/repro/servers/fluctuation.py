@@ -144,30 +144,3 @@ class FluctuationConstrainedCapacity(PiecewiseCapacity):
                 t += slot
 
         super().__init__(segments(), c, name="fc-random")
-
-
-def make_fc(
-    kind: str,
-    rate: float,
-    delta: float,
-    rng: Optional[random.Random] = None,
-    slot: Optional[float] = None,
-) -> PiecewiseCapacity:
-    """Factory for FC capacity processes used by the experiment sweeps.
-
-    ``kind``: ``"square"``, ``"stall"`` or ``"random"``. For the
-    deterministic kinds the phase lengths are derived from δ so that the
-    constructed profile's exact δ matches the request.
-    """
-    if kind == "square":
-        # high = 2C for T, low = 0 for T, mean C; δ = C*T => T = δ/C.
-        period_half = delta / rate if delta > 0 else 1e-3
-        return TwoRateSquareWave(2 * rate, period_half, 0.0, period_half)
-    if kind == "stall":
-        # Serve at 2C for T, stall T: mean C, δ = C*T.
-        stall = delta / rate if delta > 0 else 1e-3
-        return PeriodicStall(2 * rate, stall, 2 * stall)
-    if kind == "random":
-        slot = slot if slot is not None else max(delta / rate / 4, 1e-6)
-        return FluctuationConstrainedCapacity(rate, delta, slot, rng=rng)
-    raise CapacityError(f"unknown FC kind {kind!r}")

@@ -6,13 +6,12 @@ with fluctuating rate: if the high-priority traffic is leaky-bucket
 (σ, ρ)-constrained, the residual is FC(C − ρ, σ); if it is Poisson, the
 residual is EBF. This module builds residual
 :class:`~repro.servers.base.CapacityProcess` objects from a
-high-priority *demand trace* (e.g. generated by
-:class:`repro.traffic.vbr_video.VBRVideoSource` offline), for analyses
-that want the residual as an explicit profile.
+high-priority *demand trace*, for analyses that want the residual as
+an explicit profile.
 
 Note: the simulation path of Figure 1 does not use this module — there
 the priority is enforced packet-by-packet by
-:class:`repro.network.switch.PriorityBands` — but the analytical
+:class:`repro.core.priority.PriorityBands` — but the analytical
 experiments (Theorem 4 applied to low-priority flows) do.
 """
 

@@ -11,7 +11,6 @@ experiment in the reproduction runs: a heapq-based event loop
 from repro.simulation.engine import ArrivalStream, Simulator
 from repro.simulation.eventq import BinaryHeapQueue
 from repro.simulation.events import Event, EventCancelled
-from repro.simulation.process import Process, Until, Waiter, spawn
 from repro.simulation.random import RandomStreams, derive_seed
 from repro.simulation.tracing import NullTracer, PacketRecord, Tracer
 
@@ -26,8 +25,4 @@ __all__ = [
     "PacketRecord",
     "Tracer",
     "NullTracer",
-    "Process",
-    "spawn",
-    "Until",
-    "Waiter",
 ]

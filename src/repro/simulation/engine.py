@@ -2,7 +2,7 @@
 
 The :class:`Simulator` is deliberately small: a priority queue of
 pending callbacks, a clock, and run controls. Everything else in the
-reproduction (links, sources, TCP, switches) is built by scheduling
+reproduction (links, sources, TCP, tandems) is built by scheduling
 callbacks on a shared ``Simulator``.
 
 Determinism
@@ -64,7 +64,7 @@ can hand the engine whole precomputed arrival arrays
 Stream firings count toward ``events_processed`` and the ``max_events``
 budget exactly like queue events. Attach before calling :meth:`run`;
 streams attached while the loop is running take effect on the next
-:meth:`run`/:meth:`step`.
+:meth:`run`.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ class Simulator:
         The stream delivers precomputed arrivals without a queue tuple
         per packet. An exhausted stream (``next_time == math.inf``) is
         detached automatically by the loop. Attaching while the loop is
-        running takes effect on the next :meth:`run`/:meth:`step`.
+        running takes effect on the next :meth:`run`.
         """
         if math.isnan(stream.next_time):
             raise SimulationError("arrival stream next_time is NaN")
@@ -280,34 +280,6 @@ class Simulator:
         stream_t, _ = self._min_stream()
         nxt = min(heap_t, stream_t)
         return None if nxt == math.inf else nxt
-
-    def step(self) -> bool:
-        """Fire the single next event (queue timer or stream arrival).
-
-        Returns False when none remain. A stream arrival wins a tie
-        against a queue timer at the same instant (same rule as
-        :meth:`run`).
-        """
-        queue = self._queue
-        head = queue.peek_live()
-        heap_t = float(head[0]) if head is not None else math.inf
-        stream_t, stream = self._min_stream()
-        if stream is not None and stream_t <= heap_t:
-            self._now = stream_t
-            self._events_processed += 1
-            stream.fire()
-            return True
-        if head is None:
-            return False
-        entry = queue.pop()
-        self._now = entry[0]
-        self._events_processed += 1
-        event = entry[3]
-        if event is None:
-            entry[4](*entry[5])
-        else:
-            event._fire()
-        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the event loop.

@@ -1,4 +1,4 @@
-"""Traffic sources: CBR/bulk, Poisson, on-off, MPEG VBR, traces, shaping.
+"""Traffic sources: CBR/bulk, Poisson, on-off, MPEG VBR, shaping.
 
 The vectorized batch arrival API lives in :mod:`repro.traffic.batch`
 and is not re-exported here: it is the only part of ``src/`` that
@@ -11,8 +11,6 @@ from repro.traffic.cbr import BulkSource, CBRSource, PacedWindowSource
 from repro.traffic.leaky_bucket import LeakyBucketShaper, conforms
 from repro.traffic.pareto import ParetoOnOffSource, pareto_sample
 from repro.traffic.poisson import OnOffSource, PoissonSource
-from repro.traffic.trace import TraceSource
-from repro.traffic.tracefile import load_trace, record_source, save_trace
 from repro.traffic.vbr_video import DEFAULT_GOP, VBRVideoSource
 
 __all__ = [
@@ -27,10 +25,6 @@ __all__ = [
     "pareto_sample",
     "VBRVideoSource",
     "DEFAULT_GOP",
-    "TraceSource",
-    "save_trace",
-    "load_trace",
-    "record_source",
     "LeakyBucketShaper",
     "conforms",
 ]

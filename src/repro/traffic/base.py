@@ -1,10 +1,10 @@
 """Traffic source base class.
 
 A :class:`Source` generates packets for one flow and hands them to an
-*ingress* callable (usually ``Link.send`` or ``Switch.receive``). All
-sources are driven by the shared simulator and support start/stop times
-so experiments can activate flows mid-run (Figure 1's source 3 starts
-500 ms late; Figure 3's connections terminate one by one).
+*ingress* callable (usually ``Link.send``). All sources are driven by
+the shared simulator and support start/stop times so experiments can
+activate flows mid-run (Figure 1's source 3 starts 500 ms late; Figure
+3's connections terminate one by one).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class Source(ABC):
             return True
         return False
 
-    def _emit(self, length: int, rate: Optional[float] = None) -> Optional[Packet]:
+    def _emit(self, length: int) -> Optional[Packet]:
         """Create and deliver one packet now; respects stop conditions."""
         if self._exhausted():
             return None
@@ -73,7 +73,6 @@ class Source(ABC):
             length,
             arrival=self.sim.now,
             seqno=next(self._seq),
-            rate=rate,
         )
         self.packets_sent += 1
         self.bits_sent += length

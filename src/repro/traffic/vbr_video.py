@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Hashable, List, Optional
+from typing import Hashable, Optional
 
 from repro.simulation.engine import Simulator
 from repro.traffic.base import Ingress, Source
@@ -108,22 +108,3 @@ class VBRVideoSource(Source):
                 return
         self.frames_sent += 1
         self.sim.call_after(1.0 / self.frame_rate, self._schedule_next)
-
-    # ------------------------------------------------------------------
-    def offline_trace(self, duration: float) -> List[tuple]:
-        """Generate an offline ``(time, length_bits)`` packet trace.
-
-        Used by :func:`repro.servers.residual.residual_from_demand` to
-        build an explicit residual-capacity profile without running the
-        simulator. Draws from this source's RNG (advances its state).
-        """
-        trace: List[tuple] = []
-        t = 0.0
-        frame_gap = 1.0 / self.frame_rate
-        while t < duration:
-            frame_bits = self.next_frame_bits()
-            n_packets = max(1, int(round(frame_bits / self.packet_length)))
-            for _ in range(n_packets):
-                trace.append((t, self.packet_length))
-            t += frame_gap
-        return trace

@@ -14,8 +14,8 @@ bandwidth. This module implements a compact Reno:
 * a receiver producing cumulative ACKs with out-of-order buffering.
 
 Segments travel through the simulated network (any composition of
-switches/links); ACKs return over a fixed-delay path (the reverse
-direction is uncongested in the paper's topology).
+links); ACKs return over a fixed-delay path (the reverse direction is
+uncongested in the paper's topology).
 """
 
 from __future__ import annotations
@@ -30,34 +30,21 @@ Ingress = Callable[[Packet], object]
 
 
 class TcpReceiver:
-    """Cumulative-ACK receiver with out-of-order buffering.
-
-    ``delayed_ack`` enables RFC 1122-style delayed ACKs: in-order
-    segments are acknowledged every ``ack_every`` segments or after
-    ``delayed_ack_timeout``, whichever first; anything out of order is
-    acknowledged immediately (dup-ACKs must flow for fast retransmit).
-    """
+    """Cumulative-ACK receiver with out-of-order buffering; every
+    segment is acknowledged immediately."""
 
     def __init__(
         self,
         sim: Simulator,
         flow_id: Hashable,
         ack_path_delay: float = 0.0,
-        delayed_ack: bool = False,
-        ack_every: int = 2,
-        delayed_ack_timeout: float = 0.2,
     ) -> None:
         self.sim = sim
         self.flow_id = flow_id
         self.ack_path_delay = float(ack_path_delay)
-        self.delayed_ack = delayed_ack
-        self.ack_every = int(ack_every)
-        self.delayed_ack_timeout = float(delayed_ack_timeout)
         self.sender: Optional["TcpSender"] = None
         self._next_expected = 0
         self._out_of_order: Set[int] = set()
-        self._held_acks = 0
-        self._delack_event: Optional[Event] = None
         self.received: List[Tuple[float, int]] = []  # (time, seqno)
         self.bytes_received = 0
         self.acks_sent = 0
@@ -68,8 +55,7 @@ class TcpReceiver:
             return
         self.received.append((now, packet.seqno))
         self.bytes_received += packet.length // 8
-        in_order = packet.seqno == self._next_expected
-        if in_order:
+        if packet.seqno == self._next_expected:
             self._next_expected += 1
             while self._next_expected in self._out_of_order:
                 self._out_of_order.discard(self._next_expected)
@@ -77,26 +63,9 @@ class TcpReceiver:
         elif packet.seqno > self._next_expected:
             self._out_of_order.add(packet.seqno)
         # else: duplicate of an already-delivered segment; ACK anyway.
-        if not self.delayed_ack or not in_order or self._out_of_order:
-            self._send_ack()
-            return
-        self._held_acks += 1
-        if self._held_acks >= self.ack_every:
-            self._send_ack()
-        elif self._delack_event is None or not self._delack_event.pending:
-            self._delack_event = self.sim.after(
-                self.delayed_ack_timeout, self._delack_fire
-            )
-
-    def _delack_fire(self) -> None:
-        if self._held_acks > 0:
-            self._send_ack()
+        self._send_ack()
 
     def _send_ack(self) -> None:
-        self._held_acks = 0
-        if self._delack_event is not None:
-            self._delack_event.cancel()
-            self._delack_event = None
         if self.sender is None:
             return
         ackno = self._next_expected  # cumulative: next byte expected
@@ -126,7 +95,6 @@ class TcpSender:
         initial_cwnd: float = 1.0,
         rto_min: float = 0.2,
         rto_max: float = 60.0,
-        receiver_window: Optional[int] = None,
     ) -> None:
         self.sim = sim
         self.flow_id = flow_id
@@ -138,8 +106,6 @@ class TcpSender:
         self.max_segments = max_segments
 
         self.cwnd = float(initial_cwnd)  # segments
-        #: Advertised receive window in segments (None = unlimited).
-        self.receiver_window = receiver_window
         self.ssthresh = float(self.INITIAL_SSTHRESH)
         self.next_seq = 0  # next new segment to send
         self.highest_acked = 0  # cumulative: all < this are delivered
@@ -177,16 +143,8 @@ class TcpSender:
     def _done_sending(self) -> bool:
         return self.max_segments is not None and self.next_seq >= self.max_segments
 
-    @property
-    def effective_window(self) -> int:
-        """min(cwnd, advertised receive window), in whole segments."""
-        window = int(self.cwnd)
-        if self.receiver_window is not None:
-            window = min(window, self.receiver_window)
-        return window
-
     def _try_send(self) -> None:
-        while self.outstanding < self.effective_window and not self._done_sending():
+        while self.outstanding < int(self.cwnd) and not self._done_sending():
             self._transmit(self.next_seq)
             self.next_seq += 1
         if self.outstanding > 0 and self._rto_event is None:

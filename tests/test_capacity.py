@@ -15,7 +15,6 @@ from repro.servers import (
     PeriodicStall,
     PiecewiseCapacity,
     TwoRateSquareWave,
-    UniformSlotCapacity,
     ebf_envelope_from_trace,
 )
 
@@ -148,12 +147,6 @@ def test_fc_bad_params_rejected():
 # ----------------------------------------------------------------------
 def test_bernoulli_mean_rate():
     cap = BernoulliCapacity(2000.0, 0.5, 0.01, rng=random.Random(3))
-    assert cap.average_rate == pytest.approx(1000.0)
-    assert cap.work(0.0, 50.0) == pytest.approx(50_000, rel=0.1)
-
-
-def test_uniform_slot_capacity():
-    cap = UniformSlotCapacity(0.0, 2000.0, 0.01, rng=random.Random(4))
     assert cap.average_rate == pytest.approx(1000.0)
     assert cap.work(0.0, 50.0) == pytest.approx(50_000, rel=0.1)
 

@@ -2,14 +2,8 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.charts import GLYPHS, ascii_chart, downsample
-from repro.experiments.harness import (
-    ExperimentResult,
-    comparison_row,
-    geometric_sweep,
-)
+from repro.experiments.harness import ExperimentResult
 
 
 # ----------------------------------------------------------------------
@@ -64,21 +58,6 @@ def test_downsample_caps_length_and_keeps_last():
 # ----------------------------------------------------------------------
 # Harness extras
 # ----------------------------------------------------------------------
-def test_comparison_row_formats_ratio():
-    row = comparison_row("x", 2.0, 3.0, unit="ms")
-    assert row[0] == "x"
-    assert row[3] == "1.500"
-    assert comparison_row("y", None, 3.0)[3] == ""
-
-
-def test_geometric_sweep():
-    sweep = geometric_sweep(1.0, 100.0, 3)
-    assert sweep[0] == pytest.approx(1.0)
-    assert sweep[1] == pytest.approx(10.0)
-    assert sweep[2] == pytest.approx(100.0)
-    assert geometric_sweep(5.0, 50.0, 1) == [5.0]
-
-
 def test_result_float_formatting():
     result = ExperimentResult("X", "d", headers=["v"])
     result.add_row(0.000123456)

@@ -9,33 +9,26 @@ import pkgutil
 import pytest
 
 import repro.experiments
-from repro.cli import (
-    _RUNNERS,
-    _load,
-    _parse_only,
-    build_parser,
-    main,
-    run_experiment,
-)
-from repro.experiments import DESCRIPTIONS, REGISTRY, resolve_target
+from repro.cli import _parse_only, build_parser, main, run_experiment
+from repro.experiments import DESCRIPTIONS, REGISTRY, load_experiment, resolve_target
 from repro.experiments.harness import ExperimentResult
 
 
 def test_every_listed_experiment_is_loadable():
-    for name in _RUNNERS:
-        runner = _load(name)
+    for name in DESCRIPTIONS:
+        runner = load_experiment(name)
         assert callable(runner)
 
 
 def test_unknown_experiment_raises():
     with pytest.raises(KeyError):
-        _load("nope")
+        load_experiment("nope")
 
 
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in _RUNNERS:
+    for name in DESCRIPTIONS:
         assert name in out
 
 
@@ -52,8 +45,27 @@ def test_run_experiment_returns_result():
     assert result.rows
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "example1", "--seed", "3"],
+        ["run", "table1", "--duration", "5"],
+        ["metrics", "example1", "--seed", "3"],
+    ],
+)
+def test_flag_the_experiment_ignores_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag = argv[2]
+    err = capsys.readouterr().err
+    assert f"does not take {flag}" in err
+    assert "figure1" in err  # lists the experiments that accept it
+
+
 def test_seed_passed_only_where_accepted():
-    # table1 accepts a seed; example1 silently ignores the flag.
+    # table1 accepts a seed; run_experiment drops it for example1, so
+    # the report can pass one seed to every experiment.
     result = run_experiment("table1", seed=3)
     assert isinstance(result, ExperimentResult)
     result = run_experiment("example1", seed=3)

@@ -82,11 +82,6 @@ def test_drr_rejects_bad_quantum():
         DRR(quantum_scale=0.0)
 
 
-def test_drr_peek_unsupported():
-    with pytest.raises(NotImplementedError):
-        DRR().peek(0.0)
-
-
 def test_drr_empty_dequeue():
     assert DRR().dequeue(0.0) is None
 
@@ -147,11 +142,3 @@ def test_fifo_has_no_isolation():
     )
     meek = link.tracer.for_flow("meek")[0]
     assert meek.departure - meek.arrival > 40.0
-
-
-def test_fifo_peek():
-    fifo = FIFO()
-    fifo.add_flow("a", 1.0)
-    p = Packet("a", 100, seqno=0)
-    fifo.enqueue(p, 0.0)
-    assert fifo.peek(0.0) is p

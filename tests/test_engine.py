@@ -125,18 +125,6 @@ def test_stop_halts_loop():
     assert fired == [1]
 
 
-def test_step_fires_single_event():
-    sim = Simulator()
-    fired = []
-    sim.at(1.0, fired.append, 1)
-    sim.at(2.0, fired.append, 2)
-    assert sim.step()
-    assert fired == [1]
-    assert sim.step()
-    assert fired == [1, 2]
-    assert not sim.step()
-
-
 def test_peek_returns_next_time():
     sim = Simulator()
     assert sim.peek() is None
@@ -195,18 +183,6 @@ def test_peek_skips_cancelled_events():
     sim.at(2.0, lambda: None)
     first.cancel()
     assert sim.peek() == 2.0
-
-
-def test_step_skips_cancelled_events():
-    sim = Simulator()
-    fired = []
-    victim = sim.at(1.0, fired.append, "cancelled")
-    sim.at(2.0, fired.append, "kept")
-    victim.cancel()
-    assert sim.step()
-    assert fired == ["kept"]
-    assert sim.now == 2.0
-    assert not sim.step()
 
 
 def test_equal_time_insertion_order_is_deterministic():

@@ -18,7 +18,6 @@ from repro.faults import (
     install_monitors,
 )
 from repro.faults.monitors import FairnessMonitor, VirtualTimeMonitor
-from repro.network import Switch
 from repro.servers.base import ConstantCapacity
 from repro.servers.link import Link
 from repro.simulation import Simulator
@@ -344,26 +343,6 @@ def test_packet_faults_loss():
     assert link.packets_transmitted == 0
 
 
-def test_packet_faults_misroute_hits_switch_drop_policy():
-    sim = Simulator()
-    switch = Switch(sim, no_route_policy="drop")
-    link = make_link(sim, capacity=1e6)
-    switch.add_port("out", link)
-    switch.add_route("f", "out")
-    no_route = []
-    switch.drop_hooks.append(lambda p, t: no_route.append(p))
-    faults = PacketFaults(
-        sim, switch.receive, streams=RandomStreams(0), p_misroute=1.0
-    )
-    feed(sim, faults, "f", [0.0, 0.1])
-    sim.run()
-    assert faults.misrouted == 2
-    assert switch.packets_dropped_no_route == 2
-    assert switch.packets_forwarded == 0
-    assert no_route[0].flow == "__misrouted__"
-    assert no_route[0].meta["misrouted_from"] == "f"
-
-
 def test_packet_faults_reordering_delays_delivery():
     sim = Simulator()
     delivered = []
@@ -523,36 +502,6 @@ def test_faulted_run_same_seed_identical_trace():
     _, _, a = run_outage_scenario("SFQ", seed=11)
     _, _, b = run_outage_scenario("SFQ", seed=11)
     assert a["receive_series"] == b["receive_series"]
-
-
-# ----------------------------------------------------------------------
-# Switch no-route policy (graceful degradation)
-# ----------------------------------------------------------------------
-def test_switch_no_route_drop_policy_counts_and_continues():
-    sim = Simulator()
-    switch = Switch(sim, no_route_policy="drop")
-    link = make_link(sim, capacity=1e6)
-    switch.add_port("out", link)
-    switch.add_route("known", "out")
-    switch.receive(Packet("known", 1000))
-    switch.receive(Packet("ghost", 1000))
-    switch.receive(Packet("ghost", 1000))
-    assert switch.packets_forwarded == 1
-    assert switch.packets_dropped_no_route == 2
-
-
-def test_switch_no_route_policy_validation_and_route_removal():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Switch(sim, no_route_policy="ignore")
-    switch = Switch(sim, no_route_policy="drop")
-    link = make_link(sim, capacity=1e6)
-    switch.add_port("out", link)
-    switch.add_route("f", "out")
-    switch.remove_route("f")
-    switch.remove_route("never-installed")  # no-op
-    switch.receive(Packet("f", 1000))
-    assert switch.packets_dropped_no_route == 1
 
 
 # ----------------------------------------------------------------------

@@ -158,12 +158,3 @@ def test_gps_retirements_counted_individually():
     gps.on_arrival("b", 50.0, finish_tag=2.0)
     gps.advance(10.0)
     assert gps.retirements == 2
-
-
-def test_wfq_peek_matches_dequeue():
-    wfq = make_scheduler("WFQ", capacity=10.0)
-    wfq.add_flow("a", 1.0)
-    wfq.add_flow("b", 1.0)
-    wfq.enqueue(Packet("a", 100, seqno=0), 0.0)
-    wfq.enqueue(Packet("b", 10, seqno=0), 0.0)
-    assert wfq.dequeue(0.0) is not None

@@ -206,8 +206,8 @@ def test_drr_interior_node_rejected_at_dequeue():
     hs.attach_flow("f", "C", 1.0)
     hs.attach_flow("g", "D", 1.0)
     hs.enqueue(Packet("f", 100, seqno=0), 0.0)
-    # DRR cannot act as an interior scheduler in general, but a plain
-    # dequeue path does not need peek, so this must still work.
+    # The hierarchy drives interior nodes through dequeue alone, so a
+    # DRR interior node works.
     assert hs.dequeue(0.0) is not None
 
 

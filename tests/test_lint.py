@@ -197,7 +197,7 @@ def test_perf002_catches_from_import_alias_in_simulation():
         "from heapq import heappop as _pop\n"
         "def f(queue):\n"
         "    return _pop(queue)\n",
-        path="src/repro/simulation/process.py",
+        path="src/repro/simulation/tracing.py",
     )
     assert "PERF002" in codes(findings)
 

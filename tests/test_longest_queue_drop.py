@@ -87,12 +87,12 @@ def test_discard_tail_unsupported_scheduler_raises():
         drr.discard_tail("f")
 
 
-def test_peek_skips_discarded_head():
+def test_dequeue_skips_discarded_head():
     sfq = make_scheduler("SFQ")
     sfq.add_flow("f", 1.0)
     sfq.enqueue(Packet("f", 100, seqno=0), 0.0)
     sfq.discard_tail("f")
-    assert sfq.peek(0.0) is None
+    assert sfq.dequeue(0.0) is None
 
 
 # ----------------------------------------------------------------------

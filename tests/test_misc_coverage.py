@@ -15,7 +15,7 @@ from repro.servers import (
     residual_from_demand,
 )
 from repro.simulation import Simulator
-from repro.traffic import CBRSource, OnOffSource, TraceSource, VBRVideoSource
+from repro.traffic import CBRSource, OnOffSource, VBRVideoSource
 
 
 def test_cbr_jitter_perturbs_spacing_but_not_rate():
@@ -49,14 +49,6 @@ def test_vbr_max_packets_cap():
     ).start()
     sim.run(until=10.0)
     assert count[0] == 25
-
-
-def test_trace_source_per_packet_rate():
-    sim = Simulator()
-    got = []
-    TraceSource(sim, "f", got.append, [(0.0, 100), (0.1, 100)], rate=512.0).start()
-    sim.run()
-    assert all(p.rate == 512.0 for p in got)
 
 
 def test_gilbert_elliott_start_bad():

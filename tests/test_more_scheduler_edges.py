@@ -2,8 +2,8 @@
 
 These close the remaining behavioural corners: multi-busy-period tag
 chains, SCFQ/SFQ divergence on identical inputs, WFQ with per-packet
-rates, WRR weight renormalization when flows join, hierarchical peek,
-and PriorityBands with three bands.
+rates, WRR weight renormalization when flows join, and PriorityBands
+with three bands.
 """
 
 from __future__ import annotations
@@ -75,21 +75,6 @@ def test_wrr_credits_renormalize_when_flow_added():
     # min weight now 1 -> credits 2 and 4.
     assert wrr._credits(wrr.flows["a"]) == 2
     assert wrr._credits(wrr.flows["b"]) == 4
-
-
-def test_hierarchical_peek_returns_next_packet():
-    from repro.core import HierarchicalScheduler
-
-    hs = HierarchicalScheduler()
-    hs.add_class("root", "A", 1.0)
-    hs.add_class("root", "B", 1.0)
-    hs.attach_flow("fa", "A", 1.0)
-    hs.attach_flow("fb", "B", 1.0)
-    pa = Packet("fa", 100, seqno=0)
-    hs.enqueue(pa, 0.0)
-    assert hs.peek(0.0) is pa
-    assert hs.dequeue(0.0) is pa
-    assert hs.peek(0.0) is None
 
 
 def test_three_band_priority_order():

@@ -1,82 +1,14 @@
-"""Tests for switches, topologies and tandem paths."""
+"""Tests for tandem paths and packet sinks."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import FIFO, Packet, make_scheduler
-from repro.network import Network, RoutingError, Switch, Tandem, single_switch_topology
-from repro.servers import ConstantCapacity, Link
+from repro.network import Tandem
+from repro.servers import ConstantCapacity
 from repro.simulation import Simulator
 from repro.transport import PacketSink
-
-
-# ----------------------------------------------------------------------
-# Switch
-# ----------------------------------------------------------------------
-def test_switch_routes_by_flow():
-    sim = Simulator()
-    switch = Switch(sim, "sw")
-    link_a = Link(sim, FIFO(), ConstantCapacity(1000.0), name="a")
-    link_b = Link(sim, FIFO(), ConstantCapacity(1000.0), name="b")
-    switch.add_port("pa", link_a)
-    switch.add_port("pb", link_b)
-    switch.add_route("f1", "pa")
-    switch.add_route("f2", "pb")
-    sim.at(0.0, lambda: switch.receive(Packet("f1", 100, seqno=0)))
-    sim.at(0.0, lambda: switch.receive(Packet("f2", 100, seqno=0)))
-    sim.run()
-    assert len(link_a.tracer.for_flow("f1")) == 1
-    assert len(link_b.tracer.for_flow("f2")) == 1
-    assert switch.packets_forwarded == 2
-
-
-def test_switch_unrouted_flow_raises():
-    switch = Switch(Simulator(), "sw")
-    with pytest.raises(RoutingError):
-        switch.receive(Packet("ghost", 100))
-
-
-def test_switch_duplicate_port_rejected():
-    sim = Simulator()
-    switch = Switch(sim, "sw")
-    link = Link(sim, FIFO(), ConstantCapacity(1.0))
-    switch.add_port("p", link)
-    with pytest.raises(RoutingError):
-        switch.add_port("p", link)
-
-
-def test_switch_route_to_unknown_port_rejected():
-    switch = Switch(Simulator(), "sw")
-    with pytest.raises(RoutingError):
-        switch.add_route("f", "nope")
-
-
-# ----------------------------------------------------------------------
-# Network / topology builder
-# ----------------------------------------------------------------------
-def test_single_switch_topology_wiring():
-    sched = make_scheduler("SFQ")
-    sched.add_flow("f1", 1.0)
-    sched.add_flow("f2", 1.0)
-    net = single_switch_topology(sched, ConstantCapacity(1000.0), ["f1", "f2"])
-    sim = net.sim
-    sim.at(0.0, lambda: net.switches["sw"].receive(Packet("f1", 100, seqno=0)))
-    sim.at(0.0, lambda: net.switches["sw"].receive(Packet("f2", 100, seqno=0)))
-    net.run()
-    sink = net.sinks["dst"]
-    assert sink.count("f1") == 1
-    assert sink.count("f2") == 1
-
-
-def test_network_rejects_duplicate_names():
-    net = Network()
-    net.add_switch("sw")
-    with pytest.raises(ValueError):
-        net.add_switch("sw")
-    net.add_link("l", FIFO(), ConstantCapacity(1.0))
-    with pytest.raises(ValueError):
-        net.add_link("l", FIFO(), ConstantCapacity(1.0))
 
 
 # ----------------------------------------------------------------------

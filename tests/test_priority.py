@@ -113,10 +113,3 @@ def test_on_service_complete_routed_to_owning_band():
     p = bands.dequeue(0.0)
     bands.on_service_complete(p, 1.0)  # must not raise
     assert bands.backlog_packets == 0
-
-
-def test_peek_prefers_high_band():
-    bands = make_two_band()
-    bands.enqueue(Packet("lo1", 100, seqno=0), 0.0)
-    bands.enqueue(Packet("hi", 100, seqno=0), 0.0)
-    assert bands.peek(0.0).flow == "hi"

@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import DEFAULT_ORDER, _to_markdown, generate_report
-from repro.cli import _RUNNERS
+from repro.experiments import DESCRIPTIONS
 from repro.experiments.harness import ExperimentResult
 
 
 def test_default_order_names_are_valid():
     for name in DEFAULT_ORDER:
-        assert name in _RUNNERS
+        assert name in DESCRIPTIONS
 
 
 def test_markdown_section_structure():

@@ -83,11 +83,3 @@ def test_scfq_delays_low_rate_flow_more_than_sfq():
         record = link.tracer.for_flow("slow")[0]
         delays[name] = record.departure - record.arrival
     assert delays["SFQ"] < delays["SCFQ"]
-
-
-def test_peek_matches_dequeue():
-    scfq = make_scheduler("SCFQ")
-    scfq.add_flow("a", 1.0)
-    scfq.enqueue(Packet("a", 100, seqno=0), 0.0)
-    assert scfq.dequeue(0.0) is not None
-    assert scfq.peek(0.0) is None

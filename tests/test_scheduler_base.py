@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Packet, SchedulerError, TieBreak, make_scheduler
-from repro.core.base import Scheduler
 
 
 def test_duplicate_flow_rejected():
@@ -105,17 +104,3 @@ def test_tiebreak_rules_return_sortable_keys():
     assert TieBreak.lowest_weight_first(state, packet) == (5.0,)
     assert TieBreak.highest_weight_first(state, packet) == (-5.0,)
     assert TieBreak.shortest_packet_first(state, packet) == (100,)
-
-
-def test_base_peek_not_implemented_message():
-    class Bare(Scheduler):
-        algorithm = "Bare"
-
-        def _do_enqueue(self, state, packet, now):
-            state.push(packet)
-
-        def _do_dequeue(self, now):
-            return None
-
-    with pytest.raises(NotImplementedError):
-        Bare().peek(0.0)

@@ -150,16 +150,6 @@ def test_tie_break_lowest_weight_first():
     assert sfq.dequeue(0.0).flow == "light"
 
 
-def test_peek_matches_dequeue():
-    sfq = make_scheduler("SFQ")
-    sfq.add_flow("a", 1.0)
-    sfq.add_flow("b", 1.0)
-    sfq.enqueue(Packet("a", 100, seqno=0), 0.0)
-    sfq.enqueue(Packet("b", 50, seqno=0), 0.0)
-    peeked = sfq.peek(0.0)
-    assert sfq.dequeue(0.0) is peeked
-
-
 def test_empty_dequeue_returns_none():
     assert make_scheduler("SFQ").dequeue(0.0) is None
 

@@ -15,7 +15,6 @@ from repro.traffic import (
     OnOffSource,
     PacedWindowSource,
     PoissonSource,
-    TraceSource,
     VBRVideoSource,
     conforms,
 )
@@ -176,39 +175,12 @@ def test_vbr_i_frames_larger_than_b_frames_on_average():
     assert mean(sizes["I"]) > mean(sizes["P"]) > mean(sizes["B"])
 
 
-def test_vbr_offline_trace_matches_rate():
-    src = VBRVideoSource(
-        Simulator(), "v", lambda p: None, mean_rate=1_000_000.0,
-        rng=random.Random(15),
-    )
-    trace = src.offline_trace(30.0)
-    bits = sum(l for _t, l in trace)
-    assert bits / 30.0 == pytest.approx(1_000_000.0, rel=0.25)
-
-
 def test_vbr_rejects_bad_gop():
     with pytest.raises(ValueError):
         VBRVideoSource(
             Simulator(), "v", lambda p: None, mean_rate=1.0,
             rng=random.Random(0), gop="IXB",
         )
-
-
-# ----------------------------------------------------------------------
-# Trace source
-# ----------------------------------------------------------------------
-def test_trace_source_replays_schedule():
-    sim, out = Simulator(), Collector()
-    TraceSource(sim, "f", out, [(0.5, 100), (0.5, 200), (2.0, 300)]).start()
-    sim.run()
-    assert out.arrivals() == [(0.5, 100), (0.5, 200), (2.0, 300)]
-
-
-def test_trace_source_sorts_schedule():
-    sim, out = Simulator(), Collector()
-    TraceSource(sim, "f", out, [(2.0, 300), (0.5, 100)]).start()
-    sim.run()
-    assert out.arrivals() == [(0.5, 100), (2.0, 300)]
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The vectorized batch arrival path (repro.traffic.batch).
 
-* numpy is an optional accelerator: every batch function gives the same
+* numpy is an optional accelerator: the fleet path gives the same
   floats, flow indices and delivered packets with numpy and with the
   module's numpy handle patched to ``None``;
-* importing ``repro.traffic``, the CLI or a paper experiment loads
-  neither the batch module nor numpy;
+* importing ``repro.traffic``, the CLI, ``repro.network`` or a paper
+  experiment (the multi-hop ones included) loads neither the batch
+  module, numpy nor networkx;
 * the ``scale`` experiment, which drives 10^3 flows through a
   ``FleetTimeline`` attached with ``Simulator.attach_stream``, keeps its
   schedule digest.
@@ -13,7 +14,6 @@
 from __future__ import annotations
 
 import os
-import random
 import subprocess
 import sys
 from math import inf
@@ -29,37 +29,21 @@ def _plain(values):
 
 
 def _batch_outputs():
-    """Every batch function on small inputs, as plain Python values."""
-    cbr = batch.cbr_times(1e6, 12_000, 40, start_time=0.25)
-    poisson = batch.poisson_times(random.Random(11), 2e5, 4000, 60, start_time=0.1)
-    fleet = batch.cbr_fleet_times(7, 3e5, 8000, 9)
-    # stagger * (n_flows - 1) > interval: the fleet needs a sort.
-    spread_fleet = batch.cbr_fleet_times(5, 1e6, 1000, 6, stagger=0.004)
-    specs = [
-        batch.FlowArrivals("cbr", cbr, 12_000),
-        batch.FlowArrivals("poisson", poisson, 4000, rate=2e5),
-        # Arrives with two of cbr's packets: ties keep spec order.
-        batch.FlowArrivals(
-            "tie", [0.25, 0.25 + 12_000 / 1e6, 1.0], 100, lengths=[100, 200, 300]
-        ),
-        # A second spec of flow "cbr": one seqno sequence across both.
-        batch.FlowArrivals("cbr", batch.cbr_times(1e6, 12_000, 5, start_time=0.3), 12_000),
-    ]
-    merged = batch.merge_arrivals(specs)
+    """The fleet path on small inputs, as plain Python values."""
+    times, flows = batch.cbr_fleet_times(7, 3e5, 8000, 9)
     delivered = []
-    timeline = batch.timeline_from_specs(
-        lambda p: delivered.append((p.flow, p.seqno, p.arrival, p.length, p.rate)),
-        specs,
-        chunk=7,
+    timeline = batch.FleetTimeline(
+        lambda p: delivered.append((p.flow, p.seqno, p.arrival, p.length)),
+        times,
+        flows,
+        8000,
+        chunk=5,
     )
     while timeline.next_time != inf:
         timeline.fire()
     return {
-        "cbr": _plain(cbr),
-        "poisson": _plain(poisson),
-        "fleet": [_plain(a) for a in fleet],
-        "spread_fleet": [_plain(a) for a in spread_fleet],
-        "merged": [_plain(a) for a in merged],
+        "times": _plain(times),
+        "flows": _plain(flows),
         "delivered": delivered,
     }
 
@@ -68,8 +52,8 @@ def test_batch_outputs_identical_with_and_without_numpy(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(batch, "_np", None)
         pure = _batch_outputs()
-    assert len(pure["delivered"]) == 40 + 60 + 3 + 5
-    assert pure["merged"][0] == sorted(pure["merged"][0])
+    assert len(pure["delivered"]) == 7 * 9
+    assert pure["times"] == sorted(pure["times"])
     pytest.importorskip("numpy")
     assert batch._np is not None
     assert _batch_outputs() == pure
@@ -78,12 +62,14 @@ def test_batch_outputs_identical_with_and_without_numpy(monkeypatch):
 _IMPORT_CHECK = """
 import sys
 import repro, repro.traffic, repro.servers, repro.cli, repro.experiments.figure1
+import repro.network, repro.experiments.end_to_end_exp, repro.experiments.interop
 assert "numpy" not in sys.modules, "numpy imported by a non-batch import"
 assert "repro.traffic.batch" not in sys.modules
+assert "networkx" not in sys.modules, "networkx imported by a default import"
 """
 
 
-def test_non_batch_imports_do_not_load_numpy():
+def test_default_imports_load_neither_numpy_nor_networkx():
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(

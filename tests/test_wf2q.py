@@ -87,13 +87,3 @@ def test_wf2q_per_flow_fifo():
         weights={"a": 1000.0},
     )
     assert [s for _f, s in service_order(link)] == [0, 1, 2]
-
-
-def test_wf2q_peek_matches_dequeue():
-    wf2q = make_scheduler("WF2Q", capacity=100.0)
-    wf2q.add_flow("a", 50.0)
-    wf2q.add_flow("b", 50.0)
-    wf2q.enqueue(Packet("a", 100, seqno=0), 0.0)
-    wf2q.enqueue(Packet("b", 60, seqno=0), 0.0)
-    peeked = wf2q.peek(0.0)
-    assert wf2q.dequeue(0.0) is peeked
