@@ -164,6 +164,6 @@ class ReservationManager:
         """Install all admitted flows (with their rates) on a scheduler."""
         # Insertion-ordered dict: admission order is part of the model
         # and flow ids may be of mixed (unsortable) types.
-        for reservation in self.reservations.values():  # lint: disable=DET003  dict preserves deterministic admit order
+        for reservation in self.reservations.values():
             if reservation.flow_id not in scheduler.flows:
-                scheduler.add_flow(reservation.flow_id, reservation.rate)
+                scheduler.add_flow(reservation.flow_id, reservation.rate)  # lint: disable=DET006  dict preserves deterministic admit order

@@ -137,9 +137,9 @@ def _run_point(
     for k, t in enumerate(churn_times):
         sim.call_at(t, _join, k, t)
 
-    t0 = time.perf_counter()  # lint: disable=DET002  measures the implementation's wall cost, not simulated state
+    t0 = time.perf_counter()  # lint: disable=DET002,CACHE001  scale measures the implementation's wall cost per packet; elapsed_s/ns_per_packet are deliberately not replay-stable and the schedule digest (crc) is what the determinism gate compares
     sim.run()
-    elapsed = time.perf_counter() - t0  # lint: disable=DET002  measures the implementation's wall cost, not simulated state
+    elapsed = time.perf_counter() - t0  # lint: disable=DET002,CACHE001  scale measures the implementation's wall cost per packet; elapsed_s/ns_per_packet are deliberately not replay-stable and the schedule digest (crc) is what the determinism gate compares
 
     served = link.packets_transmitted
     return {

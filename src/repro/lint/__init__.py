@@ -7,38 +7,30 @@ deterministic tie-breaking, exact virtual-time tag arithmetic — that
 runtime monitors only catch *after* a violation has corrupted a result.
 This package enforces them statically, before a simulation runs:
 
->>> from repro.lint import lint_source
->>> findings = lint_source("import random\\nx = random.random()\\n")
+>>> from repro.lint import analyze_paths
+>>> source = "import random\\nx = random.random()\\n"
+>>> findings = analyze_paths(["m.py"], files=[("m.py", source)])
 >>> [f.rule for f in findings]
 ['DET001']
 
-Two rule families share one driver: per-file **module rules**
+Two rule families share one engine: per-file **module rules**
 (:mod:`repro.lint.rules`) see a single AST; **project rules**
 (:mod:`repro.lint.rules_project`) see the whole program — module graph
 (:mod:`repro.lint.project`), call graph (:mod:`repro.lint.callgraph`)
 and a CFG/dataflow engine (:mod:`repro.lint.dataflow`) — and catch
 violations that cross call and file boundaries.
 
-Entry points: ``python -m repro lint [paths]`` (CI gate; cached,
-baseline-aware), :func:`analyze_paths` (the full v2 engine),
-:func:`lint_source` / :func:`lint_paths` (per-file, programmatic), and
-the registries in :mod:`repro.lint.rules` /
-:mod:`repro.lint.rules_project` for adding checks. See HACKING.md,
-chapter "Static analysis", for the rule catalog and suppression syntax.
+Entry points: ``python -m repro lint [paths]`` (the CI gate),
+:func:`analyze_paths` (the engine behind it), and the registries in
+:mod:`repro.lint.rules` / :mod:`repro.lint.rules_project` for adding
+checks. An inline ``# lint: disable=RULE justification`` directive is
+the one way to accept a finding. See HACKING.md, chapter "Static
+analysis", for the rule catalog.
 """
 
-from repro.lint.analyzer import (
-    LintUsageError,
-    iter_python_files,
-    lint_paths,
-    lint_source,
-    resolve_rules,
-)
-from repro.lint.baseline import Baseline
-from repro.lint.cache import AnalysisCache
-from repro.lint.engine import EngineResult, analyze_paths, git_changed_files
+from repro.lint.engine import LintUsageError, analyze_paths, resolve_rules
 from repro.lint.findings import Finding, parse_suppressions, sort_findings
-from repro.lint.project import Project, load_project
+from repro.lint.project import Project, iter_python_files, load_project
 from repro.lint.rules import RULES, ModuleContext, Rule, all_rule_codes, register
 from repro.lint.rules_project import (
     PROJECT_RULES,
@@ -48,9 +40,6 @@ from repro.lint.rules_project import (
 )
 
 __all__ = [
-    "AnalysisCache",
-    "Baseline",
-    "EngineResult",
     "Finding",
     "LintUsageError",
     "ModuleContext",
@@ -62,10 +51,7 @@ __all__ = [
     "all_project_rule_codes",
     "all_rule_codes",
     "analyze_paths",
-    "git_changed_files",
     "iter_python_files",
-    "lint_paths",
-    "lint_source",
     "load_project",
     "parse_suppressions",
     "register",

@@ -1,37 +1,23 @@
 """``python -m repro lint`` — the CLI front end of the analyzer.
 
-Exit codes: 0 clean, 1 findings reported, 2 usage error (unknown rule
-code). ``--format json`` emits a machine-readable report (one object
-with ``findings`` and ``stats``); ``--format sarif`` emits SARIF 2.1.0
-for code-scanning upload. ``--changed REF`` scopes the *report* to
-files changed vs a git ref while the analysis still sees the whole
-project, which is what makes it a sound fast pre-gate. A committed
-``lint-baseline.json`` (``--baseline`` to point elsewhere,
-``--no-baseline`` to ignore it) subtracts known, justified findings so
-only new violations fail.
+``repro lint [paths] [--select CODES] [--ignore CODES] [--list-rules]``
+runs :func:`~repro.lint.engine.analyze_paths` and prints one
+``path:line:col: CODE message`` line per finding plus a per-rule
+summary. Exit codes: 0 clean, 1 findings reported, 2 usage error
+(unknown rule code). A run reads the tree and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 from typing import Dict, List, Optional, Sequence
 
-from repro.lint.analyzer import LintUsageError
-from repro.lint.baseline import DEFAULT_BASELINE_PATH, Baseline
-from repro.lint.cache import AnalysisCache
-from repro.lint.engine import analyze_paths, git_changed_files
+from repro.lint.engine import LintUsageError, analyze_paths
 from repro.lint.findings import Finding
 from repro.lint.rules import RULES
 from repro.lint.rules_project import PROJECT_RULES
-
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 def _split_codes(value: Optional[str]) -> Optional[List[str]]:
@@ -56,12 +42,6 @@ def build_lint_parser(
         help="files or directories to lint (default: src)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
         "--select",
         default=None,
         metavar="RULES",
@@ -72,45 +52,6 @@ def build_lint_parser(
         default=None,
         metavar="RULES",
         help="comma-separated rule codes to skip",
-    )
-    parser.add_argument(
-        "--changed",
-        default=None,
-        metavar="REF",
-        help=(
-            "report only findings in files changed vs this git ref "
-            "(analysis still covers the whole project)"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE_PATH,
-        metavar="PATH",
-        help=(
-            "baseline file of known findings to subtract "
-            f"(default: {DEFAULT_BASELINE_PATH} when it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="analysis cache directory (default: results/.cache/lint)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the analysis cache",
     )
     parser.add_argument(
         "--list-rules",
@@ -133,96 +74,6 @@ def render_text(findings: Sequence[Finding]) -> str:
     return "\n".join(lines)
 
 
-def render_json(findings: Sequence[Finding]) -> str:
-    """Render findings as a JSON document with ``findings`` and
-    ``stats`` keys (for editor and CI integration)."""
-    by_rule = Counter(finding.rule for finding in findings)
-    return json.dumps(
-        {
-            "findings": [finding.to_dict() for finding in findings],
-            "stats": {
-                "total": len(findings),
-                "by_rule": dict(sorted(by_rule.items())),
-            },
-        },
-        indent=2,
-        sort_keys=True,
-    )
-
-
-def _rule_summary(code: str) -> str:
-    if code in RULES:
-        return RULES[code].summary
-    if code in PROJECT_RULES:
-        return PROJECT_RULES[code].summary
-    if code == "SYNTAX":
-        return "file could not be parsed"
-    return ""
-
-
-def render_sarif(findings: Sequence[Finding]) -> str:
-    """Render findings as a SARIF 2.1.0 log (single run).
-
-    ``SYNTAX`` pseudo-findings map to level ``error`` (the file could
-    not be analysed at all); rule findings map to ``warning``. Columns
-    are 0-based internally and 1-based in SARIF, matching lines.
-    """
-    codes = sorted({finding.rule for finding in findings})
-    rules = [
-        {
-            "id": code,
-            "shortDescription": {"text": _rule_summary(code) or code},
-        }
-        for code in codes
-    ]
-    results = [
-        {
-            "ruleId": finding.rule,
-            "ruleIndex": codes.index(finding.rule),
-            "level": "error" if finding.rule == "SYNTAX" else "warning",
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path.replace("\\", "/"),
-                        },
-                        "region": {
-                            "startLine": finding.line,
-                            "startColumn": finding.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for finding in findings
-    ]
-    log = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(log, indent=2, sort_keys=True)
-
-
-def _render(findings: Sequence[Finding], fmt: str) -> str:
-    if fmt == "json":
-        return render_json(findings)
-    if fmt == "sarif":
-        return render_sarif(findings)
-    return render_text(findings)
-
-
 def run_lint(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation; returns the exit code."""
     if args.list_rules:
@@ -237,63 +88,19 @@ def run_lint(args: argparse.Namespace) -> int:
             print(f"{code:<{width}}  {catalog[code]}")
         return 0
 
-    cache: Optional[AnalysisCache] = None
-    if not args.no_cache:
-        cache = (
-            AnalysisCache(args.cache_dir) if args.cache_dir else AnalysisCache()
-        )
-    baseline: Optional[Baseline] = None
-    if not args.no_baseline and not args.write_baseline:
-        baseline = Baseline.load(args.baseline)
-    changed = None
-    if args.changed is not None:
-        changed = git_changed_files(args.changed)
-        if changed is None:
-            print(
-                f"repro lint: could not resolve --changed {args.changed}; "
-                "running unscoped",
-                file=sys.stderr,
-            )
-
     try:
-        result = analyze_paths(
+        findings = analyze_paths(
             args.paths,
             select=_split_codes(args.select),
             ignore=_split_codes(args.ignore),
-            cache=cache,
-            baseline=baseline,
-            changed_files=changed,
         )
     except LintUsageError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        Baseline.from_findings(result.raw_findings).write(args.baseline)
-        print(
-            f"wrote {len(result.raw_findings)} finding(s) to {args.baseline}"
-        )
-        return 0
-
-    findings = result.findings
-    report = _render(findings, args.format)
+    report = render_text(findings)
     if report:
         print(report)
-    if baseline is not None and args.format == "text":
-        suppressed = result.baselined_count
-        stale = baseline.unused()
-        if suppressed:
-            print(
-                f"{suppressed} finding(s) matched the baseline "
-                f"({args.baseline})",
-                file=sys.stderr,
-            )
-        if stale and changed is None:
-            for key in stale:
-                print(
-                    f"stale baseline entry: {key[0]} {key[1]} {key[2]!r}",
-                    file=sys.stderr,
-                )
     return 1 if findings else 0
 
 

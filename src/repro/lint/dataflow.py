@@ -15,8 +15,9 @@ classic instance and the one the TAG002 rule uses to connect
 ``start = max(v, last_finish)`` with the ``start + l/r`` expression
 that re-derives a finish tag two lines later.
 
-**Taint** — :func:`analyze_taint` tracks a small label set through one
-function (``wallclock`` from ``time.*`` reads, ``id`` from ``id()``,
+**Taint** — :class:`_TaintAnalysis` tracks a small label set through
+one function (``wallclock`` from a :data:`~repro.lint.rules.WALL_CLOCK_CALLS`
+read resolved through the module's imports, ``id`` from ``id()``,
 ``unordered`` from set/dict-view iteration — ``sorted(...)`` strips
 it), and :func:`build_summaries` lifts that to the whole program over
 the call graph: each function gets a summary (labels it returns, which
@@ -25,11 +26,15 @@ sink inside it), computed to fixpoint with a worklist seeded in
 deterministic order. The DET006 rule then reads sink hits straight
 from a final reporting pass.
 
-Determinism sinks are event-queue pushes (``call_at`` / ``call_after``
-/ ``at`` / ``after`` / ``push`` / ``heappush`` / ``schedule``), the
-shared tag helpers (:func:`repro.core.tagmath.start_finish` /
+Determinism sinks are the one set :data:`EVENT_SINKS` (heap
+operations, event scheduling, packet hand-off and flow registration),
+the shared tag helpers (:func:`repro.core.tagmath.start_finish` /
 ``eat_step``), and stores to tag attributes (``start_tag``,
 ``finish_tag``, ``virtual_time``, ``eligible_at``, ``deadline``).
+``heapify`` over an unordered container counts as unordered
+iteration. Ordering functions are sinks too: an ``id()`` value
+returned from a comparator or sort-key function (by name, see
+:func:`_is_tiebreak_name`) or from a ``key=`` lambda is reported.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from repro.lint.callgraph import MODULE_BODY, CallGraph, FunctionInfo
 from repro.lint.project import Project
-from repro.lint.rules import _is_unordered_iterable, dotted_name
+from repro.lint.rules import WALL_CLOCK_CALLS, dotted_name, in_benchmark_path
 
 __all__ = [
     "CFG",
@@ -71,25 +76,31 @@ _REAL_LABELS = frozenset({LABEL_WALLCLOCK, LABEL_ID, LABEL_UNORDERED})
 #: Labels that survive into interprocedural summaries.
 _SUMMARY_LABELS = _REAL_LABELS | {LABEL_CONTAINER}
 
-#: Wall-clock callables by canonical dotted name (mirrors DET002).
-_WALLCLOCK_LEAVES = frozenset(
-    {
-        "time",
-        "time_ns",
-        "monotonic",
-        "monotonic_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "process_time",
-        "process_time_ns",
-    }
-)
-_WALLCLOCK_ROOTS = frozenset({"time", "datetime"})
-_WALLCLOCK_DT = frozenset({"now", "utcnow", "today"})
-
-#: Method/function names whose invocation schedules simulator events.
+#: Callee names whose arguments become part of the schedule: heap
+#: operations, event scheduling, packet hand-off, flow registration.
 EVENT_SINKS = frozenset(
-    {"call_at", "call_after", "at", "after", "push", "heappush", "schedule"}
+    {
+        "heappush",
+        "heappop",
+        "heapify",
+        "heappushpop",
+        "heapreplace",
+        "push",
+        "call_at",
+        "call_after",
+        "at",
+        "after",
+        "schedule",
+        "enqueue",
+        "dequeue",
+        "send",
+        "add_flow",
+        "attach_flow",
+        "assign_flow",
+        "add_flow_with_deadline",
+        "set_weight",
+        "remove_flow",
+    }
 )
 
 #: Attribute stores that define a scheduling tag.
@@ -102,6 +113,59 @@ TAG_HELPER_SUFFIXES = (".tagmath.start_finish", ".tagmath.eat_step")
 
 #: Calls that impose an order and therefore strip ``unordered`` taint.
 _ORDER_RESTORING = frozenset({"sorted", "min", "max", "sum", "len", "frozenset"})
+
+#: Calls that produce hash-ordered iterables.
+_UNORDERED_FACTORIES = frozenset({"set", "frozenset"})
+_DICT_VIEW_METHODS = frozenset({"keys", "values", "items"})
+
+_COMPARATOR_METHODS = frozenset(
+    {"__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__"}
+)
+
+
+def _is_unordered_iterable(node: ast.AST) -> bool:
+    """Syntactic evidence that iterating ``node`` is hash/insertion-order.
+
+    Detected: set displays and comprehensions, ``set()``/``frozenset()``
+    calls, dict view calls (``.keys()``/``.values()``/``.items()``), set
+    algebra on any of those, and ``list()``/``tuple()`` wrappers around
+    them (wrapping does not impose an order — only ``sorted`` does).
+    """
+    if isinstance(node, (ast.Set, ast.SetComp, ast.DictComp)):
+        return True
+    if isinstance(node, ast.BinOp) and isinstance(
+        node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)
+    ):
+        return _is_unordered_iterable(node.left) or _is_unordered_iterable(
+            node.right
+        )
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            if func.id in _UNORDERED_FACTORIES:
+                return True
+            if func.id in ("list", "tuple", "iter", "reversed") and node.args:
+                return _is_unordered_iterable(node.args[0])
+            return False
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in _DICT_VIEW_METHODS
+            and not node.args
+        ):
+            return True
+    return False
+
+
+def _is_tiebreak_name(name: str) -> bool:
+    """True for comparator dunders and sort-key/tie-break function names."""
+    lowered = name.lower()
+    return (
+        name in _COMPARATOR_METHODS
+        or "tie" in lowered
+        or lowered == "key"
+        or lowered.endswith("_key")
+        or lowered.endswith("key_fn")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +540,12 @@ class _TaintAnalysis:
         self._param_index = {
             name: i for i, name in enumerate(fn.param_names)
         }
+        #: Name of a comparator / sort-key function, whose result orders.
+        self._ordering_name: Optional[str] = None
+        if isinstance(
+            fn.node, (ast.FunctionDef, ast.AsyncFunctionDef)
+        ) and _is_tiebreak_name(fn.node.name):
+            self._ordering_name = fn.node.name
 
     # -- body extraction (own statements only; nested defs excluded) --
     def _body(self) -> Sequence[ast.stmt]:
@@ -546,6 +616,12 @@ class _TaintAnalysis:
             if stmt.value is not None:
                 taint = self._expr(stmt.value, env, report)
                 self.return_taint |= taint
+                if report and self._ordering_name and LABEL_ID in taint:
+                    self._record_sink(
+                        frozenset({LABEL_ID}),
+                        f"return of {self._ordering_name}",
+                        stmt,
+                    )
         elif isinstance(stmt, ast.Expr):
             self._expr(stmt.value, env, report)
         elif isinstance(stmt, (ast.If, ast.While)):
@@ -612,16 +688,22 @@ class _TaintAnalysis:
 
     def _call(self, node: ast.Call, env: Env, report: bool) -> FrozenSet[str]:
         func = node.func
-        arg_taints = [self._expr(arg, env, report) for arg in node.args]
-        kw_taints = [self._expr(kw.value, env, report) for kw in node.keywords]
-        all_args: FrozenSet[str] = frozenset()
-        for taint in arg_taints + kw_taints:
-            all_args |= taint
         func_name = (
             func.id
             if isinstance(func, ast.Name)
             else func.attr if isinstance(func, ast.Attribute) else None
         )
+        arg_taints = [self._expr(arg, env, report) for arg in node.args]
+        if func_name == "heapify" and arg_taints and LABEL_CONTAINER in arg_taints[0]:
+            # heapify iterates its argument to lay out the heap.
+            arg_taints[0] = arg_taints[0] | {LABEL_UNORDERED}
+        kw_taints = [self._expr(kw.value, env, report) for kw in node.keywords]
+        for kw in node.keywords:
+            if kw.arg == "key" and isinstance(kw.value, ast.Lambda):
+                self._key_lambda(kw.value, env, report)
+        all_args: FrozenSet[str] = frozenset()
+        for taint in arg_taints + kw_taints:
+            all_args |= taint
         targets = self.graph.call_targets.get(id(node), ())
 
         # Sources -----------------------------------------------------
@@ -702,9 +784,15 @@ class _TaintAnalysis:
         receiver: FrozenSet[str] = frozenset()
         if isinstance(func, ast.Attribute):
             receiver = self._expr(func.value, env, report)
-            if func_name in _DICT_VIEWS_STRIP:
-                receiver = receiver - {LABEL_UNORDERED}
         return all_args | receiver
+
+    def _key_lambda(self, lam: ast.Lambda, env: Env, report: bool) -> None:
+        """Report an ``id()`` value returned from a ``key=`` lambda."""
+        params = {arg.arg for arg in lam.args.args}
+        inner = {name: taint for name, taint in env.items() if name not in params}
+        taint = self._expr(lam.body, inner, report)
+        if report and LABEL_ID in taint:
+            self._record_sink(frozenset({LABEL_ID}), "key= lambda", lam)
 
     def _record_sink(
         self,
@@ -716,31 +804,7 @@ class _TaintAnalysis:
         self.hits.append(SinkHit(frozenset(labels), sink, node, via=via))
 
     def _is_wallclock(self, func: ast.expr) -> bool:
-        dotted = dotted_name(func)
-        if dotted is None:
-            return False
-        parts = dotted.split(".")
-        leaf = parts[-1]
-        if len(parts) >= 2 and parts[0] in _WALLCLOCK_ROOTS:
-            return leaf in _WALLCLOCK_LEAVES or leaf in _WALLCLOCK_DT
-        # `from time import perf_counter [as clock]` — resolved through
-        # the module import table.
-        imports = self.fn.module.imports
-        canonical = imports.get(parts[0])
-        if canonical is None:
-            return False
-        full = ".".join([canonical] + parts[1:])
-        tail = full.split(".")
-        return (
-            tail[0] in _WALLCLOCK_ROOTS
-            and (tail[-1] in _WALLCLOCK_LEAVES or tail[-1] in _WALLCLOCK_DT)
-        )
-
-
-#: ``.values()`` etc. keep container taint but are not themselves new
-#: sources here (DET003 covers the syntactic case); laundering via
-#: explicit sort is honored.
-_DICT_VIEWS_STRIP: FrozenSet[str] = frozenset()
+        return self.fn.module.canonical_name(func) in WALL_CLOCK_CALLS
 
 
 def _short(qname: str) -> str:
@@ -751,11 +815,6 @@ def _short(qname: str) -> str:
 # ---------------------------------------------------------------------------
 # Whole-program summary fixpoint
 # ---------------------------------------------------------------------------
-
-
-def _in_benchmark(fn: FunctionInfo) -> bool:
-    parts = fn.module.norm_path.split("/")
-    return "benchmarks" in parts or parts[-1] == "bench.py"
 
 
 def build_summaries(project: Project) -> SummaryTable:
@@ -781,7 +840,7 @@ def build_summaries(project: Project) -> SummaryTable:
         enqueued.discard(qname)
         fn = graph.functions[qname]
         analysis = _TaintAnalysis(
-            graph, table, fn, wallclock_ok=_in_benchmark(fn)
+            graph, table, fn, wallclock_ok=in_benchmark_path(fn.module.norm_path)
         )
         analysis.run()
         fresh = FunctionSummary(qname)

@@ -1,82 +1,46 @@
-"""The v2 analysis driver: module rules + project rules, cached, baselined.
+"""The analysis driver: module rules + project rules in one pass.
 
 :func:`analyze_paths` is what ``python -m repro lint`` runs:
 
-1. Read every file once; compute per-file digests and the combined
-   project digest.
-2. Project-cache probe — a warm run with nothing changed returns the
-   cached finding list without parsing a single file.
-3. Cold path: load the :class:`~repro.lint.project.Project`, run the
-   per-file rules (each file served from the per-file cache when its
-   digest matches), run the project rules (collect phase per module,
-   then analyze over the whole graph), filter inline suppressions,
-   dedup ``(path, line, rule)`` across the two rule families, sort,
-   and fill both caches.
-4. Report time: optionally scope findings to a changed-file set
-   (``--changed``; the project still loads fully so cross-file rules
-   keep seeing the whole graph) and subtract the committed baseline.
+1. Load the :class:`~repro.lint.project.Project` — every file read and
+   parsed once (or the in-memory ``files=`` fixtures).
+2. Run the per-file rules on each module; a file that does not parse
+   yields one ``SYNTAX`` finding instead.
+3. Run the project rules (collect phase per module, then analyze over
+   the whole graph).
+4. Drop findings covered by an inline ``# lint: disable=`` directive —
+   the one way to accept a finding — then dedup ``(path, line, rule)``
+   across the two rule families and sort.
 
 ``--select``/``--ignore`` span both rule families through
-:func:`resolve_all_rules`; selecting only module rules skips graph
-construction entirely.
+:func:`resolve_rules`; selecting only module rules never builds the
+call graph.
 """
 
 from __future__ import annotations
 
-import subprocess
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import List, Optional, Sequence, Set, Tuple, Type
 
-from repro.lint.analyzer import LintUsageError, iter_python_files
-from repro.lint.baseline import Baseline
-from repro.lint.cache import AnalysisCache, ruleset_signature
-from repro.lint.findings import Finding, is_suppressed, sort_findings
-from repro.lint.project import Project, load_project, source_digest
+from repro.lint.findings import Finding, sort_findings
+from repro.lint.project import Project, load_project
 from repro.lint.rules import RULES, Rule
 from repro.lint.rules_project import PROJECT_RULES, ProjectRule
 
-__all__ = [
-    "EngineResult",
-    "analyze_paths",
-    "git_changed_files",
-    "resolve_all_rules",
-]
+__all__ = ["LintUsageError", "analyze_paths", "resolve_rules"]
 
 
-class EngineResult:
-    """Outcome of one engine run."""
-
-    __slots__ = (
-        "findings",
-        "raw_findings",
-        "baseline",
-        "baselined_count",
-        "project_cache_hit",
-    )
-
-    def __init__(
-        self,
-        findings: List[Finding],
-        raw_findings: List[Finding],
-        baseline: Optional[Baseline],
-        baselined_count: int,
-        project_cache_hit: bool,
-    ) -> None:
-        self.findings = findings
-        self.raw_findings = raw_findings
-        self.baseline = baseline
-        self.baselined_count = baselined_count
-        self.project_cache_hit = project_cache_hit
+class LintUsageError(Exception):
+    """Raised for bad rule selections (unknown codes)."""
 
 
-def resolve_all_rules(
+def resolve_rules(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> Tuple[Tuple[Rule, ...], Tuple[Type[ProjectRule], ...]]:
     """Active (module rules, project rule classes) after select/ignore.
 
-    Same flake8 semantics as :func:`repro.lint.analyzer.resolve_rules`,
-    over the union of both registries.
+    flake8 semantics over the union of both registries: selection
+    first, then ignores; an unknown code is a usage error.
     """
     known = set(RULES) | set(PROJECT_RULES)
     module_codes = list(RULES)
@@ -112,105 +76,39 @@ def analyze_paths(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
     files: Optional[Sequence[Tuple[str, str]]] = None,
-    cache: Optional[AnalysisCache] = None,
-    baseline: Optional[Baseline] = None,
-    changed_files: Optional[Set[str]] = None,
-) -> EngineResult:
-    """Run the full analysis; see the module docstring for the phases."""
-    module_rules, project_rule_classes = resolve_all_rules(select, ignore)
-    signature = ruleset_signature(
-        [rule.code for rule in module_rules]
-        + [cls.code for cls in project_rule_classes]
-    )
-    module_signature = ruleset_signature(rule.code for rule in module_rules)
+) -> List[Finding]:
+    """Run the full analysis; see the module docstring for the phases.
 
-    if files is not None:
-        sources = [(path, text) for path, text in files]
-    else:
-        sources = [
-            (str(path), path.read_text(encoding="utf-8"))
-            for path in iter_python_files(paths)
-        ]
-    digests = [(path, source_digest(text)) for path, text in sources]
-
-    raw: Optional[List[Finding]] = None
-    project_key = ""
-    project_cache_hit = False
-    if cache is not None:
-        project_key = cache.project_key(digests, signature)
-        raw = cache.get_project(project_key)
-        project_cache_hit = raw is not None
-
-    if raw is None:
-        project = load_project(paths, files=sources)
-        raw = _run_module_rules(
-            project, sources, digests, module_rules, module_signature, cache
-        )
-        raw.extend(_run_project_rules(project, project_rule_classes))
-        raw = _dedup(raw)
-        raw = sort_findings(raw)
-        if cache is not None:
-            cache.put_project(project_key, raw)
-
-    findings = list(raw)
-    if changed_files is not None:
-        findings = [
-            f for f in findings if _resolve(f.path) in changed_files
-        ]
-    baselined = 0
-    if baseline is not None:
-        kept = baseline.filter(findings)
-        baselined = len(findings) - len(kept)
-        findings = kept
-    return EngineResult(
-        findings=findings,
-        raw_findings=raw,
-        baseline=baseline,
-        baselined_count=baselined,
-        project_cache_hit=project_cache_hit,
-    )
+    ``files`` replaces the filesystem with ``(path, source)`` pairs.
+    Returns the unsuppressed findings, deduplicated and sorted.
+    """
+    module_rules, project_rule_classes = resolve_rules(select, ignore)
+    project = load_project(paths, files=files)
+    raw = _run_module_rules(project, module_rules)
+    raw.extend(_run_project_rules(project, project_rule_classes))
+    kept = [finding for finding in raw if not project.suppressed(finding)]
+    return sort_findings(_dedup(kept))
 
 
 def _run_module_rules(
-    project: Project,
-    sources: Sequence[Tuple[str, str]],
-    digests: Sequence[Tuple[str, str]],
-    module_rules: Sequence[Rule],
-    module_signature: str,
-    cache: Optional[AnalysisCache],
+    project: Project, module_rules: Sequence[Rule]
 ) -> List[Finding]:
     findings: List[Finding] = []
-    digest_by_path = dict(digests)
-    for path, _source in sources:
-        digest = digest_by_path[path]
-        if cache is not None:
-            cached = cache.get_file(digest, module_signature)
-            if cached is not None:
-                findings.extend(cached)
-                continue
-        info = project.module_for_path(path)
-        file_findings: List[Finding] = []
-        if info is None:
-            continue
-        if info.tree is None or info.context is None:
+    for info in project.by_path.values():
+        if info.context is None:
             exc = info.syntax_error
-            file_findings.append(
+            findings.append(
                 Finding(
                     rule="SYNTAX",
                     message=f"could not parse: {exc.msg if exc else 'syntax error'}",
-                    path=path,
+                    path=info.path,
                     line=(exc.lineno or 1) if exc else 1,
                     col=((exc.offset or 1) - 1) if exc else 0,
                 )
             )
-        else:
-            for rule in module_rules:
-                for finding in rule.check(info.context):
-                    if not is_suppressed(finding, info.suppressions):
-                        file_findings.append(finding)
-        if cache is not None:
-            cache.put_file(digest, module_signature, file_findings)
-        findings.extend(file_findings)
+            continue
+        for rule in module_rules:
+            findings.extend(rule.check(info.context))
     return findings
 
 
@@ -226,9 +124,7 @@ def _run_project_rules(
         for module in ordered:
             rule.collect(module)
     for rule in rules:
-        for finding in rule.analyze(project):
-            if not project.suppressed(finding.path, finding.line, finding.rule):
-                findings.append(finding)
+        findings.extend(rule.analyze(project))
     return findings
 
 
@@ -247,46 +143,3 @@ def _dedup(findings: Sequence[Finding]) -> List[Finding]:
         seen.add(key)
         out.append(finding)
     return out
-
-
-def _resolve(path: str) -> str:
-    try:
-        return str(Path(path).resolve())
-    except OSError:
-        return path
-
-
-def git_changed_files(ref: str) -> Optional[Set[str]]:
-    """Absolute paths of files changed vs ``ref`` (plus untracked).
-
-    Returns None when git is unavailable or ``ref`` does not resolve —
-    callers should fall back to an unscoped run rather than fail.
-    """
-    changed: Set[str] = set()
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", ref, "--"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    root = Path(top.stdout.strip())
-    for line in diff.stdout.splitlines() + untracked.stdout.splitlines():
-        name = line.strip()
-        if name:
-            changed.add(str((root / name).resolve()))
-    return changed

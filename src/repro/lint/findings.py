@@ -1,14 +1,15 @@
 """Finding model and inline-suppression parsing for ``repro.lint``.
 
 A :class:`Finding` is one rule violation at one source location. The
-analyzer collects findings from every registered rule, drops the ones
-covered by an inline ``# lint: disable=RULE`` directive, and hands the
-rest to the CLI (or to a caller via
-:func:`repro.lint.analyzer.lint_source`).
+engine (:func:`repro.lint.engine.analyze_paths`) collects findings from
+every selected rule, module and project rules alike, drops the ones
+covered by an inline ``# lint: disable=RULE`` directive, and returns
+the rest sorted.
 
 Suppression syntax
 ------------------
-A directive comment on the *reported line* silences matching findings::
+The directive is the one way to accept a finding. A directive comment
+on the *reported line* silences matching findings::
 
     self.started = time.monotonic()  # lint: disable=DET002  wall-clock elapsed, not sim state
 
@@ -45,16 +46,6 @@ class Finding:
     def format(self) -> str:
         """Render as the conventional ``path:line:col: CODE message``."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready mapping (used by ``--format json``)."""
-        return {
-            "rule": self.rule,
-            "message": self.message,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-        }
 
 
 def parse_suppressions(source: str) -> Mapping[int, FrozenSet[str]]:

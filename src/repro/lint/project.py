@@ -8,10 +8,14 @@ wall-clock value returned by a helper three modules away reaches
 ``call_at``. This module provides the shared substrate those rules
 analyze:
 
+:func:`iter_python_files`
+    The one file walk: files and directories expanded into a sorted,
+    deduplicated ``.py`` list.
+
 :class:`ModuleInfo`
-    One parsed file: dotted module name, AST, source, a content digest
-    (the analysis-cache key), parsed suppression directives, and the
-    import table mapping local aliases to fully-qualified names.
+    One parsed file: dotted module name, AST, source, parsed
+    suppression directives, and the import table mapping local aliases
+    to fully-qualified names.
 
 :class:`Project`
     The module graph. Lazily builds (and memoizes) the call graph
@@ -30,23 +34,39 @@ the same way (``<tmp>/proj/experiments/__init__.py`` scanned at
 from __future__ import annotations
 
 import ast
-import hashlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.lint.findings import parse_suppressions
-from repro.lint.rules import ModuleContext
+from repro.lint.findings import Finding, is_suppressed, parse_suppressions
+from repro.lint.rules import ModuleContext, dotted_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.lint.callgraph import CallGraph
     from repro.lint.dataflow import SummaryTable
 
-__all__ = ["ModuleInfo", "Project", "load_project", "source_digest"]
+__all__ = ["ModuleInfo", "Project", "iter_python_files", "load_project"]
 
 
-def source_digest(source: str) -> str:
-    """Content digest used as the per-file analysis-cache key."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+def iter_python_files(paths: Iterable[str]) -> List[Path]:
+    """Expand files/directories into a sorted, deduplicated .py list."""
+    seen: List[Path] = []
+    seen_set: Set[str] = set()
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            candidates: Iterable[Path] = sorted(path.rglob("*.py"))
+        elif path.suffix == ".py":
+            candidates = [path]
+        else:
+            candidates = []
+        for candidate in candidates:
+            key = str(candidate)
+            if "egg-info" in key:
+                continue
+            if key not in seen_set:
+                seen_set.add(key)
+                seen.append(candidate)
+    return seen
 
 
 class ModuleInfo:
@@ -57,7 +77,6 @@ class ModuleInfo:
         "path",
         "norm_path",
         "source",
-        "digest",
         "tree",
         "suppressions",
         "imports",
@@ -77,7 +96,6 @@ class ModuleInfo:
         self.path = path
         self.norm_path = path.replace("\\", "/")
         self.source = source
-        self.digest = source_digest(source)
         self.tree = tree
         self.syntax_error = syntax_error
         self.suppressions: Mapping[int, FrozenSet[str]] = parse_suppressions(source)
@@ -119,6 +137,21 @@ class ModuleInfo:
                     if alias.name == "*":
                         continue
                     self.imports[alias.asname or alias.name] = f"{base}.{alias.name}"
+
+    def canonical_name(self, node: ast.expr) -> Optional[str]:
+        """Dotted name of ``node`` with this module's import table applied.
+
+        ``clock()`` after ``from time import perf_counter as clock`` is
+        ``time.perf_counter``; an unimported head stays as written.
+        """
+        dotted = dotted_name(node)
+        if dotted is None:
+            return None
+        head, _, rest = dotted.partition(".")
+        canonical = self.imports.get(head)
+        if canonical is None:
+            return dotted
+        return f"{canonical}.{rest}" if rest else canonical
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ModuleInfo({self.name!r}, path={self.path!r})"
@@ -179,15 +212,10 @@ class Project:
             self._summaries = build_summaries(self)
         return self._summaries
 
-    def suppressed(self, path: str, line: int, rule: str) -> bool:
-        """True when an inline directive covers (path, line, rule)."""
-        info = self.module_for_path(path)
-        if info is None:
-            return False
-        codes = info.suppressions.get(line)
-        if not codes:
-            return False
-        return "ALL" in codes or rule.upper() in codes
+    def suppressed(self, finding: Finding) -> bool:
+        """True when an inline directive on the finding's line covers it."""
+        info = self.module_for_path(finding.path)
+        return info is not None and is_suppressed(finding, info.suppressions)
 
 
 def load_project(
@@ -196,17 +224,15 @@ def load_project(
 ) -> Project:
     """Parse a whole tree (or in-memory fixtures) into a :class:`Project`.
 
-    ``paths`` are files or directories, expanded exactly like
-    :func:`repro.lint.analyzer.iter_python_files`. ``files`` bypasses
-    the filesystem entirely with ``(path, source)`` pairs — the fixture
-    tests build multi-module projects this way.
+    ``paths`` are files or directories, expanded by
+    :func:`iter_python_files`. ``files`` bypasses the filesystem
+    entirely with ``(path, source)`` pairs — the fixture tests build
+    multi-module projects this way.
 
-    Files that fail to parse still join the project (so their digest
-    participates in the cache key and SYNTAX findings can be reported);
-    they simply have no AST and take no part in graph building.
+    Files that fail to parse still join the project (so SYNTAX findings
+    can be reported); they simply have no AST and take no part in graph
+    building.
     """
-    from repro.lint.analyzer import iter_python_files
-
     infos: List[ModuleInfo] = []
     if files is not None:
         roots = [Path(".")]

@@ -8,11 +8,8 @@ virtual-time tag arithmetic behind the paper's Theorem 1:
 =========  ==============================================================
 DET001     module-level / unseeded ``random`` or ``numpy.random`` use
            outside :mod:`repro.simulation.random`
-DET002     wall-clock reads (``time.time``, ``datetime.now``,
-           ``perf_counter``, ...) outside ``benchmarks/`` / ``bench.py``
-DET003     iteration over ``set``/``dict`` views feeding heap pushes,
-           event scheduling or flow registration without ``sorted(...)``
-DET004     ``id()``-based tie-breaking inside comparators or sort keys
+DET002     wall-clock reads (:data:`WALL_CLOCK_CALLS`) outside
+           ``benchmarks/`` / ``bench.py``
 DET005     RNG seeds in ``repro.chaos``/``repro.faults`` not rooted in
            ``derive_seed`` (raw ``Random(...)``, literal stream seeds)
 TAG001     float ``==``/``!=`` on virtual-time/tag expressions
@@ -27,12 +24,16 @@ PERF003    per-call/per-iteration allocation and repeated attribute
 The whole-program rules (CACHE001, TAG002, DET006) live in
 :mod:`repro.lint.rules_project`; they need the module graph, the call
 graph, and the dataflow engine rather than a single file's AST.
+DET006 owns every ordering hazard: unordered iteration or ``id()``
+reaching a heap push, an event, a flow registration, a comparator's
+result or a sort key. The wall-clock list and the benchmark exemption
+defined here are shared by DET002, CACHE001 and DET006.
 
 Adding a rule: subclass :class:`Rule`, set ``code``/``summary``, implement
 ``check``, and decorate with :func:`register` (see HACKING.md, "Static
 analysis"). Rules receive a parsed :class:`ModuleContext` and yield
 :class:`~repro.lint.findings.Finding` objects; suppression handling and
-ordering are the analyzer's job, not the rule's.
+ordering are the engine's job, not the rule's.
 """
 
 from __future__ import annotations
@@ -44,7 +45,15 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Type
 
 from repro.lint.findings import Finding
 
-__all__ = ["ModuleContext", "Rule", "RULES", "register", "all_rule_codes"]
+__all__ = [
+    "ModuleContext",
+    "Rule",
+    "RULES",
+    "WALL_CLOCK_CALLS",
+    "all_rule_codes",
+    "in_benchmark_path",
+    "register",
+]
 
 
 @dataclass
@@ -59,11 +68,6 @@ class ModuleContext:
 
     def __post_init__(self) -> None:
         self.norm_path = self.path.replace("\\", "/")
-
-    def in_benchmark_code(self) -> bool:
-        """True for files exempt from wall-clock checks (DET002)."""
-        parts = self.norm_path.split("/")
-        return "benchmarks" in parts or parts[-1] == "bench.py"
 
     def is_seeded_rng_module(self) -> bool:
         """True for the one module allowed to touch ``random`` freely."""
@@ -229,21 +233,29 @@ class UnseededRandomRule(Rule):
 # ---------------------------------------------------------------------------
 
 
-#: Canonical dotted names of wall-clock reads.
-_WALL_CLOCK_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now",
-    "datetime.datetime.utcnow",
-    "datetime.datetime.today",
-    "datetime.date.today",
-}
+#: Canonical dotted names of wall-clock reads (DET002, CACHE001, DET006).
+WALL_CLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+
+
+def in_benchmark_path(norm_path: str) -> bool:
+    """True for timing-harness files, exempt from wall-clock checks."""
+    parts = norm_path.split("/")
+    return "benchmarks" in parts or parts[-1] == "bench.py"
 
 
 @register
@@ -263,7 +275,7 @@ class WallClockRule(Rule):
     summary = "wall-clock call outside benchmarks/ or bench.py"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if ctx.in_benchmark_code():
+        if in_benchmark_path(ctx.norm_path):
             return
         # Local alias -> canonical dotted prefix.
         aliases: Dict[str, str] = {}
@@ -289,7 +301,7 @@ class WallClockRule(Rule):
                 continue
             root, _, rest = dotted.partition(".")
             canonical = aliases.get(root, root) + ("." + rest if rest else "")
-            if canonical in _WALL_CLOCK_CALLS:
+            if canonical in WALL_CLOCK_CALLS:
                 yield self.finding(
                     ctx,
                     node,
@@ -297,230 +309,6 @@ class WallClockRule(Rule):
                     "depend only on sim.now and the seed (benchmarks/ and "
                     "bench.py are exempt)",
                 )
-
-
-# ---------------------------------------------------------------------------
-# DET003 — unordered iteration feeding scheduling
-# ---------------------------------------------------------------------------
-
-
-#: Callee names whose invocation inside a loop marks it order-sensitive.
-_SCHEDULING_SINKS = {
-    "heappush",
-    "heappop",
-    "heapify",
-    "heappushpop",
-    "heapreplace",
-    "at",
-    "after",
-    "call_at",
-    "call_after",
-    "schedule",
-    "enqueue",
-    "dequeue",
-    "send",
-    "add_flow",
-    "attach_flow",
-    "assign_flow",
-    "add_flow_with_deadline",
-    "set_weight",
-    "remove_flow",
-}
-
-#: Calls that produce hash-ordered iterables.
-_UNORDERED_FACTORIES = {"set", "frozenset"}
-_DICT_VIEW_METHODS = {"keys", "values", "items"}
-
-
-def _is_unordered_iterable(node: ast.AST) -> bool:
-    """Syntactic evidence that iterating ``node`` is hash/insertion-order.
-
-    Detected: set displays and comprehensions, ``set()``/``frozenset()``
-    calls, dict view calls (``.keys()``/``.values()``/``.items()``), set
-    algebra on any of those, and ``list()``/``tuple()`` wrappers around
-    them (wrapping does not impose an order — only ``sorted`` does).
-    """
-    if isinstance(node, (ast.Set, ast.SetComp, ast.DictComp)):
-        return True
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)
-    ):
-        return _is_unordered_iterable(node.left) or _is_unordered_iterable(
-            node.right
-        )
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name):
-            if func.id in _UNORDERED_FACTORIES:
-                return True
-            if func.id in ("list", "tuple", "iter", "reversed") and node.args:
-                return _is_unordered_iterable(node.args[0])
-            return False
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _DICT_VIEW_METHODS
-            and not node.args
-        ):
-            return True
-    return False
-
-
-def _called_sinks(body: List[ast.stmt]) -> Iterator[ast.Call]:
-    """Scheduling-sink calls anywhere inside ``body``."""
-    for stmt in body:
-        for node in ast.walk(stmt):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if name in _SCHEDULING_SINKS:
-                yield node
-
-
-@register
-class UnorderedIterationRule(Rule):
-    """Hash-order iteration feeding heap pushes / event scheduling.
-
-    ``for x in some_set: heappush(...)`` pushes in an order that depends
-    on hash seeding and insertion history; with equal keys (tag ties!)
-    the heap then pops in a run-dependent order. Dict views are
-    insertion-ordered, but that order is an implicit program-history
-    dependency the reader cannot see — either wrap the iterable in
-    ``sorted(...)`` or annotate the loop with
-    ``# lint: disable=DET003 <why the order is deterministic>``.
-    """
-
-    code = "DET003"
-    summary = "set/dict iteration feeding scheduling without sorted()"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.For, ast.AsyncFor)) and _is_unordered_iterable(
-                node.iter
-            ):
-                for sink in _called_sinks(node.body):
-                    func = sink.func
-                    name = (
-                        func.attr
-                        if isinstance(func, ast.Attribute)
-                        else getattr(func, "id", "?")
-                    )
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "iteration order of a set/dict view reaches "
-                        f"`{name}(...)`; wrap the iterable in sorted(...) or "
-                        "justify with a disable directive",
-                    )
-                    break  # one finding per loop
-            elif isinstance(node, ast.Call):
-                func = node.func
-                name = (
-                    func.id
-                    if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute) else None
-                )
-                if name not in _SCHEDULING_SINKS:
-                    continue
-                for arg in node.args:
-                    if isinstance(
-                        arg, (ast.GeneratorExp, ast.ListComp, ast.SetComp)
-                    ) and any(
-                        _is_unordered_iterable(gen.iter)
-                        for gen in arg.generators
-                    ):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"comprehension over a set/dict view feeds "
-                            f"`{name}(...)`; wrap the source in sorted(...)",
-                        )
-                        break
-                    if _is_unordered_iterable(arg) and name in (
-                        "heapify",
-                    ):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "heapify over a set/dict view fixes a "
-                            "hash-dependent layout; sort first",
-                        )
-                        break
-
-
-# ---------------------------------------------------------------------------
-# DET004 — id()-based tie-breaking
-# ---------------------------------------------------------------------------
-
-
-_COMPARATOR_METHODS = {"__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__ne__"}
-
-
-def _is_tiebreak_name(name: str) -> bool:
-    lowered = name.lower()
-    return (
-        name in _COMPARATOR_METHODS
-        or "tie" in lowered
-        or lowered == "key"
-        or lowered.endswith("_key")
-        or lowered.endswith("key_fn")
-    )
-
-
-def _contains_id_call(node: ast.AST) -> Iterator[ast.Call]:
-    for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Name)
-            and sub.func.id == "id"
-        ):
-            yield sub
-
-
-@register
-class IdTieBreakRule(Rule):
-    """``id()`` inside comparators or sort-key functions.
-
-    CPython object ids are allocation addresses: they differ across runs
-    and across workers, so an ``id()``-based tie-break silently makes
-    the schedule a function of the allocator. Use an explicit monotone
-    counter (``Packet.uid``) instead — that is exactly what the flow-head
-    heap keys on.
-    """
-
-    code = "DET004"
-    summary = "id()-based tie-breaking in a comparator or key function"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and _is_tiebreak_name(node.name):
-                for call in _contains_id_call(node):
-                    yield self.finding(
-                        ctx,
-                        call,
-                        f"id() inside `{node.name}` ties ordering to memory "
-                        "addresses, which vary per run/worker; key on an "
-                        "explicit counter (e.g. Packet.uid)",
-                    )
-            elif isinstance(node, ast.Call):
-                for keyword in node.keywords:
-                    if keyword.arg == "key" and isinstance(
-                        keyword.value, ast.Lambda
-                    ):
-                        for call in _contains_id_call(keyword.value):
-                            yield self.finding(
-                                ctx,
-                                call,
-                                "id() inside a key= lambda ties ordering to "
-                                "memory addresses, which vary per run/worker; "
-                                "key on an explicit counter instead",
-                            )
 
 
 # ---------------------------------------------------------------------------

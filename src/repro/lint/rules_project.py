@@ -1,4 +1,4 @@
-"""v2 rule API: whole-program rules over the loaded :class:`Project`.
+"""Project rule API: whole-program rules over the loaded :class:`Project`.
 
 A :class:`ProjectRule` sees the entire module graph instead of one file
 at a time, in two phases:
@@ -28,14 +28,15 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple, Type
 
 from repro.lint.callgraph import MODULE_BODY, CallGraph, FunctionInfo, _own_nodes
 from repro.lint.dataflow import (
-    CFG,
+    LABEL_ID,
+    LABEL_UNORDERED,
     LABEL_WALLCLOCK,
     build_cfg,
     reaching_definitions,
 )
 from repro.lint.findings import Finding
 from repro.lint.project import ModuleInfo, Project
-from repro.lint.rules import _TAG_WORDS, dotted_name
+from repro.lint.rules import _TAG_WORDS, WALL_CLOCK_CALLS, in_benchmark_path
 
 __all__ = [
     "PROJECT_RULES",
@@ -86,45 +87,6 @@ def register_project(cls: Type[ProjectRule]) -> Type[ProjectRule]:
 def all_project_rule_codes() -> Tuple[str, ...]:
     """Every registered project rule code, in registration order."""
     return tuple(PROJECT_RULES)
-
-
-# ---------------------------------------------------------------------------
-# Shared helpers
-# ---------------------------------------------------------------------------
-
-
-def _benchmark_module(module: ModuleInfo) -> bool:
-    parts = module.norm_path.split("/")
-    return "benchmarks" in parts or parts[-1] == "bench.py"
-
-
-_WALLCLOCK_NAMES = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.date.today",
-    }
-)
-
-
-def _canonical_call_name(module: ModuleInfo, func: ast.expr) -> Optional[str]:
-    """Dotted callee name with the module's import table applied."""
-    dotted = dotted_name(func)
-    if dotted is None:
-        return None
-    head, _, rest = dotted.partition(".")
-    canonical = module.imports.get(head)
-    if canonical is None:
-        return dotted
-    return f"{canonical}.{rest}" if rest else canonical
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +253,8 @@ class CachePurityRule(ProjectRule):
         module = fn.module
         for node in _own_nodes(fn):
             if isinstance(node, ast.Call):
-                name = _canonical_call_name(module, node.func)
-                if name in _WALLCLOCK_NAMES:
+                name = module.canonical_name(node.func)
+                if name in WALL_CLOCK_CALLS:
                     yield node, f"the wall clock ({name}())"
                 elif name == "os.getenv" or (
                     name is not None and name.startswith("os.environ.")
@@ -319,7 +281,7 @@ class CachePurityRule(ProjectRule):
             elif isinstance(node, ast.Attribute) and isinstance(
                 node.ctx, ast.Load
             ):
-                name = _canonical_call_name(module, node)
+                name = module.canonical_name(node)
                 if name == "os.environ":
                     yield node, "os.environ"
             elif isinstance(node, ast.Subscript) and isinstance(
@@ -344,7 +306,7 @@ class CachePurityRule(ProjectRule):
             if imported is not None and imported in self.mutable_globals:
                 return imported
         elif isinstance(node, ast.Attribute):
-            dotted = _canonical_call_name(module, node)
+            dotted = module.canonical_name(node)
             if dotted is not None and dotted in self.mutable_globals:
                 return dotted
         return None
@@ -542,22 +504,35 @@ class TagMathParityRule(ProjectRule):
 # ---------------------------------------------------------------------------
 
 
+#: Fix suggested for each taint label in a DET006 message.
+_ADVICE = {
+    LABEL_ID: "key on an explicit counter (e.g. Packet.uid)",
+    LABEL_UNORDERED: "iterate sorted(...) instead",
+    LABEL_WALLCLOCK: "derive event times/tags from simulation state",
+}
+
+
 @register_project
 class InterproceduralTaintRule(ProjectRule):
-    """Nondeterministic values crossing function boundaries into scheduling.
+    """Nondeterministic values reaching the schedule, within or across calls.
 
-    DET002/DET003/DET004 catch wall-clock reads, unordered iteration and
-    ``id()`` syntactically, in the function where they appear. This rule
-    catches what they cannot: a ``time.time()`` returned by a helper
-    three calls away and passed into ``sim.call_at``, or a set iterated
-    in one function whose elements another function turns into tags.
-    Taint summaries (which labels a function returns, which parameters
+    The schedule must be a function of rank order alone, so this is the
+    one ordering rule. Three labels — ``wallclock`` (a
+    :data:`~repro.lint.rules.WALL_CLOCK_CALLS` read), ``id`` (``id()``)
+    and ``unordered-iteration`` (iterating a set or dict view) — are
+    tracked to the sinks of :mod:`repro.lint.dataflow`: the
+    ``EVENT_SINKS`` set (heap operations, event scheduling, packet
+    hand-off, flow registration), the tag-math helpers, tag attribute
+    stores, and the result of a comparator, sort-key function or
+    ``key=`` lambda. A ``time.time()`` returned by a helper three calls
+    away and passed into ``sim.call_at`` is caught like a local one:
+    taint summaries (which labels a function returns, which parameters
     reach a sink inside it) are computed to fixpoint over the call
-    graph; ``sorted()`` launders iteration-order taint.
+    graph. ``sorted()`` launders iteration-order taint.
     """
 
     code = "DET006"
-    summary = "time()/id()/unordered-iteration value reaches scheduling across calls"
+    summary = "time()/id()/unordered-iteration value reaches the schedule"
 
     def analyze(self, project: Project) -> Iterator[Finding]:
         graph = project.callgraph()
@@ -567,7 +542,7 @@ class InterproceduralTaintRule(ProjectRule):
             if fn.node is None or qname.endswith(f".{MODULE_BODY}"):
                 continue
             hits = table.sink_hits(
-                fn, wallclock_ok=_benchmark_module(fn.module)
+                fn, wallclock_ok=in_benchmark_path(fn.module.norm_path)
             )
             seen: Set[Tuple[int, int, str]] = set()
             for hit in hits:
@@ -581,10 +556,10 @@ class InterproceduralTaintRule(ProjectRule):
                 if key in seen:
                     continue
                 seen.add(key)
+                advice = "; ".join(_ADVICE[label] for label in sorted(hit.labels))
                 yield self.finding(
                     fn.module,
                     hit.node,
                     f"{labels}-tainted value reaches scheduling sink "
-                    f"`{hit.sink}`{via}; derive event times/tags from "
-                    "simulation state and sort unordered collections first",
+                    f"`{hit.sink}`{via}; {advice}",
                 )

@@ -82,10 +82,9 @@ def run_lint_on_source(
     scope) are active; pass e.g. ``"benchmarks/bench_x.py"`` to test the
     exemptions. ``select`` narrows the rule set as ``--select`` would.
     """
-    from repro.lint import lint_source, resolve_rules
+    from repro.lint import analyze_paths
 
-    rules = resolve_rules(select=select) if select else None
-    return lint_source(source, path=path, rules=rules)
+    return analyze_paths([path], select=select, files=[(path, source)])
 
 
 def constant_link(scheduler: Scheduler, rate: float) -> Tuple[Simulator, Link]:

@@ -139,10 +139,9 @@ def test_lint_command_smoke(tmp_path, capsys):
 
 def test_lint_parser_flags():
     args = build_parser().parse_args(
-        ["lint", "src", "--format", "json", "--select", "DET001,DET002"]
+        ["lint", "src", "--select", "DET001,DET002"]
     )
     assert args.command == "lint"
-    assert args.format == "json"
     assert args.select == "DET001,DET002"
 
 
@@ -175,23 +174,19 @@ def test_parse_only_rejects_unknown():
 
 
 def test_campaign_command_end_to_end(tmp_path, capsys):
-    code = main([
-        "campaign", "--only", "example1,example2", "--jobs", "1",
+    argv = [
+        "campaign", "--only", "table1,figure1", "--seeds", "2", "--jobs", "2",
         "--results-dir", str(tmp_path), "--quiet",
-    ])
-    assert code == 0
+    ]
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "campaign: 2 shards (2 ok, 0 failed)" in out
+    assert "campaign: 4 shards (4 ok, 0 failed)" in out
     assert (tmp_path / "campaign_manifest.json").exists()
     assert (tmp_path / "campaign_summary.md").exists()
     # Second run is served entirely from the cache.
-    code = main([
-        "campaign", "--only", "example1,example2", "--jobs", "1",
-        "--results-dir", str(tmp_path), "--quiet",
-    ])
-    assert code == 0
+    assert main(argv) == 0
     out = capsys.readouterr().out
-    assert "2 served from cache" in out
+    assert "4 served from cache" in out
 
 
 def test_metrics_parser_flags():
@@ -266,12 +261,12 @@ def test_chaos_parser_flags():
 
 def test_chaos_run_command_clean_zoo(tmp_path, capsys):
     code = main([
-        "chaos", "--seeds", "1", "--schedulers", "SFQ,FIFO", "--no-cache",
-        "--results-dir", str(tmp_path), "--quiet",
+        "chaos", "--seeds", "2", "--schedulers", "SFQ,SCFQ,DRR,FIFO,VirtualClock",
+        "--jobs", "2", "--no-cache", "--results-dir", str(tmp_path), "--quiet",
     ])
     assert code == 0
     out = capsys.readouterr().out
-    assert "chaos campaign: 2 runs" in out
+    assert "chaos campaign: 10 runs" in out
     assert "0 run(s) with invariant violations" in out
 
 

@@ -8,7 +8,6 @@ and asserts it is clean — the tree must stay lintable at all times.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -23,11 +22,10 @@ from repro.lint import (
     RULES,
     all_project_rule_codes,
     all_rule_codes,
-    lint_source,
     parse_suppressions,
     resolve_rules,
 )
-from repro.lint.cli import main as lint_main, render_json, render_text
+from repro.lint.cli import main as lint_main, render_text
 
 from tests.helpers import run_lint_on_source
 
@@ -105,40 +103,41 @@ def test_det002_passes_in_bench_py():
 
 
 # ---------------------------------------------------------------------------
-# DET003 — unordered iteration feeding scheduling
+# DET006 — unordered iteration feeding scheduling (the interprocedural
+# cases live in test_lint_project.py)
 # ---------------------------------------------------------------------------
 
 
-def test_det003_catches_set_iteration_feeding_heappush():
+def test_det006_catches_set_iteration_feeding_heappush():
     findings = run_lint_on_source(
         "from heapq import heappush\n"
         "def f(items, heap):\n"
         "    for x in set(items):\n"
         "        heappush(heap, x)\n"
     )
-    assert "DET003" in codes(findings)
+    assert "DET006" in codes(findings)
 
 
-def test_det003_catches_dict_view_feeding_add_flow():
+def test_det006_catches_dict_view_feeding_add_flow():
     findings = run_lint_on_source(
         "def f(weights, sched):\n"
         "    for flow in weights.keys():\n"
         "        sched.add_flow(flow, 1.0)\n"
     )
-    assert "DET003" in codes(findings)
+    assert "DET006" in codes(findings)
 
 
-def test_det003_passes_with_sorted():
+def test_det006_passes_with_sorted():
     findings = run_lint_on_source(
         "from heapq import heappush\n"
         "def f(items, heap):\n"
         "    for x in sorted(set(items)):\n"
         "        heappush(heap, x)\n"
     )
-    assert "DET003" not in codes(findings)
+    assert "DET006" not in codes(findings)
 
 
-def test_det003_ignores_loops_without_scheduling_sinks():
+def test_det006_ignores_loops_without_scheduling_sinks():
     findings = run_lint_on_source(
         "def f(items):\n"
         "    total = 0\n"
@@ -146,35 +145,35 @@ def test_det003_ignores_loops_without_scheduling_sinks():
         "        total += x\n"
         "    return total\n"
     )
-    assert "DET003" not in codes(findings)
+    assert "DET006" not in codes(findings)
 
 
 # ---------------------------------------------------------------------------
-# DET004 — id()-based tie-breaking
+# DET006 — id()-based tie-breaking
 # ---------------------------------------------------------------------------
 
 
-def test_det004_catches_id_in_comparator():
+def test_det006_catches_id_in_comparator():
     findings = run_lint_on_source(
         "class T:\n"
         "    def __lt__(self, other):\n"
         "        return id(self) < id(other)\n"
     )
-    assert "DET004" in codes(findings)
+    assert "DET006" in codes(findings)
 
 
-def test_det004_catches_id_in_key_lambda():
+def test_det006_catches_id_in_key_lambda():
     findings = run_lint_on_source("def f(xs):\n    xs.sort(key=lambda p: id(p))\n")
-    assert "DET004" in codes(findings)
+    assert "DET006" in codes(findings)
 
 
-def test_det004_passes_uid_tiebreak():
+def test_det006_passes_uid_tiebreak():
     findings = run_lint_on_source(
         "class T:\n"
         "    def __lt__(self, other):\n"
         "        return self.uid < other.uid\n"
     )
-    assert "DET004" not in codes(findings)
+    assert "DET006" not in codes(findings)
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +458,12 @@ def test_disable_for_other_rule_does_not_suppress():
 
 
 def test_resolve_rules_select_and_ignore():
-    only = resolve_rules(select=["DET001"])
-    assert [r.code for r in only] == ["DET001"]
-    rest = resolve_rules(ignore=["DET001"])
-    assert "DET001" not in [r.code for r in rest]
+    module_rules, project_rules = resolve_rules(select=["DET001"])
+    assert [r.code for r in module_rules] == ["DET001"]
+    assert project_rules == ()
+    module_rules, project_rules = resolve_rules(ignore=["DET001", "DET006"])
+    assert "DET001" not in [r.code for r in module_rules]
+    assert [cls.code for cls in project_rules] == ["CACHE001", "TAG002"]
 
 
 def test_resolve_rules_rejects_unknown_codes():
@@ -472,7 +473,7 @@ def test_resolve_rules_rejects_unknown_codes():
 
 def test_registry_is_complete():
     assert set(all_rule_codes()) == set(RULES) == {
-        "DET001", "DET002", "DET003", "DET004", "DET005", "TAG001",
+        "DET001", "DET002", "DET005", "TAG001",
         "PERF001", "PERF002", "PERF003",
     }
     assert set(all_project_rule_codes()) == set(PROJECT_RULES) == {
@@ -493,8 +494,6 @@ def test_registry_is_complete():
 _CATCHING = {
     "DET001": "test_det001_catches_module_level_random",
     "DET002": "test_det002_catches_wall_clock_in_simulation_code",
-    "DET003": "test_det003_catches_set_iteration_feeding_heappush",
-    "DET004": "test_det004_catches_id_in_comparator",
     "DET005": "test_det005_catches_raw_random_in_chaos_code",
     "DET006": "test_det006_catches_wallclock_through_helper_into_call_at",
     "TAG001": "test_tag001_catches_tag_equality",
@@ -507,8 +506,6 @@ _CATCHING = {
 _PASSING = {
     "DET001": "test_det001_passes_seeded_generator",
     "DET002": "test_det002_passes_in_benchmarks_dir",
-    "DET003": "test_det003_passes_with_sorted",
-    "DET004": "test_det004_passes_uid_tiebreak",
     "DET005": "test_det005_passes_derived_seed",
     "DET006": "test_det006_passes_simulation_derived_time",
     "TAG001": "test_tag001_passes_ordering_comparison",
@@ -534,7 +531,7 @@ def test_every_rule_has_catching_and_passing_fixtures():
 
 
 def test_syntax_error_reported_not_raised():
-    findings = lint_source("def broken(:\n", path="x.py")
+    findings = run_lint_on_source("def broken(:\n", path="x.py")
     assert codes(findings) == ["SYNTAX"]
 
 
@@ -548,13 +545,10 @@ def test_finding_format_and_sort_order():
     )
 
 
-def test_render_text_and_json():
+def test_render_text():
     findings = [Finding("DET001", "msg", "a.py", 3, 7)]
     text = render_text(findings)
     assert "a.py:3:7: DET001 msg" in text and "1 finding(s)" in text
-    payload = json.loads(render_json(findings))
-    assert payload["stats"]["total"] == 1
-    assert payload["findings"][0]["rule"] == "DET001"
     assert render_text([]) == ""
 
 
@@ -569,6 +563,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert lint_main([str(bad), "--select", "BOGUS"]) == 2
 
 
+def test_lint_run_writes_no_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    fixture = tmp_path / "repro" / "core" / "fixture.py"
+    fixture.parent.mkdir(parents=True)
+    fixture.write_text("import random\nx = random.random()\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert lint_main([str(fixture)]) == 1
+    assert lint_main(["repro"]) == 1
+    capsys.readouterr()
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_cli_list_rules(capsys):
     assert lint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
@@ -581,13 +587,13 @@ def test_cli_list_rules(capsys):
 @pytest.mark.parametrize("code,source,subdir", [
     ("DET001", "import random\nx = random.random()\n", "core"),
     ("DET002", "import time\nt = time.time()\n", "core"),
-    ("DET003", (
+    ("DET006", (
         "from heapq import heappush\n"
         "def f(items, heap):\n"
         "    for x in set(items):\n"
         "        heappush(heap, x)\n"
     ), "core"),
-    ("DET004", "def sort_key(p):\n    return id(p)\n", "core"),
+    ("DET006", "def sort_key(p):\n    return id(p)\n", "core"),
     ("DET005", "import random\nrng = random.Random(3)\n", "chaos"),
     ("TAG001", "def f(a, b):\n    return a.finish_tag == b.finish_tag\n", "core"),
     ("PERF001", _UNSLOTTED, "core"),

@@ -1,34 +1,23 @@
-"""Tests for the whole-program lint engine (v2): semantic rules,
-call graph + dataflow plumbing, cache, baseline, dedup, CLI formats.
+"""Tests for the whole-program lint engine: semantic rules, call graph
++ dataflow plumbing, project-rule directives, dedup, SYNTAX findings.
 
 Each semantic rule is exercised against a *seeded mutation* — the
 disciplined code from the real tree with the violation re-introduced —
 plus a passing fixture of the disciplined spelling. The suite also
-pins the engine's operational budget (cold/warm analysis time on the
-real ``src/`` tree) and the self-check that the tree stays clean modulo
-the committed baseline.
+pins the engine's cold analysis time on the real ``src/`` tree.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
-from repro.lint import (
-    AnalysisCache,
-    Baseline,
-    Finding,
-    PROJECT_RULES,
-    analyze_paths,
-    load_project,
-)
-from repro.lint.baseline import DEFAULT_BASELINE_PATH
+from repro.lint import Finding, PROJECT_RULES, analyze_paths, load_project
 from repro.lint.callgraph import build_callgraph
-from repro.lint.cli import main as lint_main, render_sarif
+from repro.lint.cli import main as lint_main
 from repro.lint.dataflow import (
     LABEL_UNORDERED,
     build_cfg,
@@ -36,6 +25,7 @@ from repro.lint.dataflow import (
     reaching_definitions,
 )
 from repro.lint.engine import _dedup
+from repro.lint.rules import WALL_CLOCK_CALLS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,13 +35,11 @@ FilePair = Tuple[str, str]
 def analyze(
     files: Sequence[FilePair],
     select: Optional[Sequence[str]] = None,
-    **kwargs,
 ) -> List[Finding]:
     """Run the full engine over in-memory fixtures."""
-    result = analyze_paths(
-        [path for path, _ in files], select=select, files=list(files), **kwargs
+    return analyze_paths(
+        [path for path, _ in files], select=select, files=list(files)
     )
-    return result.findings
 
 
 def codes(findings: Sequence[Finding]) -> List[str]:
@@ -128,6 +116,41 @@ def test_cache001_passes_pure_entry():
         select=["CACHE001"],
     )
     assert findings == []
+
+
+def test_inline_directive_silences_project_rule_finding():
+    source = (
+        "import time\n"
+        "\n"
+        "def run_demo(seed=0):\n"
+        "    return time.perf_counter()\n"
+    )
+    findings = analyze(_experiment(source), select=["CACHE001"])
+    assert codes(findings) == ["CACHE001"]
+    lines = source.splitlines()
+    lines[findings[0].line - 1] += (
+        "  # lint: disable=CACHE001  wall cost is reported, never cached"
+    )
+    accepted = "\n".join(lines) + "\n"
+    assert analyze(_experiment(accepted), select=["CACHE001"]) == []
+
+
+@pytest.mark.parametrize("call", sorted(WALL_CLOCK_CALLS))
+def test_every_wall_clock_call_is_flagged_by_det002_cache001_and_det006(call):
+    root = call.split(".")[0]
+    entry = analyze(
+        _experiment(f"import {root}\n\ndef run_demo(seed=0):\n    return {call}()\n"),
+        select=["DET002", "CACHE001"],
+    )
+    assert sorted(set(codes(entry))) == ["CACHE001", "DET002"]
+    armed = analyze(
+        _one_module(
+            f"import {root}\n\ndef arm(sim, h):\n    sim.call_at({call}(), h)\n",
+            path="src/repro/simulation/sched.py",
+        ),
+        select=["DET006"],
+    )
+    assert codes(armed) == ["DET006"]
 
 
 def test_cache001_ignores_impurity_outside_entry_reachability():
@@ -407,7 +430,7 @@ def test_taint_summaries_propagate_through_returns():
 
 
 # ---------------------------------------------------------------------------
-# Dedup, SYNTAX columns, output formats
+# Dedup, SYNTAX columns
 # ---------------------------------------------------------------------------
 
 
@@ -417,194 +440,30 @@ def test_dedup_drops_same_path_line_rule():
     kept = _dedup([first, dup])
     assert kept == [first]
     # Different rule at the same location survives.
-    other = Finding("DET003", "different rule", "a.py", 3, 0)
+    other = Finding("DET002", "different rule", "a.py", 3, 0)
     assert _dedup([first, other]) == [first, other]
 
 
-def test_syntax_findings_carry_column_in_all_formats(tmp_path, capsys):
+def test_syntax_findings_carry_column(tmp_path, capsys):
     bad = tmp_path / "broken.py"
     bad.write_text("def broken(:\n")
-    base = [str(bad), "--no-cache", "--no-baseline"]
-
-    assert lint_main(base) == 1
-    text = capsys.readouterr().out
-    first = text.splitlines()[0]
+    assert lint_main([str(bad)]) == 1
+    first = capsys.readouterr().out.splitlines()[0]
     # path:line:col: SYNTAX ... — the col field is a real offset.
     col = int(first.split(":")[2])
     assert col > 0 and "SYNTAX" in first
 
-    assert lint_main(base + ["--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["findings"][0]["rule"] == "SYNTAX"
-    assert payload["findings"][0]["col"] == col
-
-    assert lint_main(base + ["--format", "sarif"]) == 1
-    sarif = json.loads(capsys.readouterr().out)
-    result = sarif["runs"][0]["results"][0]
-    assert result["ruleId"] == "SYNTAX"
-    assert result["level"] == "error"
-    assert result["locations"][0]["physicalLocation"]["region"][
-        "startColumn"
-    ] == col + 1
-
-
-def test_sarif_document_shape():
-    findings = [
-        Finding("DET001", "unseeded rng", "src/x.py", 4, 2),
-        Finding("CACHE001", "env read", "src/y.py", 9, 0),
-    ]
-    sarif = json.loads(render_sarif(findings))
-    assert sarif["version"] == "2.1.0"
-    run = sarif["runs"][0]
-    rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert rule_ids == sorted({"DET001", "CACHE001"})
-    for res, finding in zip(run["results"], findings):
-        assert res["ruleId"] == finding.rule
-        loc = res["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == finding.path
-        assert loc["region"]["startLine"] == finding.line
-        assert loc["region"]["startColumn"] == finding.col + 1
-        assert rule_ids[res["ruleIndex"]] == res["ruleId"]
-
 
 # ---------------------------------------------------------------------------
-# Changed-file scoping
+# Operational budget on the real tree
 # ---------------------------------------------------------------------------
 
 
-def test_changed_files_scope_report_but_not_analysis():
-    files = _experiment(
-        "import os\n\ndef run_demo(seed=0):\n    return os.environ.get('HOME')\n"
-    )
-    entry_path = str(Path("src/repro/experiments/demo.py").resolve())
-    registry_path = str(Path("src/repro/experiments/__init__.py").resolve())
-
-    scoped = analyze(files, select=["CACHE001"], changed_files={entry_path})
-    assert "CACHE001" in codes(scoped)
-
-    # Only the registry module "changed": the finding (in demo.py) is
-    # scoped out of the report even though the analysis still saw the
-    # whole project.
-    other = analyze(files, select=["CACHE001"], changed_files={registry_path})
-    assert other == []
-
-
-# ---------------------------------------------------------------------------
-# Baseline workflow
-# ---------------------------------------------------------------------------
-
-
-def test_baseline_subtracts_known_findings_and_reports_new_ones():
-    files = _one_module(
-        "def enqueue(v, last_finish, length, rate):\n"
-        "    return max(v, last_finish) + length / rate\n"
-    )
-    raw = analyze(files, select=["TAG002"])
-    assert codes(raw) == ["TAG002"]
-
-    baseline = Baseline.from_findings(raw)
-    assert analyze(files, select=["TAG002"], baseline=baseline) == []
-    assert baseline.unused() == []
-
-    # A second occurrence of the same violation is NEW (count exceeded).
-    files2 = _one_module(
-        "def enqueue(v, last_finish, length, rate):\n"
-        "    return max(v, last_finish) + length / rate\n"
-        "\n"
-        "def enqueue2(v, last_finish, length, rate):\n"
-        "    return max(v, last_finish) + length / rate\n"
-    )
-    leftover = analyze(files2, select=["TAG002"], baseline=baseline)
-    assert codes(leftover) == ["TAG002"]
-
-
-def test_baseline_round_trips_and_flags_stale_entries(tmp_path):
-    baseline = Baseline.from_findings(
-        [Finding("TAG002", "gone finding", "src/old.py", 7, 0)]
-    )
-    path = tmp_path / "baseline.json"
-    baseline.write(str(path))
-    loaded = Baseline.load(str(path))
-    assert loaded is not None
-    assert loaded.filter([]) == []
-    assert loaded.unused() == [("src/old.py", "TAG002", "gone finding")]
-
-
-# ---------------------------------------------------------------------------
-# Analysis cache
-# ---------------------------------------------------------------------------
-
-
-def test_project_cache_hit_on_unchanged_tree(tmp_path):
-    cache = AnalysisCache(str(tmp_path / "cache"))
-    files = _one_module(
-        "def enqueue(v, last_finish, length, rate):\n"
-        "    return max(v, last_finish) + length / rate\n"
-    )
-    cold = analyze_paths(
-        [p for p, _ in files], select=["TAG002"], files=files, cache=cache
-    )
-    assert not cold.project_cache_hit
-    warm = analyze_paths(
-        [p for p, _ in files], select=["TAG002"], files=files, cache=cache
-    )
-    assert warm.project_cache_hit
-    assert warm.findings == cold.findings
-
-
-def test_cache_invalidated_by_source_or_ruleset_change(tmp_path):
-    cache = AnalysisCache(str(tmp_path / "cache"))
-    files = _one_module("x = 1\n")
-    analyze_paths([p for p, _ in files], files=files, cache=cache)
-    edited = _one_module("x = 2\n")
-    assert not analyze_paths(
-        [p for p, _ in edited], files=edited, cache=cache
-    ).project_cache_hit
-    assert not analyze_paths(
-        [p for p, _ in files], select=["TAG002"], files=files, cache=cache
-    ).project_cache_hit
-
-
-# ---------------------------------------------------------------------------
-# Operational budget + self-check on the real tree
-# ---------------------------------------------------------------------------
-
-
-def test_full_analysis_meets_time_budget(tmp_path):
-    src = str(REPO_ROOT / "src")
-    cache = AnalysisCache(str(tmp_path / "cache"))
-
+def test_full_analysis_meets_time_budget():
     t0 = time.perf_counter()
-    cold = analyze_paths([src], cache=cache)
+    analyze_paths([str(REPO_ROOT / "src")])
     cold_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    warm = analyze_paths([src], cache=cache)
-    warm_s = time.perf_counter() - t0
-
-    assert warm.project_cache_hit
-    assert warm.raw_findings == cold.raw_findings
     assert cold_s < 10.0, f"cold full analysis took {cold_s:.2f}s (budget 10s)"
-    assert warm_s < 2.0, f"warm full analysis took {warm_s:.2f}s (budget 2s)"
-
-
-def test_source_tree_clean_or_exactly_baselined(monkeypatch):
-    """src/ has no findings beyond the committed baseline — and the
-    baseline holds no stale entries (it only ever ratchets down)."""
-    # The baseline stores repo-relative paths, so analyze like the CLI
-    # does: from the repo root.
-    monkeypatch.chdir(REPO_ROOT)
-    baseline = Baseline.load(DEFAULT_BASELINE_PATH)
-    result = analyze_paths(["src"], baseline=baseline)
-    assert result.findings == [], (
-        "new findings not covered by the baseline:\n"
-        + "\n".join(f.format() for f in result.findings)
-    )
-    if baseline is not None:
-        assert baseline.unused() == [], (
-            "stale baseline entries (fixed findings still listed): "
-            f"{baseline.unused()}"
-        )
 
 
 def test_every_project_rule_is_exercised_here():
