@@ -17,16 +17,20 @@ care which of the two they see. The tuple has no ``append``, so a
 writer that bypasses ``push`` fails loudly instead of queueing into
 shared state.
 
-Two hot-path caches live here as well:
+``weight`` is a plain attribute, because every rank reads it.
+:meth:`repro.core.base.Scheduler.set_weight` is its one writer after
+construction and rejects a non-positive weight. Two more per-flow
+values live here:
 
-* ``inv_weight`` — the precomputed :math:`1/r_f`, kept in sync with
-  ``weight`` by a property setter. Consumers that tolerate reciprocal
-  rounding (e.g. the fairness monitor's normalized-service accounting,
-  whose bound checks carry explicit slack) multiply by it instead of
-  dividing per packet. Tag computation deliberately does *not* use it:
-  ``l * (1/r)`` and ``l / r`` differ in ulps for non-dyadic rates, and
-  the trace-equivalence suite requires schedules byte-identical to the
-  seed core's;
+* ``inv_weight`` — :math:`1/r_f`, computed on each read rather than
+  cached, so no setter has to keep a second slot in step with
+  ``weight``. Consumers that tolerate reciprocal rounding (e.g. the
+  fairness monitor's normalized-service accounting, whose bound checks
+  carry explicit slack) read it once per arrival and multiply by it
+  instead of dividing per packet. Tag computation deliberately does
+  *not* use it: ``l * (1/r)`` and ``l / r`` differ in ulps for
+  non-dyadic rates, and the trace-equivalence suite requires schedules
+  byte-identical to the seed core's;
 * ``heap_entry`` / ``tie_keys`` — scratch used by
   :class:`repro.core.pifo.PifoScheduler` to track this flow's
   entry in the flow-head heap. ``tie_keys`` (non-FIFO tie rules only)
@@ -90,8 +94,7 @@ class FlowState:
 
     __slots__ = (
         "flow_id",
-        "_weight",
-        "inv_weight",
+        "weight",
         "queue",
         "last_finish",
         "max_length_seen",
@@ -107,8 +110,8 @@ class FlowState:
         if weight <= 0:
             raise ValueError(f"flow weight must be positive, got {weight}")
         self.flow_id = flow_id
-        self._weight = float(weight)
-        self.inv_weight = 1.0 / self._weight
+        #: Flow rate :math:`r_f` (bits/s).
+        self.weight = float(weight)
         #: Queued packets: a deque while backlogged, IDLE_QUEUE while idle.
         self.queue: Union[Deque[Packet], Tuple[()]] = IDLE_QUEUE
         # Finish tag of the last arrived packet: F(p_f^0) = 0 per the paper.
@@ -125,17 +128,9 @@ class FlowState:
         self.tie_keys: Optional[Deque[Tuple[Any, ...]]] = None
 
     @property
-    def weight(self) -> float:
-        """Flow rate :math:`r_f` (bits/s); assignment refreshes ``inv_weight``."""
-        return self._weight
-
-    @weight.setter
-    def weight(self, value: float) -> None:
-        value = float(value)
-        if value <= 0:
-            raise ValueError(f"flow weight must be positive, got {value}")
-        self._weight = value
-        self.inv_weight = 1.0 / value
+    def inv_weight(self) -> float:
+        """:math:`1/r_f`, computed on read (see the module docstring)."""
+        return 1.0 / self.weight
 
     # ------------------------------------------------------------------
     # Queue operations
@@ -188,7 +183,7 @@ class FlowState:
 
     def packet_rate(self, packet: Packet) -> float:
         """Rate assigned to ``packet``: its own rate or the flow weight."""
-        return packet.rate if packet.rate is not None else self._weight
+        return packet.rate if packet.rate is not None else self.weight
 
     @property
     def eat(self) -> EATTracker:
@@ -208,6 +203,6 @@ class FlowState:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"FlowState({self.flow_id!r}, w={self._weight:.9g}, "
+            f"FlowState({self.flow_id!r}, w={self.weight:.9g}, "
             f"backlog={len(self.queue)}p, F_prev={self.last_finish:.9g})"
         )

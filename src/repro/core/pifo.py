@@ -98,9 +98,9 @@ class RankFlow(Protocol):
     __slots__ = ()
 
     last_finish: float
-
-    @property
-    def weight(self) -> float: ...
+    #: The flow rate :math:`r_f` (bits/s). A plain attribute, so a rank
+    #: reads it without a call.
+    weight: float
 
     @property
     def queue(self) -> Sequence[Packet]: ...
@@ -663,7 +663,8 @@ class PifoScheduler(Scheduler):
         self._backlog_bits += length
         key, tie = self._rank.rank(state, packet, now)
         queue = state.queue
-        if not queue:
+        was_idle = not queue
+        if was_idle:
             # FlowState.push, inlined: the first packet takes a deque.
             queue = deque()
             state.queue = queue
@@ -679,7 +680,7 @@ class PifoScheduler(Scheduler):
             if keys is None:
                 keys = state.tie_keys = deque()
             keys.append(tie)
-        if len(queue) == 1:
+        if was_idle:
             # The flow just became backlogged: its head enters the heap.
             entry: HeapEntry = [key, tie, packet.uid, packet, state]
             state.heap_entry = entry

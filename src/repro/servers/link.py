@@ -78,9 +78,11 @@ class Link:
         "_busy",
         "_pause_depth",
         "_in_flight",
+        "_in_flight_handle",
         "_completion",
         "_wakeup",
         "_records",
+        "_reserve_inline",
         "bits_transmitted",
         "packets_transmitted",
         "packets_dropped",
@@ -136,8 +138,19 @@ class Link:
         self._in_flight: Optional[Packet] = None
         self._completion = None  # pending transmission-complete event
         self._wakeup = None  # pending eligibility wake-up event
-        # packet uid -> tracer handle (only populated while tracing).
+        # packet uid -> tracer handle of each *queued* packet (only
+        # populated while tracing). _arm_next pops the served packet's
+        # handle into _in_flight_handle, so a traced packet costs one
+        # store and one pop here.
         self._records: Dict[int, object] = {}
+        #: Tracer handle of the packet on the transmitter, or None.
+        self._in_flight_handle: Optional[object] = None
+        # Bound once: _complete tries it on every departure. The seed
+        # engine (tests/reference) has no reserve_inline; the fast path
+        # simply stays off there.
+        self._reserve_inline: Optional[Callable[[float], bool]] = getattr(
+            sim, "reserve_inline", None
+        )
         self.bits_transmitted = 0
         self.packets_transmitted = 0
         self.packets_dropped = 0
@@ -296,8 +309,9 @@ class Link:
         self._busy = True
         self._in_flight = packet
         if self._records:
-            handle = self._records.get(packet.uid)
+            handle = self._records.pop(packet.uid, None)
             if handle is not None:
+                self._in_flight_handle = handle
                 self.tracer.mark_start(handle, now)
         return packet, self.capacity.finish_time(now, packet.length)
 
@@ -324,9 +338,7 @@ class Link:
         identical either way.
         """
         sim = self.sim
-        # The seed engine (tests/reference) has no reserve_inline; the
-        # fast path simply stays off there.
-        reserve = getattr(sim, "reserve_inline", None)
+        reserve = self._reserve_inline
         scheduler = self.scheduler
         metrics = self.metrics
         now = sim.now
@@ -334,10 +346,10 @@ class Link:
             self._busy = False
             self._in_flight = None
             self._completion = None
-            if self._records:
-                handle = self._records.pop(packet.uid, None)
-                if handle is not None:
-                    self.tracer.mark_departure(handle, now)
+            handle = self._in_flight_handle
+            if handle is not None:
+                self._in_flight_handle = None
+                self.tracer.mark_departure(handle, now)
             self.bits_transmitted += packet.length
             self.packets_transmitted += 1
             if metrics.enabled:
@@ -418,7 +430,7 @@ class Link:
         packet = self._in_flight
         if packet is not None:
             if recovery == "replay":
-                handle = self._records.get(packet.uid)
+                handle = self._in_flight_handle
                 if handle is not None:
                     self.tracer.mark_start(handle, now)
                 finish = self.capacity.finish_time(now, packet.length)
@@ -432,7 +444,8 @@ class Link:
             # service from a queue eviction.
             self._busy = False
             self._in_flight = None
-            handle = self._records.pop(packet.uid, None)
+            handle = self._in_flight_handle
+            self._in_flight_handle = None
             if handle is not None:
                 self.tracer.mark_dropped(handle)
             packet.meta["outage_drop"] = True

@@ -5,6 +5,10 @@ pending callbacks, a clock, and run controls. Everything else in the
 reproduction (links, sources, TCP, tandems) is built by scheduling
 callbacks on a shared ``Simulator``.
 
+The clock, ``Simulator.now``, is a plain attribute rather than a
+property, because a property read is a Python call and every packet
+reads the clock several times. Only the engine writes it.
+
 Determinism
 -----------
 Events at equal timestamps fire in the order they were scheduled
@@ -47,6 +51,9 @@ a successfully reserved instant provably has no other event the loop
 could have interleaved, and the event counter advances exactly as if
 the timer had been popped. :class:`repro.servers.link.Link` uses this
 to chain back-to-back departures of a busy period (see HACKING.md).
+The test reads the head of the queue's heap directly and falls back to
+``peek_live`` only when that head is a cancelled entry at or before
+``time``.
 
 Arrival streams (batch admission)
 ---------------------------------
@@ -97,6 +104,13 @@ class SimulationError(Exception):
 class Simulator:
     """Discrete-event simulator with a float-seconds clock.
 
+    ``now`` is the current simulation time in seconds. It is a plain
+    attribute, not a property, because the packet path reads it several
+    times per packet. Treat it as read-only: only the engine writes it
+    (the run loops here and in :mod:`repro.simulation.eventq`, and
+    :meth:`reserve_inline`), and ``tests/test_engine.py`` fails on an
+    assignment to it anywhere else in the package.
+
     Parameters
     ----------
     start_time:
@@ -104,10 +118,10 @@ class Simulator:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_queue",
         "_push",
-        "_peek_live",
+        "_heap",
         "_streams",
         "_running",
         "_stopped",
@@ -118,10 +132,10 @@ class Simulator:
     )
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        self.now = float(start_time)
         self._queue = BinaryHeapQueue()
         self._push = self._queue.push
-        self._peek_live = self._queue.peek_live
+        self._heap = self._queue.heap
         self._streams: List[ArrivalStream] = []
         self._running = False
         self._stopped = False
@@ -131,13 +145,8 @@ class Simulator:
         self._budget_left: Optional[int] = None
 
     # ------------------------------------------------------------------
-    # Clock
+    # Run state
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of events fired so far (for complexity accounting)."""
@@ -171,13 +180,13 @@ class Simulator:
         cancellable :class:`~repro.simulation.events.Event` handle; use
         :meth:`call_at` when no handle is needed.
         """
-        if not time >= self._now:  # also catches NaN
+        if not time >= self.now:  # also catches NaN
             if math.isnan(time):
                 raise SimulationError("cannot schedule an event at NaN")
             raise SimulationError(
-                f"cannot schedule into the past: {time} < now={self._now}"
+                f"cannot schedule into the past: {time} < now={self.now}"
             )
-        event = Event(time, callback, args, priority=priority)
+        event = Event(time, callback, args, priority)
         self._push((time, priority, event.seq, event))
         return event
 
@@ -191,7 +200,7 @@ class Simulator:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.at(self._now + delay, callback, *args, priority=priority)
+        return self.at(self.now + delay, callback, *args, priority=priority)
 
     def call_at(
         self,
@@ -207,11 +216,11 @@ class Simulator:
         the timer cannot be cancelled. Use for the overwhelmingly common
         timers that never need cancellation (source emissions, wake-ups).
         """
-        if not time >= self._now:  # also catches NaN
+        if not time >= self.now:  # also catches NaN
             if math.isnan(time):
                 raise SimulationError("cannot schedule an event at NaN")
             raise SimulationError(
-                f"cannot schedule into the past: {time} < now={self._now}"
+                f"cannot schedule into the past: {time} < now={self.now}"
             )
         self._push((time, priority, next(_sequence), None, callback, args))
 
@@ -225,7 +234,7 @@ class Simulator:
         """Schedule ``callback(*args)`` after ``delay`` seconds, fire-and-forget."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        self.call_at(self._now + delay, callback, *args, priority=priority)
+        self.call_at(self.now + delay, callback, *args, priority=priority)
 
     def attach_stream(self, stream: ArrivalStream) -> None:
         """Merge an :class:`ArrivalStream` into the event loop.
@@ -237,10 +246,10 @@ class Simulator:
         """
         if math.isnan(stream.next_time):
             raise SimulationError("arrival stream next_time is NaN")
-        if stream.next_time < self._now:
+        if stream.next_time < self.now:
             raise SimulationError(
                 f"arrival stream starts in the past: "
-                f"{stream.next_time} < now={self._now}"
+                f"{stream.next_time} < now={self.now}"
             )
         self._streams.append(stream)
 
@@ -313,9 +322,9 @@ class Simulator:
                 self._queue.drain(self, limit)
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stopped:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until and not self._stopped:
+            self.now = until
+        return self.now
 
     def _run_generic(self, limit: float) -> None:
         """Run loop handling arrival streams and ``max_events`` budgets.
@@ -334,7 +343,7 @@ class Simulator:
             if stream is not None and stream_t <= heap_t:
                 if stream_t > limit:
                     break
-                self._now = stream_t
+                self.now = stream_t
                 self._events_processed += 1
                 stream.fire()
             elif head is not None:
@@ -342,7 +351,7 @@ class Simulator:
                 if time > limit:
                     break
                 queue.pop()
-                self._now = time
+                self.now = time
                 self._events_processed += 1
                 event = head[3]
                 if event is None:
@@ -365,7 +374,7 @@ class Simulator:
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> float:
         """Run for ``duration`` simulated seconds from the current time."""
-        return self.run(until=self._now + duration, max_events=max_events)
+        return self.run(until=self.now + duration, max_events=max_events)
 
     # ------------------------------------------------------------------
     # Busy-period timer elision
@@ -390,18 +399,27 @@ class Simulator:
         budget = self._budget_left
         if budget is not None and budget <= 1:
             return False
-        head = self._peek_live()
-        if head is not None and head[0] <= time:
-            return False
+        heap = self._heap
+        if heap:
+            head = heap[0]
+            if head[0] <= time:
+                # A live head at or before ``time`` blocks; a cancelled
+                # one is skipped by the loop, so look past it.
+                event = head[3]
+                if event is None or not event.cancelled:
+                    return False
+                head = self._queue.peek_live()
+                if head is not None and head[0] <= time:
+                    return False
         if self._streams:
             stream_t, _ = self._min_stream()
             if stream_t <= time:
                 return False
         if budget is not None:
             self._budget_left = budget - 1
-        self._now = time
+        self.now = time
         self._events_processed += 1
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Simulator(now={self._now:.9g}, pending={len(self._queue)})"
+        return f"Simulator(now={self.now:.9g}, pending={len(self._queue)})"

@@ -16,6 +16,12 @@ those calls *in this module* is what makes the PERF002 lint rule (no
 direct heap surgery on the simulator event queue outside
 ``repro.simulation.eventq``) enforceable: everything outside this file
 goes through the queue's ``push``/``pop``/``peek_live``/``drain``.
+The one exception is a read: the heap list is the public attribute
+``heap``, and the engine's busy-period check reads ``heap[0]`` without
+a call. Only this module mutates it.
+
+``drain`` advances the engine's clock by writing ``sim.now``, a plain
+attribute of the :class:`~repro.simulation.engine.Simulator`.
 
 An optional compiled extension of this module may be built with
 ``scripts/build_compiled.py`` (mypyc); the import system then prefers
@@ -37,23 +43,26 @@ __all__ = ["BinaryHeapQueue"]
 class BinaryHeapQueue:
     """The event queue: a single ``heapq`` tuple heap."""
 
-    __slots__ = ("_heap", "push")
+    __slots__ = ("heap", "push")
 
     def __init__(self) -> None:
-        self._heap: List[Entry] = []
+        #: The heap list itself. The engine reads ``heap[0]`` directly
+        #: (``Simulator.reserve_inline``); nothing outside this module
+        #: mutates it (lint rule PERF002).
+        self.heap: List[Entry] = []
         #: Bound C-level push (``partial(heappush, heap)``) — saves a
         #: Python-level frame on the hottest call in the engine.
-        self.push: Callable[[Entry], None] = partial(heappush, self._heap)
+        self.push: Callable[[Entry], None] = partial(heappush, self.heap)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def pop(self) -> Entry:
-        return heappop(self._heap)
+        return heappop(self.heap)
 
     def peek_live(self) -> Optional[Entry]:
         """Head entry, discarding cancelled entries in place."""
-        heap = self._heap
+        heap = self.heap
         while heap:
             head = heap[0]
             event = head[3]
@@ -68,12 +77,12 @@ class BinaryHeapQueue:
 
         The engine's stream-free, unbudgeted hot loop: hoists the heap
         and ``heappop`` into locals and skips cancelled entries in
-        place. ``sim._now`` is advanced per event;
+        place. ``sim.now`` is advanced per event;
         ``sim._events_processed`` is settled once on exit (including
         the exceptional one — the failing event counts as fired, as in
         the seed loop).
         """
-        heap = self._heap
+        heap = self.heap
         pop = heappop
         fired = 0
         try:
@@ -87,7 +96,7 @@ class BinaryHeapQueue:
                 if time > limit:
                     break
                 pop(heap)
-                sim._now = time
+                sim.now = time
                 fired += 1
                 if event is None:
                     entry[4](*entry[5])

@@ -103,10 +103,10 @@ class Tracer:
         so the declared return type is optional; this base
         implementation always records.
         """
+        # Every field positional: this runs once per packet, and CPython
+        # binds keyword arguments on a slower, unspecialized call path.
         return self.add(
-            PacketRecord(
-                flow=flow, seqno=seqno, length=length, arrival=time, server=self.name
-            )
+            PacketRecord(flow, seqno, length, time, None, None, False, self.name)
         )
 
     # ------------------------------------------------------------------

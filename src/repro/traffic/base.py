@@ -9,7 +9,6 @@ activate flows mid-run (Figure 1's source 3 starts 500 ms late; Figure
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from typing import Callable, Hashable, Optional
 
@@ -37,7 +36,6 @@ class Source(ABC):
         self.start_time = float(start_time)
         self.stop_time = stop_time
         self.max_packets = max_packets
-        self._seq = itertools.count()
         self.packets_sent = 0
         self.bits_sent = 0
         self._started = False
@@ -65,16 +63,17 @@ class Source(ABC):
         return False
 
     def _emit(self, length: int) -> Optional[Packet]:
-        """Create and deliver one packet now; respects stop conditions."""
+        """Create and deliver one packet now; respects stop conditions.
+
+        Returns ``None`` once the source is exhausted; this is the one
+        stop check a source needs per emission. The packet's ``seqno``
+        is the count of packets sent before it.
+        """
         if self._exhausted():
             return None
-        packet = Packet(
-            self.flow_id,
-            length,
-            arrival=self.sim.now,
-            seqno=next(self._seq),
-        )
-        self.packets_sent += 1
+        seqno = self.packets_sent
+        packet = Packet(self.flow_id, length, self.sim.now, seqno)
+        self.packets_sent = seqno + 1
         self.bits_sent += length
         self.ingress(packet)
         return packet

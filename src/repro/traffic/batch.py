@@ -179,7 +179,7 @@ class FleetTimeline:
         seqnos = self._seqnos
         seqno = seqnos[idx]
         seqnos[idx] = seqno + 1
-        packet = Packet(idx, self._length, arrival=state.times[pos], seqno=seqno)
+        packet = Packet(idx, self._length, state.times[pos], seqno)
         self.packets_sent += 1
         self.bits_sent += self._length
         pos += 1

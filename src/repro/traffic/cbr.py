@@ -39,9 +39,8 @@ class CBRSource(Source):
         self.rng = rng
 
     def _schedule_next(self) -> None:
-        if self._exhausted():
+        if self._emit(self.packet_length) is None:
             return
-        self._emit(self.packet_length)
         gap = self.interval
         if self.jitter > 0 and self.rng is not None:
             gap *= 1.0 + self.rng.uniform(-self.jitter, self.jitter)

@@ -41,10 +41,10 @@ class PoissonSource(Source):
         self.sim.call_after(self.rng.expovariate(self.intensity), self._schedule_next)
 
     def _schedule_next(self) -> None:
-        if self._exhausted():
+        if self._emit(self.packet_length) is None:
             return
-        self._emit(self.packet_length)
-        self.sim.call_after(self.rng.expovariate(self.intensity), self._schedule_next)
+        sim = self.sim
+        sim.call_at(sim.now + self.rng.expovariate(self.intensity), self._schedule_next)
 
 
 class OnOffSource(Source):

@@ -151,7 +151,7 @@ class TcpSender:
             self._arm_rto()
 
     def _transmit(self, seqno: int, is_retransmit: bool = False) -> None:
-        packet = Packet(self.flow_id, self.segment_bits, self.sim.now, seqno=seqno)
+        packet = Packet(self.flow_id, self.segment_bits, self.sim.now, seqno)
         if is_retransmit:
             self.retransmissions += 1
             self._retransmitted.add(seqno)

@@ -67,9 +67,9 @@ def test_rtt_sample_skipped_for_retransmitted_segment():
     sender.start()
     sim.run(max_events=2)  # segment 0 sent
     # Pretend a timeout retransmitted it much later.
-    sim._now = 10.0
+    sim.now = 10.0
     sender._transmit(0, is_retransmit=True)
-    sim._now = 30.0
+    sim.now = 30.0
     sender.on_ack(1)
     # A 30-second "sample" from a retransmitted segment must be ignored.
     assert sender.srtt is None or sender.srtt < 5.0

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro.simulation import Simulator
 from repro.simulation.engine import SimulationError
+
+PACKAGE_ROOT = pathlib.Path(repro.__file__).parent
+
+#: The engine modules allowed to advance the clock.
+CLOCK_WRITERS = {"simulation/engine.py", "simulation/eventq.py"}
 
 
 def test_clock_starts_at_zero():
@@ -229,3 +238,30 @@ def test_run_for_runs_relative_duration():
     assert sim.now == 2.0
     sim.run_for(3.0)
     assert fired == [1, 5]
+
+
+def test_only_the_engine_writes_the_clock():
+    """``Simulator.now`` is a plain attribute; nothing but the engine
+    may assign it (an assignment to any attribute named ``now`` counts)."""
+    offenders = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        rel = path.relative_to(PACKAGE_ROOT).as_posix()
+        if rel in CLOCK_WRITERS:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if (
+                        isinstance(sub, ast.Attribute)
+                        and sub.attr == "now"
+                        and isinstance(sub.ctx, ast.Store)
+                    ):
+                        offenders.append(f"{rel}:{sub.lineno}")
+    assert offenders == [], f"clock written outside the engine: {offenders}"

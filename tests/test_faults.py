@@ -56,6 +56,10 @@ def test_pause_aborts_in_flight_and_replay_retransmits():
     assert sink.received["f"] == [(3.0, 0)]
     assert link.packets_transmitted == 1
     assert link.packets_dropped == 0
+    # The tracer record follows the replay: service restarts at t=2.
+    (record,) = link.tracer.records
+    assert (record.start_service, record.departure) == (2.0, 3.0)
+    assert record.dropped is False
 
 
 def test_resume_drop_discards_in_flight_and_serves_next():
@@ -76,6 +80,10 @@ def test_resume_drop_discards_in_flight_and_serves_next():
     assert dropped[0][0].seqno == 0
     assert dropped[0][0].meta.get("outage_drop") is True
     assert link.scheduler.is_empty
+    lost, served = link.tracer.records
+    assert (lost.start_service, lost.departure) == (0.0, None)
+    assert lost.dropped is True
+    assert (served.start_service, served.departure) == (2.0, 3.0)
 
 
 def test_arrivals_during_outage_queue_and_drain_on_resume():
@@ -128,6 +136,8 @@ def test_overlapping_holds_keep_in_flight_packet():
     assert sink.received["f"] == [(4.0, 0)]
     assert link.packets_transmitted == 1
     assert link.packets_dropped == 0
+    (record,) = link.tracer.records
+    assert (record.start_service, record.departure) == (3.0, 4.0)
 
 
 def test_back_to_back_outages_from_two_injectors():
