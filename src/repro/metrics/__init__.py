@@ -22,7 +22,7 @@ or from the command line::
 
     python -m repro metrics figure1
     python -m repro run figure1 --metrics
-    python -m repro campaign figure1 --metrics   # shard snapshots merge
+    python -m repro campaign --only figure1 --metrics   # shard snapshots merge
 
 Layers:
 
@@ -30,7 +30,8 @@ Layers:
   Histogram, windowed RateMeter; constant memory, lossless payloads,
   shard-mergeable.
 * :mod:`~repro.metrics.hub` — per-server instrument registry with the
-  hot-path flow cache and the ``enabled`` guard flag.
+  ``enabled`` guard flag; its hot-path hooks buffer rows that it folds
+  into the instruments in batches and before every read.
 * :mod:`~repro.metrics.session` — ambient collection scope wiring hubs
   into servers without touching experiment signatures.
 * :mod:`~repro.metrics.snapshot` — schema-versioned JSON/CSV export

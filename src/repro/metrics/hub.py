@@ -6,16 +6,29 @@ with ``if metrics.enabled:``, so a server wired to the
 :data:`NULL_METRICS` singleton (the default) pays one attribute read
 per packet and nothing else. When a :class:`~repro.metrics.session.
 MetricsSession` is active, servers get a live hub and the same guard
-routes arrivals, departures, and drops into constant-memory instruments
-(:mod:`repro.metrics.instruments`).
+routes arrivals, departures, and drops into the instruments of
+:mod:`repro.metrics.instruments`.
 
-The per-flow hot path avoids repeated registry lookups with a handle
-cache (:class:`_FlowHandles`): the first packet of a flow resolves its
-six counters, two histograms and rate meter once; every later packet is
-a single dict get plus a handful of arithmetic updates. A ``Link`` makes
-two hub calls per packet, :meth:`MetricsHub.on_arrival` and
-:meth:`MetricsHub.on_served`, each carrying the scheduler backlog after
-the event for the ``queue_depth`` and ``backlog_bits`` gauges.
+A ``Link`` makes two hub calls per packet, :meth:`MetricsHub.on_arrival`
+and :meth:`MetricsHub.on_served`, each carrying the scheduler backlog
+after the event for the ``queue_depth`` and ``backlog_bits`` gauges.
+Neither hook touches an instrument: each appends the event's values to
+columns (per flow: lengths, delays and departure times; per hub:
+departure times and lengths for ``link_throughput``, backlog packets and
+bits for the two gauges). Every :data:`FOLD_ROWS` events the hub *folds*
+the columns into the instruments through their batch methods, per
+instrument in event order, so the instruments end bit-identical to one
+update per event.
+
+Fold-on-read contract: every read through the hub (``counter``,
+``gauge``, ``histogram``, ``rate_meter``, ``get``, ``labels``,
+``families``, ``to_payload`` and ``merge``) folds the buffered rows
+first, so it sees every event so far, and so does any instrument object
+fetched earlier, once a later hub read has run. Write to the standard
+families below only through the hooks: a write through a held
+instrument object lands before the rows still buffered. A hub's memory
+is its instruments plus at most :data:`FOLD_ROWS` buffered rows.
+:meth:`~MetricsHub.on_dropped` updates its two counters directly.
 
 Standard instrument catalog (what :meth:`MetricsHub.on_arrival` and
 friends populate; see HACKING.md "Metrics" for the full description):
@@ -64,6 +77,7 @@ __all__ = [
     "DEFAULT_RATE_WINDOW",
     "DELAY_HISTOGRAM",
     "LENGTH_HISTOGRAM",
+    "FOLD_ROWS",
 ]
 
 Instrument = Union[Counter, Gauge, Histogram, RateMeter]
@@ -83,6 +97,12 @@ DELAY_HISTOGRAM = (1e-6, 1e3, 64)
 #: 8 bits .. 10 Mbit (covers every packet size the experiments use).
 LENGTH_HISTOGRAM = (8.0, 1e7, 40)
 
+#: Buffered events (arrivals, departures and backlog samples) after
+#: which a hub folds its columns into the instruments. Large enough that
+#: a fold's few calls per flow vanish per packet, small enough that the
+#: buffer stays well under a MiB.
+FOLD_ROWS = 4096
+
 _KINDS: Dict[str, Type[Instrument]] = {
     "counter": Counter,
     "gauge": Gauge,
@@ -98,7 +118,7 @@ def _label_sort_key(label: Hashable) -> str:
 
 class _FlowHandles:
     """Resolved per-flow instruments — one registry lookup per flow,
-    not per packet."""
+    not per fold."""
 
     __slots__ = (
         "packets_arrived",
@@ -144,9 +164,12 @@ class MetricsHub:
         "rate_window",
         "_families",
         "_flow_cache",
-        "_link_throughput",
-        "_queue_depth",
-        "_backlog_bits",
+        "_arrived",
+        "_served",
+        "_link_times",
+        "_link_lengths",
+        "_depths",
+        "_bits",
     )
 
     #: Hot-path guard, in the style of ``Tracer.enabled``. Class-level
@@ -159,9 +182,19 @@ class MetricsHub:
         # family name -> (kind, {label: instrument})
         self._families: Dict[str, Tuple[str, Dict[Hashable, Instrument]]] = {}
         self._flow_cache: Dict[Hashable, _FlowHandles] = {}
-        self._link_throughput = self.rate_meter("link_throughput")
-        self._queue_depth = self.gauge("queue_depth")
-        self._backlog_bits = self.gauge("backlog_bits")
+        # Buffered rows, one column per instrument input (see _fold).
+        # flow -> accepted arrival lengths
+        self._arrived: Dict[Hashable, List[float]] = {}
+        # flow -> (departed lengths, delays, departure times)
+        self._served: Dict[Hashable, Tuple[List[float], List[float], List[float]]] = {}
+        self._link_times: List[float] = []
+        self._link_lengths: List[float] = []
+        # One entry per buffered event: its length is the row count.
+        self._depths: List[float] = []
+        self._bits: List[float] = []
+        self.rate_meter("link_throughput")
+        self.gauge("queue_depth")
+        self.gauge("backlog_bits")
 
     # ------------------------------------------------------------------
     # Generic instrument accessors (create-on-first-use)
@@ -181,6 +214,7 @@ class MetricsHub:
 
     def counter(self, family: str, label: Hashable = None) -> Counter:
         """The counter ``family{label}``, created on first use."""
+        self._fold()
         by_label = self._family(family, "counter")
         inst = by_label.get(label)
         if inst is None:
@@ -191,6 +225,7 @@ class MetricsHub:
 
     def gauge(self, family: str, label: Hashable = None) -> Gauge:
         """The gauge ``family{label}``, created on first use."""
+        self._fold()
         by_label = self._family(family, "gauge")
         inst = by_label.get(label)
         if inst is None:
@@ -211,6 +246,7 @@ class MetricsHub:
         """The histogram ``family{label}``; layout params apply only on
         first creation (all members of a family share one layout so
         shard merges stay bucket-compatible)."""
+        self._fold()
         by_label = self._family(family, "histogram")
         inst = by_label.get(label)
         if inst is None:
@@ -228,6 +264,7 @@ class MetricsHub:
     ) -> RateMeter:
         """The rate meter ``family{label}``; the window defaults to the
         hub's ``rate_window`` and applies only on first creation."""
+        self._fold()
         by_label = self._family(family, "ratemeter")
         inst = by_label.get(label)
         if inst is None:
@@ -246,7 +283,7 @@ class MetricsHub:
             self._flow_cache[flow] = handles
         return handles
 
-    def on_arrival(
+    def on_arrival(  # lint: hot
         self,
         flow: Hashable,
         length: float,
@@ -256,14 +293,17 @@ class MetricsHub:
     ) -> None:
         """An arrival was accepted; the scheduler now holds
         ``backlog_packets`` packets of ``backlog_bits`` bits."""
-        handles = self._flow(flow)
-        handles.packets_arrived.add(1)
-        handles.bits_arrived.add(length)
-        handles.packet_length.observe(length)
-        self._queue_depth.set(backlog_packets)
-        self._backlog_bits.set(backlog_bits)
+        try:
+            self._arrived[flow].append(length)
+        except KeyError:
+            self._arrived[flow] = [length]
+        depths = self._depths
+        depths.append(backlog_packets)
+        self._bits.append(backlog_bits)
+        if len(depths) >= FOLD_ROWS:
+            self._fold()
 
-    def on_served(
+    def on_served(  # lint: hot
         self,
         flow: Hashable,
         length: float,
@@ -274,14 +314,21 @@ class MetricsHub:
     ) -> None:
         """A packet finished transmission ``delay`` seconds after arrival,
         leaving ``backlog_packets`` packets of ``backlog_bits`` bits."""
-        handles = self._flow(flow)
-        handles.packets_served.add(1)
-        handles.bits_served.add(length)
-        handles.delay.observe(delay)
-        handles.throughput.add(now, length)
-        self._link_throughput.add(now, length)
-        self._queue_depth.set(backlog_packets)
-        self._backlog_bits.set(backlog_bits)
+        try:
+            lengths, delays, times = self._served[flow]
+        except KeyError:
+            lengths, delays, times = [], [], []
+            self._served[flow] = (lengths, delays, times)
+        lengths.append(length)
+        delays.append(delay)
+        times.append(now)
+        self._link_times.append(now)
+        self._link_lengths.append(length)
+        depths = self._depths
+        depths.append(backlog_packets)
+        self._bits.append(backlog_bits)
+        if len(depths) >= FOLD_ROWS:
+            self._fold()
 
     def on_dropped(self, flow: Hashable, length: float, now: float) -> None:
         """A packet was lost (buffer reject, eviction, or outage)."""
@@ -292,18 +339,60 @@ class MetricsHub:
     def on_queue_sample(self, packets: int, bits: float) -> None:
         """Record the scheduler backlog outside an arrival or departure
         (those hooks take it as arguments)."""
-        self._queue_depth.set(packets)
-        self._backlog_bits.set(bits)
+        depths = self._depths
+        depths.append(packets)
+        self._bits.append(bits)
+        if len(depths) >= FOLD_ROWS:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Apply the buffered rows to the instruments, each instrument's
+        rows in event order.
+
+        The columns are swapped for empty ones before any is applied, so
+        the accessors that resolve handles below find nothing to fold.
+        Packet counters take a column's row count in one ``add``: they
+        only ever hold ints, so that equals one ``add(1)`` per row.
+        """
+        depths = self._depths
+        if not depths:
+            return
+        arrived, served = self._arrived, self._served
+        link_times, link_lengths, bits = (
+            self._link_times, self._link_lengths, self._bits
+        )
+        self._arrived = {}
+        self._served = {}
+        self._link_times = []
+        self._link_lengths = []
+        self._depths = []
+        self._bits = []
+        for flow, lengths in arrived.items():
+            handles = self._flow(flow)
+            handles.packets_arrived.add(len(lengths))
+            handles.bits_arrived.add_many(lengths)
+            handles.packet_length.observe_many(lengths)
+        for flow, (lengths, delays, times) in served.items():
+            handles = self._flow(flow)
+            handles.packets_served.add(len(lengths))
+            handles.bits_served.add_many(lengths)
+            handles.delay.observe_many(delays)
+            handles.throughput.add_many(times, lengths)
+        self.rate_meter("link_throughput").add_many(link_times, link_lengths)
+        self.gauge("queue_depth").set_many(depths)
+        self.gauge("backlog_bits").set_many(bits)
 
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------
     def families(self) -> List[str]:
         """Registered family names, sorted."""
+        self._fold()
         return sorted(self._families)
 
     def labels(self, family: str) -> List[Hashable]:
         """Labels registered under ``family``, deterministically sorted."""
+        self._fold()
         entry = self._families.get(family)
         if entry is None:
             return []
@@ -311,6 +400,7 @@ class MetricsHub:
 
     def get(self, family: str, label: Hashable = None) -> Optional[Instrument]:
         """The instrument ``family{label}`` if it exists (no creation)."""
+        self._fold()
         entry = self._families.get(family)
         if entry is None:
             return None
@@ -318,6 +408,7 @@ class MetricsHub:
 
     def to_payload(self) -> Dict[str, Any]:
         """Lossless JSON-compatible state, deterministically ordered."""
+        self._fold()
         instruments = []
         for family in sorted(self._families):
             kind, by_label = self._families[family]
@@ -354,20 +445,18 @@ class MetricsHub:
             by_label[decode_label(item["label"])] = instrument_cls.from_payload(
                 item["state"]
             )
-        # Re-bind the unlabeled convenience handles to the restored
-        # instruments (the constructor created fresh empty ones).
-        hub._link_throughput = hub.rate_meter("link_throughput")
-        hub._queue_depth = hub.gauge("queue_depth")
-        hub._backlog_bits = hub.gauge("backlog_bits")
         return hub
 
     def merge(self, other: "MetricsHub") -> None:
         """Accumulate another hub (a campaign shard) into this one.
 
-        Shared instruments merge kind-wise (counters sum, gauges max,
-        histograms bucket-wise, rate meters window-wise); instruments
-        only the other hub has are deep-copied in via their payloads.
+        Both hubs fold their buffered rows first. Shared instruments
+        merge kind-wise, in place (counters sum, gauges max, histograms
+        bucket-wise, rate meters window-wise); instruments only the
+        other hub has are deep-copied in via their payloads.
         """
+        self._fold()
+        other._fold()
         for family, (kind, by_label) in other._families.items():
             mine = self._family(family, kind)
             for label, instrument in by_label.items():
@@ -379,11 +468,6 @@ class MetricsHub:
                 else:
                     # Kinds match within a family, so these are same-type.
                     existing.merge(instrument)  # type: ignore[arg-type]
-        # Merged-in instruments invalidate cached handles.
-        self._flow_cache.clear()
-        self._link_throughput = self.rate_meter("link_throughput")
-        self._queue_depth = self.gauge("queue_depth")
-        self._backlog_bits = self.gauge("backlog_bits")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         n = sum(len(by_label) for _, by_label in self._families.values())

@@ -1,12 +1,26 @@
 """Streaming instruments: Counter, Gauge, Histogram, RateMeter.
 
-Each instrument is a constant-memory online accumulator designed for
-the per-packet hot path: updates are a handful of arithmetic operations
-and dict/list accesses, never an allocation proportional to the number
-of observations. All state is a pure function of the observation
-sequence (values and simulation timestamps), so two runs that process
-the same packets produce bit-identical instruments — the same property
-the campaign cache and the trace-equivalence suite rely on elsewhere.
+Each instrument is a constant-memory online accumulator: updates are a
+handful of arithmetic operations and dict/list accesses, never an
+allocation proportional to the number of observations. All state is a
+pure function of the observation sequence (values and simulation
+timestamps), so two runs that process the same packets produce
+bit-identical instruments — the same property the campaign cache and
+the trace-equivalence suite rely on elsewhere.
+
+Each instrument has one batch update method, written as a plain
+in-order loop (:meth:`Counter.add_many`, :meth:`Gauge.set_many`,
+:meth:`Histogram.observe_many`, :meth:`RateMeter.add_many`), and its
+single-event method (``add``, ``set``, ``observe``) hands that method a
+one-element batch. Each bucketing, windowing and high-water rule is
+therefore written once, and a batch leaves an instrument bit-identical
+to the same values applied one at a time: floats are added in arrival
+order, never through ``sum()`` or ``math.fsum``. A live
+:class:`~repro.metrics.hub.MetricsHub` buffers its per-packet rows and
+folds them in through these batch methods (see its fold-on-read
+contract), so an instrument object read straight after a hub hook may
+not yet include that event: read through the hub, or after any hub
+read.
 
 Every instrument supports a lossless payload round-trip
 (:meth:`to_payload` / ``from_payload``) and an in-place :meth:`merge`
@@ -23,7 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -76,7 +90,14 @@ class Counter:
 
     def add(self, amount: float = 1) -> None:
         """Accumulate ``amount`` (typically 1 or a packet length)."""
-        self.value += amount
+        self.add_many((amount,))
+
+    def add_many(self, amounts: Iterable[float]) -> None:  # lint: hot
+        """Accumulate each of ``amounts``, in order."""
+        value = self.value
+        for amount in amounts:
+            value += amount
+        self.value = value
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-compatible state."""
@@ -112,9 +133,17 @@ class Gauge:
 
     def set(self, value: float) -> None:
         """Record the current level."""
+        self.set_many((value,))
+
+    def set_many(self, values: Iterable[float]) -> None:  # lint: hot
+        """Record each of ``values`` in turn: the last is the level."""
+        value = self.value
+        high = self.high
+        for value in values:
+            if value > high:
+                high = value
         self.value = value
-        if value > self.high:
-            self.high = value
+        self.high = high
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-compatible state."""
@@ -181,13 +210,31 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        self.counts[bisect_right(self._edges, value)] += 1
-        self.count += 1
-        self.total += value
-        if self.vmin is None or value < self.vmin:
-            self.vmin = value
-        if self.vmax is None or value > self.vmax:
-            self.vmax = value
+        self.observe_many((value,))
+
+    def observe_many(self, values: Sequence[float]) -> None:  # lint: hot
+        """Record each of ``values``, in order."""
+        counts = self.counts
+        edges = self._edges
+        total = self.total
+        vmin = self.vmin
+        vmax = self.vmax
+        last: Optional[float] = None
+        index = 0
+        for value in values:
+            if value != last:  # a run of one packet size bisects once
+                index = bisect_right(edges, value)
+                last = value
+            counts[index] += 1
+            total += value
+            if vmin is None or value < vmin:
+                vmin = value
+            if vmax is None or value > vmax:
+                vmax = value
+        self.count += len(values)
+        self.total = total
+        self.vmin = vmin
+        self.vmax = vmax
 
     @property
     def mean(self) -> float:
@@ -288,11 +335,36 @@ class RateMeter:
 
     def add(self, now: float, amount: float) -> None:
         """Accumulate ``amount`` into the window containing ``now``."""
-        index = int(now / self.window)
-        bucket = self.buckets.get(index)
-        self.buckets[index] = amount if bucket is None else bucket + amount
-        if now > self.last_time:
-            self.last_time = now
+        self.add_many((now,), (amount,))
+
+    def add_many(  # lint: hot
+        self, times: Iterable[float], amounts: Iterable[float]
+    ) -> None:
+        """Accumulate each ``amounts[i]`` into the window containing
+        ``times[i]``, in order."""
+        window = self.window
+        buckets = self.buckets
+        get = buckets.get
+        last_time = self.last_time
+        # The open window's running sum stays in ``acc`` until the next
+        # row falls in another window: same additions, in the same order.
+        open_index: Optional[int] = None
+        acc = 0.0
+        for now, amount in zip(times, amounts):
+            index = int(now / window)
+            if index == open_index:
+                acc += amount
+            else:
+                if open_index is not None:
+                    buckets[open_index] = acc
+                bucket = get(index)
+                acc = amount if bucket is None else bucket + amount
+                open_index = index
+            if now > last_time:
+                last_time = now
+        if open_index is not None:
+            buckets[open_index] = acc
+        self.last_time = last_time
 
     @property
     def total(self) -> float:

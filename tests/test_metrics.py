@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 
 import pytest
@@ -41,6 +42,7 @@ from repro.metrics import (
     encode_label,
     hub_for,
 )
+from repro.metrics.hub import FOLD_ROWS
 from repro.servers import ConstantCapacity, Link
 from repro.simulation import Simulator
 
@@ -207,8 +209,12 @@ def test_null_hub_is_disabled_but_fully_functional():
 
 def _feed_through_instruments(hub, events):
     """The hub hooks' contract, spelled with the instruments' own
-    update methods: the reference the hooks must match."""
+    single-event methods: the reference the hooks must match."""
     for kind, flow, length, delay, now, packets, bits in events:
+        if kind == "sample":
+            hub.gauge("queue_depth").set(packets)
+            hub.gauge("backlog_bits").set(bits)
+            continue
         handles = hub._flow(flow)
         if kind == "arrival":
             handles.packets_arrived.add(1)
@@ -234,20 +240,36 @@ def _feed_through_hooks(hub, events):
             hub.on_arrival(flow, length, now, packets, bits)
         elif kind == "served":
             hub.on_served(flow, length, delay, now, packets, bits)
+        elif kind == "sample":
+            hub.on_queue_sample(packets, bits)
         else:
             hub.on_dropped(flow, length, now)
 
 
-def test_hub_hooks_match_instrument_methods_on_a_seeded_stream():
-    rng = random.Random(2024)
+def _seeded_events(seed, n):
+    """``n`` random hook events over four flows, after a run of lengths
+    and delays whose in-order float sum differs from a compensated
+    (``math.fsum``, or ``sum()`` on Python 3.12+) or regrouped one."""
+    rng = random.Random(seed)
     flows = ["a", "b", 7, ("t", 1)]
-    events, queued, now = [], [], 0.0
-    for _ in range(3000):
+    events = []
+    run = (0.3, 1e16, 1.0, -1e16)
+    for x in run:
+        events.append(("arrival", "a", x, 0.0, 0.0, 1, x))
+    for x in run:
+        events.append(("served", "a", x, x, 0.01, 0, 0.0))
+    queued, now = [], 0.02
+    while len(events) < n:
         now += rng.expovariate(50.0)
         roll = rng.random()
+        if roll < 0.06:
+            bits = rng.uniform(0, 1e5)
+            events.append(("sample", None, 0.0, 0.0, now, len(queued), bits))
+            continue
         if roll < 0.5 or not queued:
-            flow, length = rng.choice(flows), rng.choice((0, 64, 512, 12_000, 10**8))
-            if roll < 0.08:  # a reject never enters the queue
+            flow = rng.choice(flows)
+            length = rng.choice((0, 64, 512, 12_000, 10**8, rng.uniform(1.0, 1.2e4)))
+            if roll < 0.12:  # a reject never enters the queue
                 events.append(("dropped", flow, length, 0.0, now, 0, 0))
                 continue
             queued.append((flow, length, now))
@@ -258,15 +280,103 @@ def test_hub_hooks_match_instrument_methods_on_a_seeded_stream():
         events.append(
             (kind, flow, length, delay, now, len(queued), sum(q[1] for q in queued))
         )
+    return events, flows
 
-    payloads = []
-    for feed in (_feed_through_instruments, _feed_through_hooks):
-        hub = MetricsHub("srv", rate_window=0.05)
-        feed(hub, events)
-        payloads.append(json.dumps(hub.to_payload(), sort_keys=True))
-    assert payloads[0] == payloads[1]
-    served = sum(hub.counter("packets_served", f).value for f in flows)
+
+def _payload(hub):
+    return json.dumps(hub.to_payload(), sort_keys=True)
+
+
+def _hub():
+    return MetricsHub("srv", rate_window=0.05)
+
+
+def test_hub_hooks_match_instrument_methods_on_a_seeded_stream():
+    events, flows = _seeded_events(2024, 3 * FOLD_ROWS + 1201)
+    # Each read (and each payload compared after it) folds early; in the
+    # long gap between the second and third reads the hooks fold too.
+    reads = {
+        5: lambda hub: hub.labels("delay"),
+        FOLD_ROWS - 1: lambda hub: hub.get("delay", "a"),
+        3 * FOLD_ROWS + 17: lambda hub: hub.families(),
+    }
+    reference, hooked = _hub(), _hub()
+    done = 0
+    for at in sorted(reads) + [len(events)]:
+        _feed_through_instruments(reference, events[done:at])
+        _feed_through_hooks(hooked, events[done:at])
+        done = at
+        if at in reads:
+            reads[at](hooked)
+        assert _payload(hooked) == _payload(reference), f"after {at} events"
+    served = sum(hooked.counter("packets_served", f).value for f in flows)
     assert served == sum(e[0] == "served" for e in events) > 0
+    # The in-order run left the rounding a compensated sum would not.
+    assert hooked.counter("bits_arrived", "a").value != math.fsum(
+        e[2] for e in events if e[:2] == ("arrival", "a")
+    )
+
+    # Two hubs that still hold unfolded rows merge like their references.
+    merged, other, merged_ref, other_ref = _hub(), _hub(), _hub(), _hub()
+    cut = FOLD_ROWS + 1234
+    _feed_through_hooks(merged, events[:cut])
+    _feed_through_hooks(other, events[cut:])
+    assert merged._depths and other._depths  # both hold buffered rows
+    _feed_through_instruments(merged_ref, events[:cut])
+    _feed_through_instruments(other_ref, events[cut:])
+    merged.merge(other)
+    merged_ref.merge(other_ref)
+    assert _payload(merged) == _payload(merged_ref)
+    assert _payload(other) == _payload(other_ref)
+
+
+def test_hub_buffers_fewer_than_fold_rows():
+    events, _ = _seeded_events(7, 2 * FOLD_ROWS + 99)
+    events += [("sample", None, 0.0, 0.0, 0.0, 1, 1.0)] * (FOLD_ROWS + 1)
+    hub = MetricsHub("srv")
+    most = 0
+    for event in events:
+        _feed_through_hooks(hub, [event])
+        most = max(most, len(hub._depths))
+    assert most == FOLD_ROWS - 1
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda hub: hub.counter("packets_served", "a"),
+        lambda hub: hub.gauge("unrelated"),
+        lambda hub: hub.histogram("unrelated", lo=1.0, hi=2.0, bins=1),
+        lambda hub: hub.rate_meter("unrelated"),
+        lambda hub: hub.get("packets_served", "a"),
+        lambda hub: hub.labels("packets_served"),
+        lambda hub: hub.families(),
+        lambda hub: hub.to_payload(),
+        lambda hub: hub.merge(MetricsHub("empty")),
+    ],
+    ids=[
+        "counter", "gauge", "histogram", "rate_meter", "get", "labels",
+        "families", "to_payload", "merge",
+    ],
+)
+def test_every_hub_read_folds_buffered_rows(read):
+    hub = MetricsHub("srv")
+    hub.on_arrival("a", 100.0, 0.0, 1, 100.0)
+    # Fetched before the rows below: a later hub read brings it current.
+    served = hub.counter("packets_served", "a")
+    delay = hub.get("delay", "a")
+    depth = hub.gauge("queue_depth")
+    link = hub.get("link_throughput")
+    hub.on_served("a", 100.0, 0.25, 0.25, 2, 300.0)
+    hub.on_served("a", 50.0, 0.5, 0.5, 1, 50.0)
+    hub.on_queue_sample(7, 700.0)
+    assert hub._depths  # the rows above are still buffered
+    read(hub)
+    assert not hub._depths
+    assert served.value == 2
+    assert delay.count == 2 and delay.total == 0.75
+    assert (depth.value, depth.high) == (7, 7)
+    assert link.total == 150.0
 
 
 def test_histograms_of_one_layout_share_their_edges():
