@@ -108,8 +108,8 @@ def empirical_fairness_measure(
     interval realizing the worst gap (``(0.0, 0.0)`` if none) — which is
     invaluable when debugging a fairness-bound violation.
     """
-    recs_f = [r for r in tracer.iter_for_flow(flow_f) if r.departure is not None]
-    recs_m = [r for r in tracer.iter_for_flow(flow_m) if r.departure is not None]
+    recs_f = tracer.departed(flow_f)
+    recs_m = tracer.departed(flow_m)
     if not recs_f or not recs_m:
         return (0.0, (0.0, 0.0)) if return_interval else 0.0
     common = _intersect(backlogged_intervals(recs_f), backlogged_intervals(recs_m))

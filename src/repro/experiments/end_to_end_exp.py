@@ -125,7 +125,7 @@ def run_end_to_end(max_hops: int = 5, horizon: float = 10.0) -> ExperimentResult
         tandem, deltas = run_tandem(k, horizon=horizon)
         first = tandem.links[0].tracer
         records = sorted(
-            (r for r in first.for_flow(flow) if r.departure is not None),
+            first.departed(flow),
             key=lambda r: r.seqno,
         )
         eats = expected_arrival_times(

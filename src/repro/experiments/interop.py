@@ -99,7 +99,7 @@ def run_interop(horizon: float = 10.0) -> ExperimentResult:
     sim.run(until=horizon * 2)
 
     records = sorted(
-        (r for r in tandem.links[0].tracer.for_flow(flow) if r.departure is not None),
+        tandem.links[0].tracer.departed(flow),
         key=lambda r: r.seqno,
     )
     eats = expected_arrival_times(

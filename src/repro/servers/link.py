@@ -138,13 +138,15 @@ class Link:
         self._in_flight: Optional[Packet] = None
         self._completion = None  # pending transmission-complete event
         self._wakeup = None  # pending eligibility wake-up event
-        # packet uid -> tracer handle of each *queued* packet (only
-        # populated while tracing). _arm_next pops the served packet's
-        # handle into _in_flight_handle, so a traced packet costs one
-        # store and one pop here.
-        self._records: Dict[int, object] = {}
+        # packet uid -> tracer handle (the tracer's row index) of each
+        # *queued* packet (only populated while tracing). _arm_next pops
+        # the served packet's handle into _in_flight_handle, so a traced
+        # packet costs one store and one pop here. Row 0 is a valid
+        # handle, so handles are tested with "is not None", never for
+        # truth.
+        self._records: Dict[int, int] = {}
         #: Tracer handle of the packet on the transmitter, or None.
-        self._in_flight_handle: Optional[object] = None
+        self._in_flight_handle: Optional[int] = None
         # Bound once: _complete tries it on every departure. The seed
         # engine (tests/reference) has no reserve_inline; the fast path
         # simply stays off there.
@@ -480,17 +482,28 @@ class Link:
         return self._in_flight
 
     def utilization(self, t1: float, t2: float) -> float:
-        """Fraction of nominal capacity used for traffic in [t1, t2]."""
+        """Fraction of the work the server can do in [t1, t2] that it
+        spent on packets that departed.
+
+        Each departed packet counts the part of its service that falls
+        inside the interval, ``capacity.work(max(start, t1),
+        min(departure, t2))``, so a packet that straddles an end of the
+        interval counts only its share.
+        """
         if t2 <= t1:
             return 0.0
         possible = self.capacity.work(t1, t2)
         if possible <= 0:
             return 0.0
-        served = sum(
-            r.length
-            for r in self.tracer.iter_departed()
-            if t1 <= r.departure <= t2
-        )
+        work = self.capacity.work
+        served = 0.0
+        for r in self.tracer.iter_departed():
+            if r.start_service is None:  # an added record may lack one
+                continue
+            begin = max(r.start_service, t1)
+            end = min(r.departure, t2)
+            if begin < end:
+                served += work(begin, end)
         return served / possible
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -18,26 +18,63 @@ Both tracers implement the same small hot-path surface, driven by
 ``on_arrival(flow, seqno, length, time) -> handle``
     Record an arrival; returns an opaque *handle* (or ``None`` to
     decline recording this packet). The handle is what the server
-    passes back to the ``mark_*`` methods — the :class:`PacketRecord`
-    itself for :class:`Tracer`.
+    passes back to the ``mark_*`` methods — for :class:`Tracer`, the
+    packet's row index, an ``int``. Row 0 is falsy, so a handle is
+    tested with ``is not None``, never for truth.
 ``mark_start(handle, time)`` / ``mark_departure(handle, time)`` /
 ``mark_dropped(handle)``
     Stamp lifecycle milestones on a previously returned handle.
 
+Storage
+-------
+:class:`Tracer` keeps one row per packet in parallel columns: ``array``
+columns for seqno, length and the three times (NaN until a time is
+stamped), a ``bytearray`` of dropped flags, a list of flow ids, and per
+flow an ``array`` of its row indices. A row costs about 60 bytes, where
+a :class:`PacketRecord` object costs about 250, and no row is an object
+the garbage collector tracks. :meth:`Tracer.add` copies a record into a
+row, so later edits to that record object are not seen.
+
 Query surface
 -------------
+Records are built on read: every query returns fresh
+:class:`PacketRecord` objects, built by one ``map`` over the columns,
+with ``None`` for a time that was never stamped. ``records``,
 ``flows()``, ``for_flow()``, ``departed()`` and ``dropped()`` return
-**tuples** — immutable views that do not copy per call the way the old
-list-returning API did; treat them as read-only. ``iter_for_flow()``
-and ``iter_departed()`` are generator variants for single-pass
-consumers, and ``count_for_flow()`` is O(1). ``delays()`` still returns
-a fresh list (it is always a transformation, never a view).
+tuples; ``iter_for_flow()`` and ``iter_departed()`` are iterator
+variants for single-pass consumers. ``count_for_flow()`` is O(1).
+``delays()`` and ``work_in_interval()`` read the columns directly and
+build no records.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from itertools import compress, repeat
+from operator import eq, itemgetter
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+#: Column value of a time that has not happened yet.
+_NOT_YET = float("nan")
+
+
+def _picker(rows: Sequence[int]) -> Callable[[Sequence[Any]], Sequence[Any]]:
+    """A function that gathers ``rows`` out of a column in one C call."""
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    # itemgetter of a single index returns the bare value, not a tuple.
+    return lambda column: [column[row] for row in rows]
 
 
 @dataclass(slots=True)
@@ -73,126 +110,218 @@ class PacketRecord:
 
 
 class Tracer:
-    """Collects one :class:`PacketRecord` per packet, indexed by flow."""
+    """Collects one row per packet in parallel columns, indexed by flow.
 
-    __slots__ = ("name", "records", "_by_flow")
+    The handle :meth:`on_arrival` returns is the packet's row index.
+    Queries build :class:`PacketRecord` objects from the rows on read.
+    """
+
+    __slots__ = (
+        "name",
+        "_flow",
+        "_seqno",
+        "_length",
+        "_arrival",
+        "_start",
+        "_departure",
+        "_dropped",
+        "_by_flow",
+    )
 
     #: Servers skip all tracing work when this is False.
     enabled = True
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self.records: List[PacketRecord] = []
-        self._by_flow: Dict[Hashable, List[PacketRecord]] = {}
+        self._flow: List[Hashable] = []
+        self._seqno: array[int] = array("q")
+        self._length: array[int] = array("q")
+        self._arrival: array[float] = array("d")
+        # _NOT_YET (NaN) until mark_start / mark_departure stamps the row.
+        self._start: array[float] = array("d")
+        self._departure: array[float] = array("d")
+        self._dropped = bytearray()
+        #: flow -> its row indices, in arrival order.
+        self._by_flow: Dict[Hashable, array[int]] = {}
 
     def add(self, record: PacketRecord) -> PacketRecord:
-        """Register an externally built record."""
-        self.records.append(record)
-        flow_records = self._by_flow.get(record.flow)
-        if flow_records is None:
-            flow_records = self._by_flow[record.flow] = []
-        flow_records.append(record)
+        """Copy an externally built record into a new row.
+
+        The row is written through :meth:`on_arrival` and the marks, so
+        later edits to ``record`` are not seen, and records read back
+        carry this tracer's name as ``server``. Returns ``record``.
+        """
+        row = self.on_arrival(record.flow, record.seqno, record.length, record.arrival)
+        if row is not None:
+            if record.start_service is not None:
+                self.mark_start(row, record.start_service)
+            if record.departure is not None:
+                self.mark_departure(row, record.departure)
+            if record.dropped:
+                self.mark_dropped(row)
         return record
 
-    def on_arrival(
+    def on_arrival(  # lint: hot
         self, flow: Hashable, seqno: int, length: int, time: float
-    ) -> Optional[PacketRecord]:
-        """Record an arrival; the returned record is the mark handle.
+    ) -> Optional[int]:
+        """Append a row for an arrival; its index is the mark handle.
 
         Subclasses may return ``None`` to decline recording a packet,
         so the declared return type is optional; this base
         implementation always records.
         """
-        # Every field positional: this runs once per packet, and CPython
-        # binds keyword arguments on a slower, unspecialized call path.
-        return self.add(
-            PacketRecord(flow, seqno, length, time, None, None, False, self.name)
-        )
+        flows = self._flow
+        row = len(flows)
+        flows.append(flow)
+        self._seqno.append(seqno)
+        self._length.append(length)
+        self._arrival.append(time)
+        self._start.append(_NOT_YET)
+        self._departure.append(_NOT_YET)
+        self._dropped.append(0)
+        rows = self._by_flow.get(flow)
+        if rows is None:
+            rows = self._by_flow[flow] = array("q")
+        rows.append(row)
+        return row
 
     # ------------------------------------------------------------------
-    # Lifecycle marks (handle = the PacketRecord itself)
+    # Lifecycle marks (handle = row index)
     # ------------------------------------------------------------------
-    def mark_start(self, handle: PacketRecord, time: float) -> None:
+    def mark_start(self, handle: int, time: float) -> None:  # lint: hot
         """Stamp start-of-service on a handle from :meth:`on_arrival`."""
-        handle.start_service = time
+        self._start[handle] = time
 
-    def mark_departure(self, handle: PacketRecord, time: float) -> None:
+    def mark_departure(self, handle: int, time: float) -> None:  # lint: hot
         """Stamp departure on a handle from :meth:`on_arrival`."""
-        handle.departure = time
+        self._departure[handle] = time
 
-    def mark_dropped(self, handle: PacketRecord) -> None:
+    def mark_dropped(self, handle: int) -> None:  # lint: hot
         """Flag a handle from :meth:`on_arrival` as dropped."""
-        handle.dropped = True
+        self._dropped[handle] = 1
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _build(self, rows: Optional[Sequence[int]]) -> Iterator[PacketRecord]:
+        """Records of ``rows`` (every row when None), in row order.
+
+        One ``map`` over the columns builds them; a NaN time becomes
+        ``None`` and a dropped flag a ``bool``.
+        """
+        columns: Sequence[Sequence[Any]] = (
+            self._flow,
+            self._seqno,
+            self._length,
+            self._arrival,
+            self._start,
+            self._departure,
+            self._dropped,
+        )
+        if rows is not None:
+            columns = tuple(map(_picker(rows), columns))
+        flow, seqno, length, arrival, start, departure, dropped = columns
+        return map(
+            PacketRecord,
+            flow,
+            seqno,
+            length,
+            arrival,
+            [None if t != t else t for t in start],
+            [None if t != t else t for t in departure],
+            map(bool, dropped),
+            repeat(self.name),
+        )
+
+    def _rows(
+        self, flow: Optional[Hashable], column: Sequence[Any]
+    ) -> Tuple[Sequence[int], Sequence[Any]]:
+        """``flow``'s row indices (every row when None) and their
+        values in ``column``."""
+        if flow is None:
+            return range(len(column)), column
+        rows = self._by_flow.get(flow, ())
+        return rows, _picker(rows)(column)
+
+    def _departed_rows(self, flow: Optional[Hashable]) -> List[int]:
+        """Row indices of departed packets (optionally one flow's)."""
+        rows, times = self._rows(flow, self._departure)
+        # NaN != NaN: eq is False exactly for rows not yet departed.
+        return list(compress(rows, map(eq, times, times)))
+
+    @property
+    def records(self) -> Tuple[PacketRecord, ...]:
+        """Every record, in arrival order (built on read)."""
+        return tuple(self._build(None))
+
     def flows(self) -> Tuple[Hashable, ...]:
         """Flows with at least one record, in first-arrival order."""
         return tuple(self._by_flow)
 
     def for_flow(self, flow: Hashable) -> Tuple[PacketRecord, ...]:
-        """All records of ``flow`` (read-only view, arrival order)."""
-        records = self._by_flow.get(flow)
-        return tuple(records) if records is not None else ()
+        """All records of ``flow``, in arrival order."""
+        rows = self._by_flow.get(flow)
+        return tuple(self._build(rows)) if rows is not None else ()
 
     def iter_for_flow(self, flow: Hashable) -> Iterator[PacketRecord]:
         """Iterate ``flow``'s records without building a container."""
-        return iter(self._by_flow.get(flow, ()))
+        rows = self._by_flow.get(flow)
+        return self._build(rows) if rows is not None else iter(())
 
     def count_for_flow(self, flow: Hashable) -> int:
         """Number of records of ``flow`` — O(1)."""
-        records = self._by_flow.get(flow)
-        return len(records) if records is not None else 0
+        rows = self._by_flow.get(flow)
+        return len(rows) if rows is not None else 0
 
     def departed(self, flow: Optional[Hashable] = None) -> Tuple[PacketRecord, ...]:
         """Records that completed service (optionally one flow's)."""
-        return tuple(self.iter_departed(flow))
+        return tuple(self._build(self._departed_rows(flow)))
 
     def iter_departed(self, flow: Optional[Hashable] = None) -> Iterator[PacketRecord]:
         """Iterate departed records without building a container."""
-        records: Iterable[PacketRecord]
-        records = self.records if flow is None else self._by_flow.get(flow, ())
-        return (r for r in records if r.departure is not None)
+        return self._build(self._departed_rows(flow))
 
     def dropped(self, flow: Optional[Hashable] = None) -> Tuple[PacketRecord, ...]:
         """Records of dropped packets (optionally one flow's)."""
-        records: Iterable[PacketRecord]
-        records = self.records if flow is None else self._by_flow.get(flow, ())
-        return tuple(r for r in records if r.dropped)
+        rows, flags = self._rows(flow, self._dropped)
+        return tuple(self._build(list(compress(rows, flags))))
 
     def delays(self, flow: Optional[Hashable] = None) -> List[float]:
         """Per-packet delays of departed packets, as a fresh list."""
-        return [
-            r.departure - r.arrival
-            for r in self.iter_departed(flow)
-            if r.departure is not None
-        ]
+        rows, departures = self._rows(flow, self._departure)
+        arrivals = self._arrival if flow is None else _picker(rows)(self._arrival)
+        # d == d is False only for NaN: a packet that has not departed.
+        return [d - a for d, a in zip(departures, arrivals) if d == d]
 
     def work_in_interval(self, flow: Hashable, t1: float, t2: float) -> int:
         """Aggregate bits of ``flow`` served entirely within ``[t1, t2]``.
 
         The paper counts a packet as served in an interval if it *starts
-        and finishes* service within it (Section 1.2).
+        and finishes* service within it (Section 1.2). A NaN time (not
+        yet started or departed) fails both comparisons.
         """
+        start = self._start
+        departure = self._departure
+        length = self._length
         total = 0
-        for record in self._by_flow.get(flow, ()):
-            if (
-                record.start_service is not None
-                and record.departure is not None
-                and record.start_service >= t1
-                and record.departure <= t2
-            ):
-                total += record.length
+        for row in self._by_flow.get(flow, ()):
+            if start[row] >= t1 and departure[row] <= t2:
+                total += length[row]
         return total
 
     def clear(self) -> None:
-        """Drop all collected records."""
-        self.records.clear()
+        """Drop all collected rows."""
+        del self._flow[:]
+        del self._seqno[:]
+        del self._length[:]
+        del self._arrival[:]
+        del self._start[:]
+        del self._departure[:]
+        del self._dropped[:]
         self._by_flow.clear()
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._flow)
 
 
 class NullTracer:
@@ -211,7 +340,7 @@ class NullTracer:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        #: Always-empty record list (query-surface compatibility).
+        #: Always-empty record tuple (query-surface compatibility).
         self.records: Tuple[PacketRecord, ...] = ()
 
     def add(self, record: PacketRecord) -> PacketRecord:
@@ -224,13 +353,13 @@ class NullTracer:
         """Decline to record; returns ``None`` (no handle)."""
         return None
 
-    def mark_start(self, handle: object, time: float) -> None:
+    def mark_start(self, handle: int, time: float) -> None:
         """No-op."""
 
-    def mark_departure(self, handle: object, time: float) -> None:
+    def mark_departure(self, handle: int, time: float) -> None:
         """No-op."""
 
-    def mark_dropped(self, handle: object) -> None:
+    def mark_dropped(self, handle: int) -> None:
         """No-op."""
 
     def flows(self) -> Tuple[Hashable, ...]:

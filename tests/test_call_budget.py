@@ -11,6 +11,10 @@ ceiling holds with no timing noise.
 A change that means to raise a ceiling updates it here and says why in
 CHANGES.md.
 
+A memory budget sits beside them: the default ``Tracer`` keeps every
+packet's row, so its bytes per row under ``tracemalloc`` are pinned
+too.
+
 The same run inside a ``MetricsSession`` also pins the hub's payload to
 a sha256, so a change to how the hub buffers and folds its rows must
 leave every instrument bit-identical to one update per event.
@@ -22,6 +26,7 @@ import hashlib
 import json
 import os
 import sys
+import tracemalloc
 from contextlib import nullcontext
 
 import pytest
@@ -33,6 +38,7 @@ from repro.servers import ConstantCapacity
 from repro.servers.link import Link
 from repro.simulation.engine import Simulator
 from repro.simulation.random import RandomStreams
+from repro.simulation.tracing import Tracer
 from repro.traffic import PoissonSource
 
 PACKAGE_DIR = os.path.dirname(repro.__file__) + os.sep
@@ -92,13 +98,38 @@ def calls_per_packet(metrics: bool) -> float:
 
 @pytest.mark.parametrize(
     "metrics, ceiling",
-    [(False, 22.0), (True, 28.0)],
+    [(False, 21.0), (True, 27.0)],
     ids=["sfq16-poisson", "sfq16-metrics"],
 )
 def test_calls_per_packet_within_budget(metrics, ceiling):
     per_packet = calls_per_packet(metrics)
     assert per_packet <= ceiling, (
         f"{per_packet:.2f} calls into repro per packet, ceiling {ceiling}"
+    )
+
+
+#: Ceiling on a traced packet's row: 58.3 B on Python 3.11 (a
+#: ``PacketRecord`` object per packet took 216–248 B). The headroom
+#: covers other CPython versions' container growth.
+TRACER_BYTES_PER_ROW = 64.0
+TRACER_ROWS = 100_000
+
+
+def test_tracer_bytes_per_row_within_budget():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracer = Tracer("budget")
+        for i in range(TRACER_ROWS):
+            row = tracer.on_arrival(i % FLOWS, i, 8 * SIZES[i % len(SIZES)], i * 1e-3)
+            tracer.mark_start(row, i * 1e-3 + 1e-4)
+            tracer.mark_departure(row, i * 1e-3 + 2e-4)
+        per_row = (tracemalloc.get_traced_memory()[0] - before) / TRACER_ROWS
+    finally:
+        tracemalloc.stop()
+    assert len(tracer) == TRACER_ROWS
+    assert per_row <= TRACER_BYTES_PER_ROW, (
+        f"{per_row:.1f} B per traced row, ceiling {TRACER_BYTES_PER_ROW}"
     )
 
 

@@ -96,9 +96,11 @@ def test_tracer_indexes_by_flow():
 def test_work_in_interval_counts_fully_contained_service_only():
     tracer = Tracer()
     inside = tracer.on_arrival("f", 0, 100, 0.0)
-    inside.start_service, inside.departure = 1.0, 2.0
+    tracer.mark_start(inside, 1.0)
+    tracer.mark_departure(inside, 2.0)
     straddles = tracer.on_arrival("f", 1, 100, 0.0)
-    straddles.start_service, straddles.departure = 2.5, 4.5
+    tracer.mark_start(straddles, 2.5)
+    tracer.mark_departure(straddles, 4.5)
     # Paper semantics: a packet is served in [t1,t2] iff it starts AND
     # finishes within it.
     assert tracer.work_in_interval("f", 0.0, 3.0) == 100
@@ -109,9 +111,9 @@ def test_work_in_interval_counts_fully_contained_service_only():
 def test_departed_and_dropped_filters():
     tracer = Tracer()
     done = tracer.on_arrival("f", 0, 100, 0.0)
-    done.departure = 1.0
+    tracer.mark_departure(done, 1.0)
     lost = tracer.on_arrival("f", 1, 100, 0.0)
-    lost.dropped = True
+    tracer.mark_dropped(lost)
     assert [r.seqno for r in tracer.departed("f")] == [0]
     assert [r.seqno for r in tracer.dropped("f")] == [1]
     assert tracer.delays("f") == [1.0]

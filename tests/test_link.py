@@ -130,6 +130,31 @@ def test_utilization():
     assert link.utilization(0.0, 1.0) == pytest.approx(0.5)
 
 
+def test_utilization_clips_service_to_the_interval():
+    # One 1000-bit packet served at 1000 b/s over [0, 1]: the link is
+    # busy for all of any sub-interval, not only the one holding the
+    # departure.
+    sim, link = make_link()
+    sim.at(0.0, lambda: link.send(Packet("f", 1000, seqno=0)))
+    sim.run()
+    assert link.utilization(0.9, 1.0) == pytest.approx(1.0)
+    assert link.utilization(0.0, 0.5) == pytest.approx(1.0)
+    assert link.utilization(0.0, 2.0) == pytest.approx(0.5)
+    assert link.utilization(1.0, 2.0) == 0.0
+
+
+def test_utilization_of_a_service_spanning_a_stall():
+    # 1500 bits at 2000 b/s: 1000 by t=0.5, stall to 1.0, the rest by
+    # 1.25. Only work the server could do counts, on both sides.
+    sim = Simulator()
+    link = Link(sim, FIFO(), PeriodicStall(2000.0, 0.5, 1.0))
+    sim.at(0.0, lambda: link.send(Packet("f", 1500, seqno=0)))
+    sim.run()
+    assert link.utilization(0.25, 1.125) == pytest.approx(1.0)
+    assert link.utilization(0.5, 1.0) == 0.0  # the stall: no possible work
+    assert link.utilization(0.0, 2.0) == pytest.approx(0.75)
+
+
 def test_link_on_stalling_server():
     sim = Simulator()
     link = Link(sim, FIFO(), PeriodicStall(2000.0, 0.5, 1.0))
