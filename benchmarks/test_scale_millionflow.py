@@ -5,7 +5,25 @@ claim, §2.5), and churned flows leave no state behind."""
 from __future__ import annotations
 
 from conftest import save_result
+from repro.experiments.harness import ExperimentResult
 from repro.experiments.scale import run_scale
+
+
+def replay_stable(result: ExperimentResult) -> ExperimentResult:
+    """``result`` without its wall-clock column and cost-ratio note.
+
+    Both change on every run; what is left (flows, packets, events,
+    churn, digest) is a function of the inputs, so the archived table
+    changes only when the schedule does.
+    """
+    keep = [i for i, h in enumerate(result.headers) if h != "ns/packet"]
+    return ExperimentResult(
+        experiment=result.experiment,
+        description=result.description,
+        headers=[result.headers[i] for i in keep],
+        rows=[[row[i] for i in keep] for row in result.rows],
+        notes=[n for n in result.notes if "cost ratio" not in n],
+    )
 
 
 def test_scale_flatness_and_churn(benchmark):
@@ -31,4 +49,4 @@ def test_scale_flatness_and_churn(benchmark):
         assert p["churn_flows_left"] == 0
         assert p["packets"] > 0
 
-    save_result(result)
+    save_result(replay_stable(result))

@@ -3,8 +3,8 @@
 The primary contribution is SFQ (:class:`~repro.core.pifo.SfqRank`).
 Baselines: WFQ/PGPS, FQS, SCFQ, DRR, WRR, Virtual Clock, Delay EDD,
 FIFO, and the Fair Airport composite of Appendix B.
-:class:`HierarchicalScheduler` implements Section 3's link-sharing tree
-over any of them.
+:class:`HierarchicalScheduler` implements Section 3's link-sharing tree:
+SFQ at every interior class, any of them at the leaves.
 
 The tag disciplines are rank functions (:mod:`repro.core.pifo`) on one
 shared engine, :class:`~repro.core.pifo.PifoScheduler`, plus the

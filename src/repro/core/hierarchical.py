@@ -1,8 +1,7 @@
 """Hierarchical link sharing (paper Section 3).
 
 The link-sharing structure is a tree of *classes*. Each class (other
-than leaves) is treated as a virtual server: its scheduler — SFQ by
-default, but any :class:`~repro.core.base.Scheduler` — fairly
+than leaves) is treated as a virtual server: its scheduler fairly
 distributes the bandwidth the class receives among its subclasses. The
 paper's key observation (Example 3) is that the virtual server seen by a
 subclass has *fluctuating* capacity (siblings come and go), so the
@@ -12,46 +11,68 @@ recursion with guarantees: the virtual server corresponding to a class
 of an FC link is itself FC (eq. 65), so Theorems 2–5 recurse down the
 tree.
 
-Implementation model
---------------------
-Each interior node schedules its children's *offered packets*: a child
-that has backlog keeps exactly one packet "offered" to its parent,
-represented in the parent's scheduler by an offer wrapper (a packet of
-the same length whose flow is the child's name, so the parent tags it
-with the child's weight). :meth:`SchedClass.pull` is the one recursive
-step: a class dequeues its next packet — an interior class by
-dequeuing a wrapper and taking that child's offer, which makes the
-child pull and re-offer at once — and, below the root, offers the
-packet to its parent. Leaves run a scheduler over the actual flows
-attached to them. This is the standard one-packet-lookahead realization
-of "recursively schedule the virtual servers" and keeps every per-node
-discipline exactly the paper's SFQ.
+Implementation model: a rank tree
+---------------------------------
+After PIFO trees (Sivaraman et al., "Programmable Packet Scheduling"),
+an interior class holds references to its children, not copies of
+their packets. Every class is a :class:`SchedClass` record:
 
-Every per-node scheduler must also hear when the packet behind a
-dequeued wrapper finishes service (busy-period rule 2). Each class
-keeps a FIFO of the wrappers it dequeued whose packets have not
-completed: a class's offers move up one at a time and the link serves
-the root's choices in order, so a class's offers complete in the order
-it dequeued them. On completion the hierarchy walks from the packet's
-leaf — remembered at dequeue time, so a flow detached while its packet
-is in service still releases its ancestors' wrappers — to the root,
-completing the front wrapper of each ancestor's FIFO.
+* a child that has backlog keeps exactly one packet ``offered`` to its
+  parent (the standard one-packet lookahead of "recursively schedule
+  the virtual servers"), and ``last_finish``, the finish tag of its
+  latest offer: the child's eq. 4 tag chain at its parent;
+* an interior class keeps its SFQ server state: ``v`` (v(t)),
+  ``max_served_finish`` (the largest finish tag it served) and
+  ``heap``, one ``(start_tag, offer_seq, child)`` entry per child
+  holding an offer.
 
-Mixing disciplines is supported — e.g. a Delay EDD leaf under an SFQ
-root implements Section 3's "separation of delay and throughput
-allocation".
+An offer is tagged once, when the child makes it: one
+:func:`~repro.core.tagmath.start_finish` call at the parent's v(t) with
+the child's weight, and one heap push.
+:meth:`HierarchicalScheduler._pull` is the one scheduling step. A class
+serves its smallest start tag, and v(t) becomes that tag (SFQ's rules 3
+and 2); it takes that child's offer as its own next packet, and the
+child does the same one level down, until a leaf dequeues from its own
+scheduler. Then, deepest class first, each class on the way re-offers
+its new packet to its parent. Equal start tags are served in offer
+order: ``offer_seq`` counts the tree's offers, so ties break as they
+would for packets queued in arrival order.
+
+When a packet completes service, each ancestor whose heap is empty has
+ended a busy period and sets v(t) to the largest finish tag it served
+(rule 2). The packet's leaf, remembered at dequeue time so that a flow
+detached while its packet is in service still completes at its leaf,
+hears ``on_service_complete`` as usual.
+
+Disciplines
+-----------
+Interior classes run SFQ: the tree keeps their state itself, and
+adding a child under a class built with any other scheduler raises
+:class:`~repro.core.base.SchedulerError`. An interior class's
+``scheduler`` then only names its discipline. Leaves run any
+:class:`~repro.core.base.Scheduler` over the flows attached to them —
+e.g. a Delay EDD leaf under an SFQ root implements Section 3's
+"separation of delay and throughput allocation".
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Hashable, List, Optional
+from heapq import heappop, heappush
+from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.base import Scheduler, SchedulerError
 from repro.core.flow import FlowState
 from repro.core.packet import Packet
+from repro.core.pifo import PifoScheduler, SfqRank
+from repro.core.tagmath import start_finish
 
 SchedulerFactory = Callable[[], Scheduler]
+
+#: An interior class's head-heap entry: ``(start_tag, offer_seq, child)``.
+#: ``offer_seq`` is unique in the tree, so comparison never reaches the
+#: child.
+OfferEntry = Tuple[float, int, "SchedClass"]
 
 
 def _default_node_scheduler() -> Scheduler:
@@ -66,8 +87,18 @@ def _default_node_scheduler() -> Scheduler:
     return make_scheduler("SFQ", auto_register=False)
 
 
+def _sfq_rank(scheduler: Scheduler) -> Optional[SfqRank]:
+    """The rank of ``scheduler`` if it is the SFQ engine with arrival-order
+    ties, the discipline the tree runs at its interior classes; else None."""
+    if isinstance(scheduler, PifoScheduler) and scheduler._fifo_ties:
+        rank = scheduler.rank_fn
+        if isinstance(rank, SfqRank) and type(rank) is SfqRank:
+            return rank
+    return None
+
+
 class SchedClass:
-    """One node of the link-sharing tree."""
+    """One node of the link-sharing tree (see the module docstring)."""
 
     __slots__ = (
         "name",
@@ -76,7 +107,10 @@ class SchedClass:
         "parent",
         "children",
         "offered",
-        "dequeued",
+        "last_finish",
+        "v",
+        "max_served_finish",
+        "heap",
         "bits_served",
         "packets_served",
     )
@@ -99,9 +133,12 @@ class SchedClass:
         self.children: Dict[str, "SchedClass"] = {}
         #: The packet this class has offered to its parent (at most one).
         self.offered: Optional[Packet] = None
-        #: Offer wrappers this class's scheduler dequeued whose packets
-        #: have not completed service, oldest first.
-        self.dequeued: Deque[Packet] = deque()
+        #: Finish tag of this class's latest offer, F(p) = 0 at first.
+        self.last_finish = 0.0
+        #: SFQ server state over the children (interior classes only).
+        self.v = 0.0
+        self.max_served_finish = 0.0
+        self.heap: List[OfferEntry] = []
         self.bits_served = 0
         self.packets_served = 0
 
@@ -112,37 +149,13 @@ class SchedClass:
     @property
     def backlog_packets(self) -> int:
         """Packets queued anywhere in this class's subtree (the offered
-        packet of each child is represented by its wrapper in this
-        node's scheduler, so it is counted exactly once)."""
+        packet of each child is counted once, at the child)."""
         if self.is_leaf:
             return self.scheduler.backlog_packets
         return sum(
             child.backlog_packets + (1 if child.offered is not None else 0)
             for child in self.children.values()
         )
-
-    def pull(self, now: float) -> Optional[Packet]:  # lint: hot
-        """Dequeue this class's next packet per its own discipline and,
-        below the root, offer it to the parent; ``None`` when empty."""
-        if self.children:
-            wrapper = self.scheduler.dequeue(now)
-            if wrapper is None:
-                return None
-            self.dequeued.append(wrapper)
-            child = self.children[wrapper.flow]
-            packet = child.offered
-            assert packet is not None, "a scheduled child must hold an offer"
-            child.offered = None
-            child.pull(now)  # the child re-offers its next packet, if any
-        else:
-            packet = self.scheduler.dequeue(now)
-            if packet is None:
-                return None
-        parent = self.parent
-        if parent is not None:
-            self.offered = packet
-            parent.scheduler.enqueue(Packet(self.name, packet.length, now), now)
-        return packet
 
     def path(self) -> str:
         parts: List[str] = []
@@ -177,6 +190,7 @@ class HierarchicalScheduler(Scheduler):
         "_classes",
         "_flow_to_leaf",
         "_in_service_leaves",
+        "_offer_seq",
     )
 
     algorithm = "Hierarchical"
@@ -188,12 +202,16 @@ class HierarchicalScheduler(Scheduler):
     ) -> None:
         super().__init__(auto_register=False)
         self._node_factory = default_node_scheduler
-        self.root = SchedClass("root", 1.0, scheduler=root_scheduler or default_node_scheduler())
+        if root_scheduler is None:
+            root_scheduler = default_node_scheduler()
+        self.root = SchedClass("root", 1.0, scheduler=root_scheduler)
         self._classes: Dict[str, SchedClass] = {"root": self.root}
         self._flow_to_leaf: Dict[Hashable, SchedClass] = {}
         #: Leaves of dequeued packets awaiting on_service_complete, in
         #: dequeue (= completion) order.
         self._in_service_leaves: Deque[SchedClass] = deque()
+        #: Offers made so far: the tie-break rank of the next one.
+        self._offer_seq = 0
 
     # ------------------------------------------------------------------
     # Tree construction
@@ -205,7 +223,12 @@ class HierarchicalScheduler(Scheduler):
         weight: float,
         scheduler: Optional[Scheduler] = None,
     ) -> SchedClass:
-        """Add class ``name`` under ``parent`` with the given weight."""
+        """Add class ``name`` under ``parent`` with the given weight.
+
+        ``scheduler`` (default: the tree's node factory) is the new
+        class's discipline. ``parent`` must run SFQ: the tree schedules
+        every interior class with SFQ itself.
+        """
         if name in self._classes:
             raise SchedulerError(f"class {name!r} already exists")
         parent_node = self._classes.get(parent)
@@ -213,16 +236,20 @@ class HierarchicalScheduler(Scheduler):
             raise SchedulerError(f"unknown parent class {parent!r}")
         if any(leaf is parent_node for leaf in self._flow_to_leaf.values()):
             raise SchedulerError(f"class {parent!r} already has flows attached")
-        node = SchedClass(
-            name,
-            weight,
-            scheduler=scheduler or self._node_factory(),
-            parent=parent_node,
-        )
+        if not parent_node.children:
+            rank = _sfq_rank(parent_node.scheduler)
+            if rank is None:
+                raise SchedulerError(
+                    f"class {parent!r} runs {parent_node.scheduler.algorithm}; "
+                    "only an SFQ class (arrival-order ties) can have subclasses"
+                )
+            # The class turns interior: its SFQ server state carries over.
+            parent_node.v = rank.v
+            parent_node.max_served_finish = rank._max_served_finish
+        if scheduler is None:
+            scheduler = self._node_factory()
+        node = SchedClass(name, weight, scheduler=scheduler, parent=parent_node)
         parent_node.children[name] = node
-        # Register the child as a flow of the parent's scheduler so its
-        # offers get tagged with the child's weight.
-        parent_node.scheduler.add_flow(name, weight)
         self._classes[name] = node
         return node
 
@@ -277,11 +304,51 @@ class HierarchicalScheduler(Scheduler):
         if node.parent is None:
             raise SchedulerError("the root class has no weight to set")
         node.weight = float(weight)
-        node.parent.scheduler.set_weight(name, weight)
 
     # ------------------------------------------------------------------
     # Scheduler protocol (overridden wholesale: flows live in the leaves)
     # ------------------------------------------------------------------
+    def _pull(self, top: SchedClass, now: float) -> Optional[Packet]:  # lint: hot
+        """Take ``top``'s next packet (``None`` when it has none) and,
+        below the root, offer it up: the descent and re-offers of the
+        module docstring, in one frame."""
+        node = top
+        while node.children:
+            heap = node.heap
+            if not heap:
+                break
+            start, _seq, child = heappop(heap)
+            # SFQ at this class: v(t) is the start tag in service, and
+            # the largest finish tag served is kept for rule 2.
+            node.v = start
+            finish = child.last_finish
+            if finish > node.max_served_finish:
+                node.max_served_finish = finish
+            node.offered = child.offered
+            child.offered = None
+            node = child
+        else:
+            node.offered = node.scheduler.dequeue(now)
+        seq = self._offer_seq
+        while True:
+            packet = node.offered
+            parent = node.parent
+            if parent is None:
+                node.offered = None  # the root hands its packet to the link
+                break
+            if packet is not None:
+                start, finish = start_finish(
+                    parent.v, node.last_finish, packet.length, node.weight, None
+                )
+                node.last_finish = finish
+                seq += 1
+                heappush(parent.heap, (start, seq, node))
+            if node is top:
+                break
+            node = parent
+        self._offer_seq = seq
+        return packet
+
     def enqueue(self, packet: Packet, now: float) -> None:
         leaf = self._flow_to_leaf.get(packet.flow)
         if leaf is None:
@@ -296,23 +363,24 @@ class HierarchicalScheduler(Scheduler):
         # Ensure every ancestor holds an offer after the arrival.
         node = leaf
         while node.offered is None and node.parent is not None:
-            if node.pull(now) is None:
+            if self._pull(node, now) is None:
                 break
             node = node.parent
 
     def dequeue(self, now: float) -> Optional[Packet]:
-        packet = self.root.pull(now)
+        packet = self._pull(self.root, now)
         if packet is None:
             return None
+        length = packet.length
         self._backlog_packets -= 1
-        self._backlog_bits -= packet.length
+        self._backlog_bits -= length
         self.in_service = packet
         leaf = self._flow_to_leaf[packet.flow]
         self._in_service_leaves.append(leaf)
         # Account the service at every class on the packet's path.
         node: Optional[SchedClass] = leaf
         while node is not None:
-            node.bits_served += packet.length
+            node.bits_served += length
             node.packets_served += 1
             node = node.parent
         return packet
@@ -323,7 +391,12 @@ class HierarchicalScheduler(Scheduler):
         leaf = self._in_service_leaves.popleft()
         node = leaf.parent
         while node is not None:
-            node.scheduler.on_service_complete(node.dequeued.popleft(), now)
+            if not node.heap:
+                # Rule 2: the class's busy period ended, so v(t) is the
+                # largest finish tag it served (max(v, F), inlined).
+                served = node.max_served_finish
+                if served > node.v:
+                    node.v = served
             node = node.parent
         leaf.scheduler.on_service_complete(packet, now)
 

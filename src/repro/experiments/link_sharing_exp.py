@@ -17,10 +17,10 @@ virtual server is FC, so Theorem 2's throughput floor — computed purely
 from A's derived FC parameters — must hold for C's flow, and does.
 
 Implementation note: interior nodes schedule one offered packet per
-child (one-packet lookahead), so subclass queues live in the leaves.
-This is also why a mis-configured interior WFQ is partially insulated
-here: virtual-time runaway requires a standing queue *at the WFQ node*.
-The flat-server WFQ failure is demonstrated in Table 1 / Example 2.
+child (one-packet lookahead), so subclass queues live in the leaves,
+and every interior class runs SFQ: the tree refuses subclasses under a
+class built with another discipline. The flat-server WFQ failure is
+demonstrated in Table 1 / Example 2.
 """
 
 from __future__ import annotations

@@ -71,7 +71,8 @@ can hand the engine whole precomputed arrival arrays
 Stream firings count toward ``events_processed`` and the ``max_events``
 budget exactly like queue events. Attach before calling :meth:`run`;
 streams attached while the loop is running take effect on the next
-:meth:`run`.
+:meth:`run`. A stream's ``next_time`` moves only when it fires, so the
+loop finds the earliest stream again only after a firing, not per event.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class ArrivalStream(Protocol):
     ``next_time`` is the absolute time of the next pending arrival, or
     ``math.inf`` when the stream is exhausted (the loop then detaches
     it). ``fire()`` delivers exactly one arrival (the one at
-    ``next_time``) and advances ``next_time``.
+    ``next_time``) and advances ``next_time``; nothing else may move it.
     """
 
     next_time: float
@@ -330,22 +331,31 @@ class Simulator:
         """Run loop handling arrival streams and ``max_events`` budgets.
 
         Kept out of the common path so simulations without either pay
-        nothing; goes through the queue interface only (the inlined
-        heap loop lives in :mod:`repro.simulation.eventq`). A
-        stream arrival wins ties against queue timers at the same
-        instant.
+        nothing; it reads the queue's head in place and calls the queue
+        only to pop, or to skip a cancelled head (the inlined heap loop
+        lives in :mod:`repro.simulation.eventq`). A stream arrival wins
+        ties against queue timers at the same instant.
         """
         queue = self._queue
+        heap = self._heap
+        stream_t, stream = self._min_stream()
         while not self._stopped:
-            head = queue.peek_live()
-            heap_t = float(head[0]) if head is not None else math.inf
-            stream_t, stream = self._min_stream()
+            # Read the head in place; only a cancelled one needs the
+            # queue to discard it.
+            head = heap[0] if heap else None
+            if head is not None:
+                event = head[3]
+                if event is not None and event.cancelled:
+                    head = queue.peek_live()
+            heap_t = head[0] if head is not None else math.inf
             if stream is not None and stream_t <= heap_t:
                 if stream_t > limit:
                     break
                 self.now = stream_t
                 self._events_processed += 1
                 stream.fire()
+                # Only a firing moves a stream's next_time: rescan now.
+                stream_t, stream = self._min_stream()
             elif head is not None:
                 time = head[0]
                 if time > limit:

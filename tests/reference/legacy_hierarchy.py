@@ -6,7 +6,10 @@ lists, separate ``pull``/``_refill``), with frozen seed node schedulers
 ``tests/test_hierarchy_equivalence.py`` drives it and
 :class:`repro.core.hierarchical.HierarchicalScheduler` through the same
 workloads and compares full trace record streams. Do not "fix" or
-modernize this module: its value is that it does not change.
+modernize this module: its value is that it does not change. The one
+edit since it was frozen: a scheduler passed to the constructor or to
+``add_class`` is kept even when empty (it was replaced by the default
+SFQ, so the ``edd_leaf`` case compared two SFQ leaves).
 
 The original module docstring follows.
 
@@ -184,7 +187,7 @@ class LegacyHierarchicalScheduler(Scheduler):
     ) -> None:
         super().__init__(auto_register=False)
         self._node_factory = default_node_scheduler
-        self.root = LegacySchedClass("root", 1.0, scheduler=root_scheduler or default_node_scheduler())
+        self.root = LegacySchedClass("root", 1.0, scheduler=root_scheduler if root_scheduler is not None else default_node_scheduler())
         self._classes: Dict[str, LegacySchedClass] = {"root": self.root}
         self._flow_to_leaf: Dict[Hashable, LegacySchedClass] = {}
 
@@ -209,7 +212,7 @@ class LegacyHierarchicalScheduler(Scheduler):
         node = LegacySchedClass(
             name,
             weight,
-            scheduler=scheduler or self._node_factory(),
+            scheduler=scheduler if scheduler is not None else self._node_factory(),
             parent=parent_node,
         )
         parent_node.children[name] = node

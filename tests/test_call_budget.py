@@ -8,6 +8,11 @@ Builtins and the standard library are left out, so the count does not
 depend on the Python version, and a seeded run repeats it exactly: a
 ceiling holds with no timing noise.
 
+A third ceiling covers the link-sharing tree, on the ``hier-100k-churn``
+configuration at 10^4 flows: a CBR fleet at 1.2x overload through a
+``FleetTimeline`` into root → 2 departments → 4 groups plus a churn
+leaf, with 400 join/send/detach churn cycles and ``NullTracer``.
+
 A change that means to raise a ceiling updates it here and says why in
 CHANGES.md.
 
@@ -27,19 +32,23 @@ import json
 import os
 import sys
 import tracemalloc
+import zlib
 from contextlib import nullcontext
 
 import pytest
 
 import repro
+from repro.core.hierarchical import HierarchicalScheduler
+from repro.core.packet import Packet
 from repro.core.registry import make_scheduler
 from repro.metrics.session import MetricsSession
 from repro.servers import ConstantCapacity
 from repro.servers.link import Link
 from repro.simulation.engine import Simulator
 from repro.simulation.random import RandomStreams
-from repro.simulation.tracing import Tracer
+from repro.simulation.tracing import NullTracer, Tracer
 from repro.traffic import PoissonSource
+from repro.traffic.batch import FleetTimeline, cbr_fleet_times
 
 PACKAGE_DIR = os.path.dirname(repro.__file__) + os.sep
 
@@ -76,9 +85,71 @@ def build(metrics: bool):
     return sim, link, session
 
 
-def calls_per_packet(metrics: bool) -> float:
-    """Calls into ``repro`` during ``sim.run()``, per departed packet."""
-    sim, link, _ = build(metrics)
+HIER_FLOWS = 10_000
+HIER_CAPACITY = 1e6
+HIER_PACKET = 1_000  # bits
+HIER_OVERLOAD = 1.2
+HIER_PACKETS = 50_000
+HIER_CHURN_CYCLES = 400
+#: The run's departure digest (flow, seqno and time of every departure),
+#: so the budget is counted on the schedule the benchmark checks.
+HIER_DIGEST = "85ad69d2"
+
+
+def build_hierarchy():
+    """The seeded ``hier-100k-churn`` run at 10^4 flows, ready for
+    ``sim.run()``; returns ``(sim, link, digest)``, the digest filled in
+    by the departure hook as the run goes."""
+    sim = Simulator()
+    streams = RandomStreams(1)
+
+    def sfq():
+        return make_scheduler("SFQ", auto_register=False)
+
+    hier = HierarchicalScheduler(root_scheduler=sfq(), default_node_scheduler=sfq)
+    for d in range(2):
+        hier.add_class("root", f"dept{d}", weight=1.0 + d)
+        for g in range(4):
+            hier.add_class(f"dept{d}", f"g{d}.{g}", weight=1.0 + g % 3)
+    hier.add_class("dept0", "churn", weight=1.0)
+    link = Link(sim, hier, ConstantCapacity(HIER_CAPACITY), name="hier", tracer=NullTracer())
+    leaves = [f"g{d}.{g}" for d in range(2) for g in range(4)]
+    for i in range(HIER_FLOWS):
+        hier.attach_flow(i, leaves[i % len(leaves)], weight=1.0)
+    times, flow_idx = cbr_fleet_times(
+        HIER_FLOWS,
+        HIER_OVERLOAD * HIER_CAPACITY / HIER_FLOWS,
+        HIER_PACKET,
+        HIER_PACKETS // HIER_FLOWS,
+    )
+    sim.attach_stream(FleetTimeline(link.send, times, flow_idx, HIER_PACKET))
+    churn_rng = streams.stream("scale:churn")
+    span = float(times[-1] - times[0])
+    churn_times = sorted(
+        float(times[0]) + churn_rng.random() * span for _ in range(HIER_CHURN_CYCLES)
+    )
+    digest = {"crc": 0}
+
+    def join(k: int) -> None:
+        flow = ("churn", k)
+        hier.attach_flow(flow, "churn", weight=2.0)
+        link.send(Packet(flow, HIER_PACKET, seqno=0))
+
+    def on_departure(packet: Packet, now: float) -> None:
+        if isinstance(packet.flow, tuple):
+            hier.detach_flow(packet.flow)
+        digest["crc"] = zlib.crc32(
+            f"{packet.flow}:{packet.seqno}:{now:.12g};".encode(), digest["crc"]
+        )
+
+    link.departure_hooks.append(on_departure)
+    for k, t in enumerate(churn_times):
+        sim.call_at(t, join, k)
+    return sim, link, digest
+
+
+def calls_into_repro(sim: Simulator) -> int:
+    """Python calls into ``repro`` during ``sim.run()``."""
     calls = 0
 
     def profile(frame, event, arg):
@@ -92,6 +163,13 @@ def calls_per_packet(metrics: bool) -> float:
         sim.run()
     finally:
         sys.setprofile(previous)
+    return calls
+
+
+def calls_per_packet(metrics: bool) -> float:
+    """Calls into ``repro`` during ``sim.run()``, per departed packet."""
+    sim, link, _ = build(metrics)
+    calls = calls_into_repro(sim)
     assert link.packets_transmitted > 10_000
     return calls / link.packets_transmitted
 
@@ -105,6 +183,22 @@ def test_calls_per_packet_within_budget(metrics, ceiling):
     per_packet = calls_per_packet(metrics)
     assert per_packet <= ceiling, (
         f"{per_packet:.2f} calls into repro per packet, ceiling {ceiling}"
+    )
+
+
+#: 26.37 calls per packet: the tree tags each offer in its node records
+#: (the tree with a wrapper packet and an SFQ scheduler per interior
+#: class made 43.75).
+HIER_CEILING = 27.0
+
+
+def test_hierarchy_calls_per_packet_within_budget():
+    sim, link, digest = build_hierarchy()
+    per_packet = calls_into_repro(sim) / link.packets_transmitted
+    assert link.packets_transmitted == HIER_PACKETS + HIER_CHURN_CYCLES
+    assert f"{digest['crc']:08x}" == HIER_DIGEST
+    assert per_packet <= HIER_CEILING, (
+        f"{per_packet:.2f} calls into repro per packet, ceiling {HIER_CEILING}"
     )
 
 

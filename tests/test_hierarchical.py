@@ -10,6 +10,8 @@ from repro.core import (
     HierarchicalScheduler,
     Packet,
     SchedulerError,
+    TieBreak,
+    make_scheduler,
 )
 from repro.servers import ConstantCapacity, Link, TwoRateSquareWave
 from repro.simulation import Simulator
@@ -188,6 +190,7 @@ def test_three_level_hierarchy():
 def test_mixed_disciplines_fifo_leaf():
     hs = HierarchicalScheduler()
     hs.add_class("root", "agg", 1.0, scheduler=FIFO(auto_register=False))
+    assert hs.class_node("agg").scheduler.algorithm == "FIFO"
     # FIFO leaf holding two flows: no isolation inside the class.
     hs.attach_flow("f1", "agg", 1.0)
     hs.attach_flow("f2", "agg", 1.0)
@@ -198,17 +201,59 @@ def test_mixed_disciplines_fifo_leaf():
     assert order == ["f1", "f2", "f1"]
 
 
-def test_drr_interior_node_rejected_at_dequeue():
+def test_drr_interior_node_rejected_at_add_class():
+    # The tree schedules every interior class with SFQ itself, so a class
+    # built with another discipline cannot take subclasses.
     hs = HierarchicalScheduler()
     hs.add_class("root", "A", 1.0, scheduler=DRR(auto_register=False))
-    hs.add_class("A", "C", 1.0)
-    hs.add_class("A", "D", 1.0)
-    hs.attach_flow("f", "C", 1.0)
-    hs.attach_flow("g", "D", 1.0)
-    hs.enqueue(Packet("f", 100, seqno=0), 0.0)
-    # The hierarchy drives interior nodes through dequeue alone, so a
-    # DRR interior node works.
-    assert hs.dequeue(0.0) is not None
+    with pytest.raises(SchedulerError, match="runs DRR"):
+        hs.add_class("A", "C", 1.0)
+    assert hs.class_node("A").is_leaf
+    with pytest.raises(SchedulerError, match="unknown class"):
+        hs.class_node("C")
+    # The refused name stays free, and A still works as a DRR leaf.
+    hs.add_class("root", "C", 1.0)
+    hs.attach_flow("f", "A", 1.0)
+    packet = Packet("f", 100, seqno=0)
+    hs.enqueue(packet, 0.0)
+    assert hs.dequeue(0.0) is packet
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FIFO(auto_register=False),
+        lambda: make_scheduler("SCFQ", auto_register=False),
+        lambda: make_scheduler("SFQ", auto_register=False, bands=4),
+        lambda: make_scheduler(
+            "SFQ", auto_register=False, tie_break=TieBreak.lowest_weight_first
+        ),
+    ],
+    ids=["FIFO", "SCFQ", "SFQ-sp-pifo", "SFQ-weight-ties"],
+)
+def test_only_an_sfq_class_takes_subclasses(build):
+    hs = HierarchicalScheduler(root_scheduler=build())
+    with pytest.raises(SchedulerError, match="only an SFQ class"):
+        hs.add_class("root", "A", 1.0)
+    # The same discipline is fine at a leaf under an SFQ class.
+    hs = HierarchicalScheduler(root_scheduler=make_scheduler("SFQ", auto_register=False))
+    hs.add_class("root", "A", 1.0, scheduler=build())
+    hs.attach_flow("f", "A", 1.0)
+    packet = Packet("f", 100, seqno=0)
+    hs.enqueue(packet, 0.0)
+    assert hs.dequeue(0.0) is packet
+
+
+def test_a_scheduler_passed_to_the_tree_is_kept():
+    # An empty Scheduler is falsy (len() is its backlog): the tree must
+    # keep it rather than build the default SFQ in its place.
+    root = make_scheduler("SFQ", auto_register=False)
+    edd = make_scheduler("DelayEDD", auto_register=False)
+    hs = HierarchicalScheduler(root_scheduler=root)
+    hs.add_class("root", "rt", 1.0, scheduler=edd)
+    assert hs.root.scheduler is root
+    assert hs.class_node("rt").scheduler is edd
+    assert "rt (w=1, DelayEDD)" in hs.describe()
 
 
 def test_flow_backlog_counts_offered_packet():
@@ -252,7 +297,7 @@ def test_per_flow_buffer_sees_packet_offered_upward():
     assert link.packets_dropped == 1
 
 
-def test_detach_during_service_releases_ancestor_wrappers():
+def test_detach_during_service_ends_ancestor_busy_periods():
     hs = HierarchicalScheduler()
     hs.add_class("root", "A", 1.0)
     hs.add_class("A", "L", 1.0)
@@ -261,14 +306,43 @@ def test_detach_during_service_releases_ancestor_wrappers():
     packet = Packet("f", 100, seqno=0)
     hs.enqueue(packet, 0.0)
     assert hs.dequeue(0.0) is packet
+    classes = (hs.root, hs.class_node("A"))
+    # In service: each ancestor served tags [0, 100) and holds no offer.
+    assert [(node.v, node.max_served_finish) for node in classes] == [(0.0, 100.0)] * 2
+    assert all(not node.heap for node in classes)
     hs.detach_flow("f")  # drained: its only packet is in service
     hs.on_service_complete(packet, 1.0)
-    assert all(not node.dequeued for node in (hs.root, hs.class_node("A")))
+    # Rule 2 at every ancestor and at the leaf the flow left.
+    assert [node.v for node in classes] == [100.0, 100.0]
+    assert hs.class_node("L").scheduler.virtual_time == 100.0
     nxt = Packet("g", 100, seqno=0)
     hs.enqueue(nxt, 1.0)
+    # The next busy period starts from v = 100 at every level.
+    assert hs.class_node("L").last_finish == 200.0
+    assert hs.class_node("A").last_finish == 200.0
     assert hs.dequeue(1.0) is nxt
+    assert hs.root.v == 100.0
     hs.on_service_complete(nxt, 2.0)
     assert hs.is_empty
+    assert [node.v for node in classes] == [200.0, 200.0]
+
+
+def test_a_leaf_that_gains_subclasses_keeps_its_virtual_time():
+    hs = HierarchicalScheduler()
+    hs.add_class("root", "A", 1.0)
+    hs.attach_flow("f", "A", 1.0)
+    packet = Packet("f", 100, seqno=0)
+    hs.enqueue(packet, 0.0)
+    assert hs.dequeue(0.0) is packet
+    hs.on_service_complete(packet, 1.0)
+    hs.detach_flow("f")
+    # A served tags [0, 100) as a leaf; as an interior class its SFQ
+    # server goes on from v = 100.
+    hs.add_class("A", "A0", 1.0)
+    assert hs.class_node("A").v == 100.0
+    hs.attach_flow("g", "A0", 1.0)
+    hs.enqueue(Packet("g", 100, seqno=0), 1.0)
+    assert hs.class_node("A0").last_finish == 200.0
 
 
 def test_set_class_weight_changes_shares_mid_run():

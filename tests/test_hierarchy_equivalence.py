@@ -125,6 +125,8 @@ def edd_leaf(side: Side) -> Case:
     hs = side.hier(default_node_scheduler=side.sfq)
     edd = side.edd()
     hs.add_class("root", "rt", 1.0, scheduler=edd)
+    # Guard: the class runs the EDD passed in, not the default SFQ.
+    assert hs.class_node("rt").scheduler is edd
     hs.add_class("root", "be", 1.0)
     # EDD flows need deadlines, so they are registered on the leaf first.
     edd.add_flow_with_deadline("v0", 300.0, 2.0)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core import HierarchicalScheduler, Packet, make_scheduler
+from repro.core import HierarchicalScheduler, Packet, SchedulerError, make_scheduler
 from repro.servers import (
     ConstantCapacity,
     GilbertElliottCapacity,
@@ -73,6 +73,8 @@ def test_from_list_average_rate_excludes_trailing_segment():
 
 
 def test_wf2q_as_interior_hierarchy_node():
+    # Interior classes run SFQ, so a WF2Q class cannot take subclasses;
+    # it shares its flows by weight as a leaf.
     hs = HierarchicalScheduler()
     hs.add_class(
         "root",
@@ -80,10 +82,10 @@ def test_wf2q_as_interior_hierarchy_node():
         1.0,
         scheduler=make_scheduler("WF2Q", capacity=1000.0, auto_register=False),
     )
-    hs.add_class("A", "C", 1.0)
-    hs.add_class("A", "D", 3.0)
-    hs.attach_flow("fc", "C", 1.0)
-    hs.attach_flow("fd", "D", 1.0)
+    with pytest.raises(SchedulerError, match="runs WF2Q"):
+        hs.add_class("A", "C", 1.0)
+    hs.attach_flow("fc", "A", 1.0)
+    hs.attach_flow("fd", "A", 3.0)
     sim = Simulator()
     link = Link(sim, hs, ConstantCapacity(1000.0))
     for flow in ("fc", "fd"):
