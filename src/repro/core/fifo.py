@@ -2,7 +2,11 @@
 
 Not part of the paper's comparison table, but the natural null
 hypothesis for the fairness/delay experiments (it has no isolation at
-all) and a useful leaf discipline inside hierarchies.
+all) and a useful leaf discipline inside hierarchies. Figure 1's video
+band is a FIFO, so it is on the packet path: like
+:class:`~repro.core.pifo.PifoScheduler`, its public
+``enqueue``/``dequeue``/``on_service_complete`` do the per-flow queue,
+backlog and served-count bookkeeping in one frame each.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.core.base import Scheduler
-from repro.core.flow import FlowState
+from repro.core.flow import IDLE_QUEUE, FlowState
 from repro.core.packet import Packet
 
 
@@ -26,20 +30,61 @@ class FIFO(Scheduler):
         super().__init__(auto_register=auto_register, default_weight=default_weight)
         self._queue: Deque[Packet] = deque()
 
-    def _do_enqueue(self, state: FlowState, packet: Packet, now: float) -> None:
-        state.push(packet)
+    def enqueue(self, packet: Packet, now: float) -> None:  # lint: hot
+        """Queue ``packet`` arriving at ``now`` behind every queued packet."""
+        state = self.flows.get(packet.flow)
+        if state is None:
+            state = self._flow(packet.flow)
+        packet.arrival = now
+        length = packet.length
+        self._backlog_packets += 1
+        self._backlog_bits += length
+        # FlowState.push, inlined: the first packet takes a deque.
+        queue = state.queue
+        if not queue:
+            queue = deque()
+            state.queue = queue
+        queue.append(packet)
+        if length > state.max_length_seen:
+            state.max_length_seen = length
         self._queue.append(packet)
 
-    def _do_dequeue(self, now: float) -> Optional[Packet]:
-        if not self._queue:
+    def dequeue(self, now: float) -> Optional[Packet]:  # lint: hot
+        """Serve the oldest queued packet; ``None`` when empty."""
+        fifo = self._queue
+        if not fifo:
             return None
-        packet = self._queue.popleft()
+        packet = fifo.popleft()
         state = self.flows[packet.flow]
-        popped = state.pop()
-        assert popped is packet
+        # FlowState.pop, inlined: the last packet out releases the deque.
+        queue = state.queue
+        head = queue.popleft()  # type: ignore[union-attr]  # the flow holds the packet
+        assert head is packet
+        if not queue:
+            state.queue = IDLE_QUEUE
+        length = packet.length
+        self._backlog_packets -= 1
+        self._backlog_bits -= length
+        state.bits_served += length
+        state.packets_served += 1
+        self.in_service = packet
         return packet
+
+    def on_service_complete(self, packet: Packet, now: float) -> None:
+        """Notify that ``packet`` finished; FIFO keeps no busy-period state."""
+        if self.in_service is packet:
+            self.in_service = None
 
     def _do_discard_tail(self, state: FlowState) -> Optional[Packet]:
         packet = state.pop_tail()
         self._queue.remove(packet)  # O(n); FIFO is a baseline, not a fast path
         return packet
+
+    # Scheduler's template hooks: the public methods above replace them.
+    def _do_enqueue(
+        self, state: FlowState, packet: Packet, now: float
+    ) -> None:  # pragma: no cover
+        raise NotImplementedError
+
+    def _do_dequeue(self, now: float) -> Optional[Packet]:  # pragma: no cover
+        raise NotImplementedError

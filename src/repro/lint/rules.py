@@ -17,8 +17,9 @@ PERF001    hot-path classes under ``repro.core``/``repro.simulation``
            without ``__slots__``
 PERF002    direct ``heapq`` operations on the simulator event queue
            outside :mod:`repro.simulation.eventq` (the queue's home)
-PERF003    per-call/per-iteration allocation and repeated attribute
-           chains inside functions marked ``# lint: hot``
+PERF003    per-call/per-iteration allocation, a container display
+           appended to a container, and repeated attribute chains inside
+           functions marked ``# lint: hot``
 =========  ==============================================================
 
 The whole-program rules (CACHE001, TAG002, DET006) live in
@@ -682,7 +683,10 @@ class HotFunctionAllocationRule(Rule):
     chain, and the PIFO engine's enqueue/dequeue are the measured inner
     loops of every benchmark: a list comprehension or a ``{...}``
     display there is a per-event allocation, and an attribute chain
-    re-read every iteration is a dict lookup CPython will not hoist.
+    re-read every iteration is a dict lookup CPython will not hoist. A
+    tuple or other container display passed to ``append`` anywhere in
+    such a function is a per-event object that the container keeps
+    alive (a log entry per packet); append its fields to columns.
     Mark such functions with ``# lint: hot`` on (or directly above) the
     ``def`` line; the marker is also what seeds PERF003's scope — cold
     code is free to allocate.
@@ -736,10 +740,36 @@ class HotFunctionAllocationRule(Rule):
                     "into a reused buffer",
                 )
         # Displays / allocating constructors / lambdas *inside loops*.
+        looped: Set[int] = set()
         for loop in ast.walk(fn):
             if not isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
                 continue
+            for stmt in getattr(loop, "body", []) + getattr(loop, "orelse", []):
+                looped.update(id(node) for node in ast.walk(stmt))
             yield from self._check_loop(ctx, fn.name, loop)
+        # A display appended to a container, loop or not: the container
+        # keeps one fresh object per call. List, dict and set displays
+        # inside a loop are already reported above.
+        for node in ast.walk(fn):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append"
+            ):
+                continue
+            for arg in node.args:
+                if isinstance(arg, (ast.List, ast.Dict, ast.Set)) and id(arg) in looped:
+                    continue
+                if isinstance(arg, (ast.Tuple, ast.List, ast.Dict, ast.Set)) and (
+                    getattr(arg, "elts", None) or getattr(arg, "keys", None)
+                ):
+                    yield self.finding(
+                        ctx,
+                        arg,
+                        f"`append` of a container display in hot function "
+                        f"`{fn.name}` keeps a fresh object per call; append "
+                        "its fields to columns",
+                    )
 
     def _check_loop(
         self, ctx: ModuleContext, fn_name: str, loop: ast.stmt

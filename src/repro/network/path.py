@@ -64,13 +64,14 @@ class Tandem:
     def _forwarder(self, hop: int) -> Callable[[Packet, float], None]:
         delay = self.propagation_delays[hop]
         next_link = self.links[hop + 1]
+        sim = self.sim
 
         def forward(packet: Packet, now: float) -> None:
             if self.forward_filter is not None and not self.forward_filter(packet):
                 return
             clone = packet.fork()
             clone.meta["hop"] = hop + 1
-            self.sim.call_after(delay, self._inject, next_link, clone)
+            sim.call_at(sim.now + delay, self._inject, next_link, clone)
 
         return forward
 

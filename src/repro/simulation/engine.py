@@ -53,7 +53,8 @@ the timer had been popped. :class:`repro.servers.link.Link` uses this
 to chain back-to-back departures of a busy period (see HACKING.md).
 The test reads the head of the queue's heap directly and falls back to
 ``peek_live`` only when that head is a cancelled entry at or before
-``time``.
+``time``. It reads the earliest stream time from a value the run loop
+keeps (see below) instead of scanning the streams.
 
 Arrival streams (batch admission)
 ---------------------------------
@@ -72,7 +73,9 @@ Stream firings count toward ``events_processed`` and the ``max_events``
 budget exactly like queue events. Attach before calling :meth:`run`;
 streams attached while the loop is running take effect on the next
 :meth:`run`. A stream's ``next_time`` moves only when it fires, so the
-loop finds the earliest stream again only after a firing, not per event.
+loop finds the earliest stream again only after a firing, not per event,
+and keeps that time for :meth:`Simulator.reserve_inline`;
+:meth:`Simulator.attach_stream` lowers it when the new stream is earlier.
 """
 
 from __future__ import annotations
@@ -124,6 +127,7 @@ class Simulator:
         "_push",
         "_heap",
         "_streams",
+        "_stream_t",
         "_running",
         "_stopped",
         "_truncated",
@@ -138,6 +142,11 @@ class Simulator:
         self._push = self._queue.push
         self._heap = self._queue.heap
         self._streams: List[ArrivalStream] = []
+        #: Never later than the earliest attached stream's next_time:
+        #: the run loop refreshes it wherever it rescans the streams, and
+        #: attach_stream lowers it. reserve_inline reads it in place of
+        #: a scan, so a stale value only makes a reservation fail.
+        self._stream_t = math.inf
         self._running = False
         self._stopped = False
         self._truncated = False
@@ -253,6 +262,8 @@ class Simulator:
                 f"{stream.next_time} < now={self.now}"
             )
         self._streams.append(stream)
+        if stream.next_time < self._stream_t:
+            self._stream_t = stream.next_time
 
     # ------------------------------------------------------------------
     # Run controls
@@ -320,6 +331,7 @@ class Simulator:
                 self._run_generic(limit)
             else:
                 # Common case: the queue's own inlined hot loop.
+                self._stream_t = math.inf
                 self._queue.drain(self, limit)
         finally:
             self._running = False
@@ -339,6 +351,7 @@ class Simulator:
         queue = self._queue
         heap = self._heap
         stream_t, stream = self._min_stream()
+        self._stream_t = stream_t
         while not self._stopped:
             # Read the head in place; only a cancelled one needs the
             # queue to discard it.
@@ -356,6 +369,7 @@ class Simulator:
                 stream.fire()
                 # Only a firing moves a stream's next_time: rescan now.
                 stream_t, stream = self._min_stream()
+                self._stream_t = stream_t
             elif head is not None:
                 time = head[0]
                 if time > limit:
@@ -421,10 +435,8 @@ class Simulator:
                 head = self._queue.peek_live()
                 if head is not None and head[0] <= time:
                     return False
-        if self._streams:
-            stream_t, _ = self._min_stream()
-            if stream_t <= time:
-                return False
+        if self._stream_t <= time:
+            return False
         if budget is not None:
             self._budget_left = budget - 1
         self.now = time

@@ -16,10 +16,15 @@ bandwidth. This module implements a compact Reno:
 Segments travel through the simulated network (any composition of
 links); ACKs return over a fixed-delay path (the reverse direction is
 uncongested in the paper's topology).
+
+The receiver keeps its ``(time, seqno)`` receive log as two columns
+(``array('d')`` times, ``array('q')`` seqnos) and builds the tuples of
+:attr:`TcpReceiver.received` when it is read.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.packet import Packet
@@ -45,23 +50,26 @@ class TcpReceiver:
         self.sender: Optional["TcpSender"] = None
         self._next_expected = 0
         self._out_of_order: Set[int] = set()
-        self.received: List[Tuple[float, int]] = []  # (time, seqno)
+        self._times: array[float] = array("d")
+        self._seqnos: array[int] = array("q")
         self.bytes_received = 0
         self.acks_sent = 0
 
-    def on_packet(self, packet: Packet, now: float) -> None:
+    def on_packet(self, packet: Packet, now: float) -> None:  # lint: hot
         """Deliver a data segment (wire into the last link's hooks)."""
         if packet.flow != self.flow_id:
             return
-        self.received.append((now, packet.seqno))
+        seqno = packet.seqno
+        self._times.append(now)
+        self._seqnos.append(seqno)
         self.bytes_received += packet.length // 8
-        if packet.seqno == self._next_expected:
+        if seqno == self._next_expected:
             self._next_expected += 1
             while self._next_expected in self._out_of_order:
                 self._out_of_order.discard(self._next_expected)
                 self._next_expected += 1
-        elif packet.seqno > self._next_expected:
-            self._out_of_order.add(packet.seqno)
+        elif seqno > self._next_expected:
+            self._out_of_order.add(seqno)
         # else: duplicate of an already-delivered segment; ACK anyway.
         self._send_ack()
 
@@ -70,7 +78,13 @@ class TcpReceiver:
             return
         ackno = self._next_expected  # cumulative: next byte expected
         self.acks_sent += 1
-        self.sim.call_after(self.ack_path_delay, self.sender.on_ack, ackno)
+        sim = self.sim
+        sim.call_at(sim.now + self.ack_path_delay, self.sender.on_ack, ackno)
+
+    @property
+    def received(self) -> List[Tuple[float, int]]:
+        """The ``(time, seqno)`` receive log, built on read."""
+        return list(zip(self._times, self._seqnos))
 
     @property
     def in_order_count(self) -> int:
@@ -140,14 +154,15 @@ class TcpSender:
     def outstanding(self) -> int:
         return self.next_seq - self.highest_acked
 
-    def _done_sending(self) -> bool:
-        return self.max_segments is not None and self.next_seq >= self.max_segments
-
     def _try_send(self) -> None:
-        while self.outstanding < int(self.cwnd) and not self._done_sending():
+        # ``outstanding`` and the max_segments test inlined: this runs
+        # once per ACK (HACKING, "Per-packet path rules").
+        while self.next_seq - self.highest_acked < int(self.cwnd) and (
+            self.max_segments is None or self.next_seq < self.max_segments
+        ):
             self._transmit(self.next_seq)
             self.next_seq += 1
-        if self.outstanding > 0 and self._rto_event is None:
+        if self.next_seq - self.highest_acked > 0 and self._rto_event is None:
             self._arm_rto()
 
     def _transmit(self, seqno: int, is_retransmit: bool = False) -> None:
@@ -168,7 +183,7 @@ class TcpSender:
         now = self.sim.now
         if ackno > self.highest_acked:
             self._on_new_ack(ackno, now)
-        elif ackno == self.highest_acked and self.outstanding > 0:
+        elif ackno == self.highest_acked and self.next_seq - self.highest_acked > 0:
             self._on_dup_ack(ackno)
         self._try_send()
 
@@ -193,15 +208,15 @@ class TcpSender:
                 self.cwnd = self.ssthresh
             else:
                 # Partial ACK (NewReno-lite): retransmit the next hole.
-                self._transmit(ackno, is_retransmit=True)
+                self._transmit(ackno, True)
                 self.cwnd = max(1.0, self.cwnd - newly_acked + 1)
         elif self.cwnd < self.ssthresh:
             self.cwnd += newly_acked  # slow start
         else:
             self.cwnd += newly_acked / self.cwnd  # congestion avoidance
 
-        if self.outstanding > 0:
-            self._arm_rto(restart=True)
+        if self.next_seq - self.highest_acked > 0:
+            self._arm_rto(True)
         else:
             self._cancel_rto()
 
@@ -215,8 +230,8 @@ class TcpSender:
             self.cwnd = self.ssthresh + 3.0
             self.in_fast_recovery = True
             self._recover_point = self.next_seq
-            self._transmit(ackno, is_retransmit=True)
-            self._arm_rto(restart=True)
+            self._transmit(ackno, True)
+            self._arm_rto(True)
 
     # ------------------------------------------------------------------
     # RTO machinery
@@ -237,7 +252,8 @@ class TcpSender:
             if not restart:
                 return
             self._rto_event.cancel()
-        self._rto_event = self.sim.after(self.rto * self._backoff, self._on_timeout)
+        sim = self.sim
+        self._rto_event = sim.at(sim.now + self.rto * self._backoff, self._on_timeout)
 
     def _cancel_rto(self) -> None:
         if self._rto_event is not None:

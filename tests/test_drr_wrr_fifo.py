@@ -7,6 +7,7 @@ import pytest
 from tests.helpers import drive_greedy, run_schedule, service_order
 from repro.core import DRR, FIFO, WRR, Packet
 from repro.core.base import SchedulerError
+from repro.core.flow import IDLE_QUEUE
 from repro.servers import ConstantCapacity
 
 
@@ -142,3 +143,31 @@ def test_fifo_has_no_isolation():
     )
     meek = link.tracer.for_flow("meek")[0]
     assert meek.departure - meek.arrival > 40.0
+
+
+def test_fifo_keeps_per_flow_bookkeeping():
+    """``enqueue``/``dequeue`` do in one frame what ``FlowState.push``,
+    ``pop`` and ``record_service`` did: backlog, largest length seen,
+    served counts, the in-service packet, and the shared idle queue once
+    a flow drains."""
+    sched = FIFO()
+    for flow, length in (("a", 100), ("b", 300), ("a", 200), ("a", 50)):
+        sched.enqueue(Packet(flow, length), 0.0)
+    assert (sched.backlog_packets, sched.backlog_bits) == (4, 650)
+    assert sched.flows["a"].max_length_seen == 200
+    youngest = sched.discard_tail("a")
+    assert youngest.length == 50
+    assert (sched.backlog_packets, sched.backlog_bits, sched.flow_backlog("a")) == (3, 600, 2)
+    first = sched.dequeue(0.0)
+    assert (first.flow, first.length) == ("a", 100)
+    assert sched.in_service is first
+    sched.on_service_complete(first, 1.0)
+    assert sched.in_service is None
+    served = [first]
+    while (packet := sched.dequeue(1.0)) is not None:
+        served.append(packet)
+    assert [(p.flow, p.length) for p in served] == [("a", 100), ("b", 300), ("a", 200)]
+    a, b = sched.flows["a"], sched.flows["b"]
+    assert (a.packets_served, a.bits_served, b.packets_served, b.bits_served) == (2, 300, 1, 300)
+    assert a.queue is IDLE_QUEUE and b.queue is IDLE_QUEUE
+    assert (sched.backlog_packets, sched.backlog_bits) == (0, 0)

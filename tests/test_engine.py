@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import math
 import pathlib
 
 import pytest
@@ -265,3 +266,63 @@ def test_only_the_engine_writes_the_clock():
                     ):
                         offenders.append(f"{rel}:{sub.lineno}")
     assert offenders == [], f"clock written outside the engine: {offenders}"
+
+
+class ListStream:
+    """An arrival stream over fixed times that logs each firing."""
+
+    def __init__(self, name, times, log):
+        self.name = name
+        self.times = list(times)
+        self.next_time = self.times[0]
+        self.log = log
+
+    def fire(self):
+        self.log.append((self.name, self.next_time))
+        self.times.pop(0)
+        self.next_time = self.times[0] if self.times else math.inf
+
+
+def test_reserve_inline_sees_the_earliest_stream_after_each_firing():
+    """Streams a (at 1 and 5) and b (at 3): after a fires the earliest
+    stream is b, and after b fires it is a again. A reservation at or
+    past the earliest stream arrival fails (the stream wins ties); one
+    before it succeeds and moves the clock."""
+    sim = Simulator()
+    fired = []
+    sim.attach_stream(ListStream("a", [1.0, 5.0], fired))
+    sim.attach_stream(ListStream("b", [3.0], fired))
+    reserved = []
+
+    def reserve(*times):
+        for time in times:
+            reserved.append((time, sim.reserve_inline(time), sim.now))
+
+    sim.call_at(2.0, reserve, 3.0, 2.5)
+    sim.call_at(4.0, reserve, 5.0, 4.5)
+    sim.call_at(6.0, reserve, 100.0)
+    sim.run()
+    assert fired == [("a", 1.0), ("b", 3.0), ("a", 5.0)]
+    assert reserved == [
+        (3.0, False, 2.0),
+        (2.5, True, 2.5),
+        (5.0, False, 4.0),
+        (4.5, True, 4.5),
+        (100.0, True, 100.0),
+    ]
+    assert sim.events_processed == 3 + 3 + 3
+
+
+def test_reserve_inline_sees_a_stream_attached_mid_run():
+    sim = Simulator()
+    reserved = []
+
+    def attach_then_reserve():
+        sim.attach_stream(ListStream("late", [2.0], []))
+        reserved.append(sim.reserve_inline(2.0))
+        reserved.append(sim.reserve_inline(1.5))
+
+    sim.call_at(1.0, attach_then_reserve)
+    sim.run()
+    assert reserved == [False, True]
+    assert sim.now == 1.5

@@ -394,6 +394,34 @@ def test_perf003_catches_display_inside_hot_loop():
     assert "PERF003" in codes(findings)
 
 
+def test_perf003_catches_tuple_appended_in_hot_function():
+    # A per-packet log entry: one tuple per call, kept by the list.
+    findings = run_lint_on_source(
+        "def on_packet(self, packet, now):  # lint: hot\n"
+        "    self.received.setdefault(packet.flow, []).append((now, packet.seqno))\n"
+    )
+    assert codes(findings) == ["PERF003"]
+
+
+def test_perf003_passes_fields_appended_to_columns():
+    findings = run_lint_on_source(
+        "def on_packet(self, packet, now):  # lint: hot\n"
+        "    log = self._logs[packet.flow]\n"
+        "    log[0].append(now)\n"
+        "    log[1].append(packet.seqno)\n"
+    )
+    assert "PERF003" not in codes(findings)
+
+
+def test_perf003_reports_a_display_appended_in_a_loop_once():
+    findings = run_lint_on_source(
+        "def pump(self, events):  # lint: hot\n"
+        "    for e in events:\n"
+        "        self.log.append([e.t, e.id])\n"
+    )
+    assert codes(findings) == ["PERF003"]
+
+
 def test_perf003_passes_preallocated_loop():
     findings = run_lint_on_source(
         "def drain(self, out):  # lint: hot\n"
