@@ -79,7 +79,7 @@ for name in MAKERS:
     stats = delay_summary(link.tracer, "interactive")
     h = empirical_fairness_measure(
         link.tracer, "bulk_big", "bulk_small",
-        WEIGHTS["bulk_big"], WEIGHTS["bulk_small"], max_epochs=400,
+        WEIGHTS["bulk_big"], WEIGHTS["bulk_small"],
     )
     print(
         f"{name:<13}{big / max(small, 1):>11.2f}{stats['mean'] * 1e3:>11.1f}ms"

@@ -51,7 +51,7 @@ def run(name, make_sched, seed=13):
         link.send(Packet("data", PACKET, seqno=5000 + i)) for i in range(n // 2)
     ])
     sim.run(until=HORIZON)
-    return empirical_fairness_measure(link.tracer, "video", "data", 2.0, 1.0, max_epochs=600)
+    return empirical_fairness_measure(link.tracer, "video", "data", 2.0, 1.0)
 
 
 bound = sfq_fairness_bound(PACKET, 2.0, PACKET, 1.0)

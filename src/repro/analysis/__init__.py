@@ -32,7 +32,7 @@ from repro.analysis.end_to_end import (
     path_delay_tail,
 )
 from repro.analysis.fairness import (
-    backlogged_intervals,
+    RunningGap,
     drr_fairness_bound,
     empirical_fairness_measure,
     golestani_lower_bound,
@@ -56,7 +56,7 @@ __all__ = [
     "scfq_fairness_bound",
     "drr_fairness_bound",
     "empirical_fairness_measure",
-    "backlogged_intervals",
+    "RunningGap",
     "jain_index",
     # delay / throughput bounds
     "expected_arrival_times",

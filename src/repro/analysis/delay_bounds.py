@@ -100,7 +100,10 @@ def scfq_delay_bound(
 def wfq_delay_bound(
     eat: float, l_packet: float, packet_rate: float, l_max: float, capacity: float
 ) -> float:
-    """WFQ/PGPS guarantee: EAT + l/r + l_max/C (used for eq. 58)."""
+    """WFQ/PGPS guarantee: EAT + l/r + l_max/C (used for eq. 58).
+
+    Also Fair Airport's bound (eq. 137, Theorem 9) and Virtual Clock's.
+    """
     return eat + l_packet / packet_rate + l_max / capacity
 
 
@@ -201,11 +204,7 @@ def edd_delay_bound(deadline: float, l_max: float, capacity: float, delta: float
     return deadline + l_max / capacity + delta / capacity
 
 
-def fair_airport_delay_bound(
-    eat: float, l_packet: float, packet_rate: float, l_max: float, capacity: float
-) -> float:
-    """Eq. 137: L_FA(p) <= EAT + l/r + l_max/C — identical to WFQ."""
-    return eat + l_packet / packet_rate + l_max / capacity
+fair_airport_delay_bound = wfq_delay_bound
 
 
 def fair_airport_fairness_bound(

@@ -10,18 +10,25 @@ where a packet counts toward :math:`W(t_1,t_2)` iff it starts *and*
 finishes service inside the interval. Golestani's lower bound is
 :math:`H \\ge \\frac{1}{2}(l_f^{max}/r_f + l_m^{max}/r_m)`.
 
-:func:`empirical_fairness_measure` computes the exact maximum of the
-normalized service gap over all interval endpoints drawn from the
-observed service epochs, restricted to spans where both flows were
-continuously backlogged — i.e. the tightest empirical H(f, m) a trace
-supports.
+One accumulator measures H: :class:`RunningGap`. Within a span in which
+both flows stay backlogged, let D be the running difference of their
+normalized service, credited as each packet that started inside the
+span departs. On a serial server the packets that depart after a
+departure instant start at or after it, so the gap over an interval
+between two such instants (or the span's start) is
+:math:`D(t_2) - D(t_1)`, and the worst interval of the span is
+``max D - min D``: O(1) per departure per pair, and exact, with no
+epoch grid to sample. The online :class:`repro.faults.FairnessMonitor`
+feeds it from a live link's hooks, and
+:func:`empirical_fairness_measure` replays a finished trace through it.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.simulation.tracing import PacketRecord, Tracer
+from repro.simulation.tracing import Tracer
 
 
 # ----------------------------------------------------------------------
@@ -53,121 +60,126 @@ def drr_fairness_bound(lf_max: float, rf: float, lm_max: float, rm: float) -> fl
 # ----------------------------------------------------------------------
 # Empirical measurement
 # ----------------------------------------------------------------------
-def backlogged_intervals(records: Sequence[PacketRecord]) -> List[Tuple[float, float]]:
-    """Merge [arrival, departure] spans into maximal backlogged intervals."""
-    spans = [
-        (r.arrival, r.departure)
-        for r in records
-        if r.departure is not None and not r.dropped
-    ]
-    spans.sort()
-    merged: List[Tuple[float, float]] = []
-    for start, end in spans:
-        if merged and start <= merged[-1][1] + 1e-12:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
+class _PairState:
+    """Running gap of one pair of flows over its common-backlog span."""
+
+    __slots__ = ("a", "b", "since", "d", "dmin", "dmax")
+
+    def __init__(self, a: Hashable, b: Hashable, since: float) -> None:
+        self.a = a
+        self.b = b
+        self.since = since
+        self.d = 0.0
+        self.dmin = 0.0
+        self.dmax = 0.0
 
 
-def _intersect(
-    a: List[Tuple[float, float]], b: List[Tuple[float, float]]
-) -> List[Tuple[float, float]]:
-    out: List[Tuple[float, float]] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
+class RunningGap:
+    """Theorem 1's H(f, m), kept incrementally for every pair of flows.
+
+    Three calls per packet drive it: :meth:`open` when the packet joins
+    its flow's backlog, then at its departure :meth:`credit` with its
+    service start and :meth:`close`. A pair's span opens when the second
+    of its flows becomes backlogged and closes when either drains.
+    :meth:`credit` adds ``length / weight[flow]`` to D of every open pair
+    of the flow whose span began at or before the packet's start, so the
+    packet already on the wire when a span opens is left out.
+
+    ``weight`` maps each flow to its rate :math:`r_f`; the caller keeps
+    it current. :attr:`max_gap` is the largest ``max D - min D`` of any
+    span so far, and :attr:`max_gap_pair` the pair that reached it.
+    """
+
+    def __init__(self, weight: Optional[Dict[Hashable, float]] = None) -> None:
+        self.weight: Dict[Hashable, float] = dict(weight or {})
+        self.max_gap = 0.0
+        self.max_gap_pair: Optional[Tuple[Hashable, Hashable]] = None
+        self._backlog: Dict[Hashable, int] = {}
+        # flow -> {other flow: their pair}; both flows index one object.
+        self._pairs: Dict[Hashable, Dict[Hashable, _PairState]] = {}
+
+    def open(self, flow: Hashable, now: float) -> None:
+        """One more packet of ``flow`` is backlogged from ``now`` on."""
+        count = self._backlog.get(flow, 0) + 1
+        self._backlog[flow] = count
+        if count > 1:
+            return
+        for other, backlog in self._backlog.items():
+            if backlog and other != flow:
+                a, b = (flow, other) if repr(flow) <= repr(other) else (other, flow)
+                pair = _PairState(a, b, now)
+                self._pairs.setdefault(flow, {})[other] = pair
+                self._pairs.setdefault(other, {})[flow] = pair
+
+    def credit(self, flow: Hashable, length: int, start: float) -> List[_PairState]:
+        """Post a departed packet's service; return the pairs credited."""
+        pairs = self._pairs.get(flow)
+        if not pairs:
+            return []
+        normalized = length / self.weight[flow]
+        credited: List[_PairState] = []
+        for pair in pairs.values():
+            if start < pair.since - 1e-12:
+                continue  # the packet started before this span opened
+            pair.d += normalized if flow == pair.a else -normalized
+            if pair.d < pair.dmin:
+                pair.dmin = pair.d
+            if pair.d > pair.dmax:
+                pair.dmax = pair.d
+            gap = pair.dmax - pair.dmin
+            if gap > self.max_gap:
+                self.max_gap = gap
+                self.max_gap_pair = (pair.a, pair.b)
+            credited.append(pair)
+        return credited
+
+    def close(self, flow: Hashable) -> None:
+        """One packet of ``flow`` left the backlog; the last closes its spans."""
+        self._backlog[flow] -= 1
+        if not self._backlog[flow]:
+            for other in self._pairs.pop(flow, {}):
+                del self._pairs[other][flow]
+
+    def rebase(self, flow: Hashable, now: float) -> None:
+        """Restart every open span of ``flow`` at ``now``.
+
+        Theorem 1's constants are fixed over the measured interval; after
+        ``flow`` is re-weighted its accumulated D mixes two rate regimes.
+        A rebased span starts over as if the common backlog had just
+        begun, so the packet on the wire is left out as at an opening.
+        """
+        for pair in self._pairs.get(flow, {}).values():
+            pair.since = now
+            pair.d = pair.dmin = pair.dmax = 0.0
 
 
 def empirical_fairness_measure(
-    tracer: Tracer,
-    flow_f: Hashable,
-    flow_m: Hashable,
-    rf: float,
-    rm: float,
-    max_epochs: Optional[int] = 2000,
-    return_interval: bool = False,
-):
-    """Max normalized service gap over all common-backlog intervals.
+    tracer: Tracer, flow_f: Hashable, flow_m: Hashable, rf: float, rm: float
+) -> float:
+    """H(f, m) of a trace: the two flows' departed records replayed
+    through :class:`RunningGap`.
 
-    Exact over the epoch grid (service start/departure instants): the
-    gap function changes value only at those instants, so checking all
-    epoch pairs inside every common-backlog span yields the true
-    maximum. ``max_epochs`` caps quadratic blowup on huge traces by
-    evaluating each span on an evenly subsampled epoch grid.
-
-    With ``return_interval=True`` returns ``(H, (t1, t2))`` — the
-    interval realizing the worst gap (``(0.0, 0.0)`` if none) — which is
-    invaluable when debugging a fairness-bound violation.
+    A record's arrival opens its flow's backlog; its departure credits
+    its ``start_service`` and closes. A record without a start backlogs
+    its flow but earns no credit. At equal times arrivals go first, so a
+    flow whose next packet arrives as its last one leaves stays
+    backlogged.
     """
-    recs_f = tracer.departed(flow_f)
-    recs_m = tracer.departed(flow_m)
-    if not recs_f or not recs_m:
-        return (0.0, (0.0, 0.0)) if return_interval else 0.0
-    common = _intersect(backlogged_intervals(recs_f), backlogged_intervals(recs_m))
-    worst = 0.0
-    worst_span = (0.0, 0.0)
-    for lo, hi in common:
-        gap, span = _max_gap_in_span(recs_f, recs_m, rf, rm, lo, hi, max_epochs)
-        if gap > worst:
-            worst, worst_span = gap, span
-    return (worst, worst_span) if return_interval else worst
-
-
-def _max_gap_in_span(
-    recs_f: Sequence[PacketRecord],
-    recs_m: Sequence[PacketRecord],
-    rf: float,
-    rm: float,
-    lo: float,
-    hi: float,
-    max_epochs: Optional[int],
-) -> Tuple[float, Tuple[float, float]]:
-    # Packets entirely inside [lo, hi], as (start, departure, signed work).
-    eps = 1e-12
-    items: List[Tuple[float, float, float]] = []
-    epochs: List[float] = [lo, hi]
-    for r in recs_f:
-        if r.start_service is not None and r.start_service >= lo - eps and r.departure <= hi + eps:
-            items.append((r.start_service, r.departure, r.length / rf))
-            epochs.extend((r.start_service, r.departure))
-    for r in recs_m:
-        if r.start_service is not None and r.start_service >= lo - eps and r.departure <= hi + eps:
-            items.append((r.start_service, r.departure, -r.length / rm))
-            epochs.extend((r.start_service, r.departure))
-    if not items:
-        return 0.0, (lo, hi)
-    epochs = sorted(set(epochs))
-    if max_epochs is not None and len(epochs) > max_epochs:
-        stride = len(epochs) / max_epochs
-        epochs = [epochs[int(i * stride)] for i in range(max_epochs)] + [epochs[-1]]
-    items.sort(key=lambda it: it[1])  # by departure
-    worst = 0.0
-    worst_span = (lo, hi)
-    for t1 in epochs:
-        # Walk t2 upward, accumulating packets fully inside [t1, t2].
-        acc = 0.0
-        idx = 0
-        for t2 in epochs:
-            if t2 <= t1:
-                continue
-            while idx < len(items) and items[idx][1] <= t2 + eps:
-                start, _dep, value = items[idx]
-                if start >= t1 - eps:
-                    acc += value
-                idx += 1
-            if abs(acc) > worst:
-                worst = abs(acc)
-                worst_span = (t1, t2)
-    return worst, worst_span
+    events: List[Tuple[Any, ...]] = []
+    for flow in (flow_f, flow_m):
+        for r in tracer.iter_departed(flow):
+            events.append((r.arrival, False, flow, None, r.length))
+            events.append((r.departure, True, flow, r.start_service, r.length))
+    events.sort(key=itemgetter(0, 1))
+    gaps = RunningGap({flow_f: rf, flow_m: rm})
+    for time, departs, flow, start, length in events:
+        if not departs:
+            gaps.open(flow, time)
+            continue
+        if start is not None:
+            gaps.credit(flow, length, start)
+        gaps.close(flow)
+    return gaps.max_gap
 
 
 def jain_index(allocations: Sequence[float]) -> float:

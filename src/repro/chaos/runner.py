@@ -215,7 +215,7 @@ def run_schedule(
         bound_factor = float("inf")
     monitors: MonitorSuite = install_monitors(
         link,
-        fail_fast=fail_fast,
+        mode="raise" if fail_fast else "record",
         slack=1e-6,
         bound_factor=bound_factor,
     )

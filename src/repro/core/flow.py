@@ -19,22 +19,15 @@ shared state.
 
 ``weight`` is a plain attribute, because every rank reads it.
 :meth:`repro.core.base.Scheduler.set_weight` is its one writer after
-construction and rejects a non-positive weight. Two more per-flow
-values live here:
+construction and rejects a non-positive weight. There is no cached
+reciprocal: tag math divides by the rate, because ``l * (1/r)`` and
+``l / r`` differ in ulps for non-dyadic rates and the trace-equivalence
+suite requires schedules byte-identical to the seed core's.
 
-* ``inv_weight`` — :math:`1/r_f`, computed on each read rather than
-  cached, so no setter has to keep a second slot in step with
-  ``weight``. Consumers that tolerate reciprocal rounding (e.g. the
-  fairness monitor's normalized-service accounting, whose bound checks
-  carry explicit slack) read it once per arrival and multiply by it
-  instead of dividing per packet. Tag computation deliberately does
-  *not* use it: ``l * (1/r)`` and ``l / r`` differ in ulps for
-  non-dyadic rates, and the trace-equivalence suite requires schedules
-  byte-identical to the seed core's;
-* ``heap_entry`` / ``tie_keys`` — scratch used by
-  :class:`repro.core.pifo.PifoScheduler` to track this flow's
-  entry in the flow-head heap. ``tie_keys`` (non-FIFO tie rules only)
-  lives exactly as long as the flow's deque.
+``heap_entry`` and ``tie_keys`` are working state of
+:class:`repro.core.pifo.PifoScheduler`, which tracks this flow's entry in
+the flow-head heap with them. ``tie_keys`` (non-FIFO tie rules only)
+lives exactly as long as the flow's deque.
 
 The expected-arrival-time (EAT) tracker of eq. 37 also lives here since
 Virtual Clock, Delay EDD and Jitter EDD need it. It is created on first
@@ -126,11 +119,6 @@ class FlowState:
         #: Parallel deque of tie-break keys while backlogged (non-FIFO
         #: tie rules only), else None.
         self.tie_keys: Optional[Deque[Tuple[Any, ...]]] = None
-
-    @property
-    def inv_weight(self) -> float:
-        """:math:`1/r_f`, computed on read (see the module docstring)."""
-        return 1.0 / self.weight
 
     # ------------------------------------------------------------------
     # Queue operations

@@ -25,7 +25,11 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence, Tuple
 
-from repro.analysis.delay_bounds import ebf_tail_probability, expected_arrival_times
+from repro.analysis.delay_bounds import (
+    ebf_tail_probability,
+    expected_arrival_times,
+    sfq_delay_bound,
+)
 from repro.analysis.servers import sample_ebf_deficits
 from repro.core import Packet
 from repro.core.registry import make_scheduler
@@ -103,10 +107,12 @@ def violation_curve(
                 [r.length for r in records],
                 [rate] * len(records),
             )
-            beta_core = (
-                sum(l for f2, l in lmax.items() if f2 != flow) / CAPACITY
-                + length / CAPACITY
-                + delta / CAPACITY
+            beta_core = sfq_delay_bound(
+                0.0,
+                sum(l for f2, l in lmax.items() if f2 != flow),
+                length,
+                CAPACITY,
+                delta,
             )
             for record, eat in zip(records, eats):
                 totals += 1

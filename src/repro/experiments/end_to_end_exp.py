@@ -21,6 +21,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.analysis.delay_bounds import (
     expected_arrival_times,
     scfq_sfq_delay_delta,
+    sfq_delay_bound,
 )
 from repro.analysis.end_to_end import deterministic_path_bound
 from repro.core import Packet
@@ -135,7 +136,7 @@ def run_end_to_end(max_hops: int = 5, horizon: float = 10.0) -> ExperimentResult
         )
         eat_by_seq = {r.seqno: e for r, e in zip(records, eats)}
         betas = [
-            sum_lmax_others / CAPACITY + length / CAPACITY + d / CAPACITY
+            sfq_delay_bound(0.0, sum_lmax_others, length, CAPACITY, d)
             for d in deltas
         ]
         taus = [PROP_DELAY] * (k - 1)

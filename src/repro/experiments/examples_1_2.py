@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro.analysis.fairness import golestani_lower_bound
 from repro.core import Packet, TieBreak
 from repro.core.registry import make_scheduler
 from repro.experiments.harness import ExperimentResult
@@ -62,7 +63,7 @@ def run_example1(c: float = 1.0, lmax: int = 1000) -> ExperimentResult:
     wf = link.tracer.work_in_interval("f", t1, t2)
     wm = link.tracer.work_in_interval("m", t1, t2)
     gap = abs(wf / rate - wm / rate)
-    lower_bound = 0.5 * (lmax / rate + lmax / rate)
+    lower_bound = golestani_lower_bound(lmax, rate, lmax, rate)
 
     result = ExperimentResult(
         experiment="Example 1",

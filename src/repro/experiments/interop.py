@@ -20,7 +20,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.analysis.delay_bounds import expected_arrival_times
+from repro.analysis.delay_bounds import (
+    expected_arrival_times,
+    scfq_delay_bound,
+    sfq_delay_bound,
+    wfq_delay_bound,
+)
 from repro.analysis.end_to_end import deterministic_path_bound
 from repro.core import Packet, Scheduler
 from repro.core.registry import make_scheduler
@@ -49,11 +54,11 @@ def _beta(hop_name: str) -> float:
     sum_lmax_others = sum(l for _f, _r, l, _b in CROSS)
     l_max = max([length] + [l for _f, _r, l, _b in CROSS])
     if hop_name == "SFQ":
-        return sum_lmax_others / CAPACITY + length / CAPACITY
+        return sfq_delay_bound(0.0, sum_lmax_others, length, CAPACITY)
     if hop_name == "VirtualClock":
-        return length / rate + l_max / CAPACITY
+        return wfq_delay_bound(0.0, length, rate, l_max, CAPACITY)
     if hop_name == "SCFQ":
-        return sum_lmax_others / CAPACITY + length / rate
+        return scfq_delay_bound(0.0, sum_lmax_others, length, rate, CAPACITY)
     raise ValueError(hop_name)
 
 

@@ -82,9 +82,7 @@ def run_stress(seed: int = 51) -> ExperimentResult:
         ("WFQ (assumed mean rate)", lambda: make_scheduler("WFQ", capacity=MEAN_RATE, auto_register=False)),
     ):
         link = _run(make, seed)
-        measures[name] = empirical_fairness_measure(
-            link.tracer, "f", "m", RF, RM, max_epochs=800
-        )
+        measures[name] = empirical_fairness_measure(link.tracer, "f", "m", RF, RM)
 
     result = ExperimentResult(
         experiment="Stress: Theorem 1 off-distribution",

@@ -21,23 +21,18 @@ in ``mode="raise"`` (fail fast — debugging) or ``mode="record"``
 (accumulate violations — measurement), and a link's monitors bundle into
 a :class:`MonitorSuite` via :func:`install_monitors`.
 
-Implementation note on the fairness check: for an interval
-:math:`[t_1, t_2]` inside a common-backlog span, the normalized service
-gap is :math:`D(t_2) - D(t_1)` where ``D`` is the running signed
-difference of normalized work. Its maximum over all sub-intervals of the
-span is therefore ``max D - min D`` over the span, which the monitor
-maintains incrementally in O(1) per departure per pair — the same trick
-that makes the offline :func:`empirical_fairness_measure` exact, without
-storing the trace. Following the paper (Section 1.2), a packet counts
-toward an interval only if it starts *and* finishes service inside it;
-the monitor excludes the packet already on the wire when a pair's
-common-backlog span opens.
+The fairness check keeps no gap arithmetic of its own: it feeds the
+link's arrivals and departures to :class:`repro.analysis.RunningGap`,
+the accumulator :func:`repro.analysis.empirical_fairness_measure`
+replays traces through, and checks each credited pair against
+:func:`repro.analysis.sfq_fairness_bound`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
+from repro.analysis.fairness import RunningGap, sfq_fairness_bound
 from repro.core.packet import Packet
 from repro.metrics.hub import NULL_METRICS, MetricsHub
 from repro.servers.link import Link
@@ -146,16 +141,9 @@ class Monitor:
         return violation
 
 
-class _PairState:
-    """Running gap statistics for one pair's common-backlog span."""
-
-    __slots__ = ("since", "d", "dmin", "dmax")
-
-    def __init__(self, since: float) -> None:
-        self.since = since
-        self.d = 0.0
-        self.dmin = 0.0
-        self.dmax = 0.0
+#: Flows a :class:`FairnessMonitor` tracks; pair state is quadratic, and
+#: later flows are ignored.
+MAX_FAIRNESS_FLOWS = 64
 
 
 class FairnessMonitor(Monitor):
@@ -172,8 +160,10 @@ class FairnessMonitor(Monitor):
     quantum term), or set ``float("inf")`` to just measure
     :attr:`max_gap` without ever firing.
 
-    The monitor tracks at most ``max_flows`` flows (pair state is
-    quadratic); later flows are ignored.
+    The link sends no start-of-service event, so a departing packet is
+    credited with its start's lower bound, ``max(arrival, previous
+    departure)``. That is its start on a work-conserving link that is
+    never paused.
     """
 
     invariant = "fairness"
@@ -184,85 +174,54 @@ class FairnessMonitor(Monitor):
         mode: str = "raise",
         slack: float = 1e-9,
         bound_factor: float = 1.0,
-        max_flows: int = 64,
     ) -> None:
         super().__init__(mode, metrics=link.metrics)
         self.link = link
         self.slack = float(slack)
         self.bound_factor = float(bound_factor)
-        self.max_flows = int(max_flows)
-        #: Largest normalized gap observed in any common-backlog window.
-        self.max_gap = 0.0
-        self.max_gap_pair: Optional[Tuple[Hashable, Hashable]] = None
-        self._outstanding: Dict[Hashable, int] = {}
-        self._weight: Dict[Hashable, float] = {}
-        # Cached reciprocals (FlowState.inv_weight): _credit runs once
-        # per departed packet, and the bound check carries explicit
-        # slack, so a multiply is safe where the schedulers' tag math
-        # is not.
-        self._inv_weight: Dict[Hashable, float] = {}
+        self._gaps = RunningGap()
         self._max_len: Dict[Hashable, int] = {}
-        self._pairs: Dict[Tuple[Hashable, Hashable], _PairState] = {}
-        # Per-flow index over _pairs so _credit touches only the pairs
-        # the served flow participates in, not all O(flows^2) of them.
-        self._flow_pairs: Dict[Hashable, Dict[Tuple[Hashable, Hashable], _PairState]] = {}
         self._admitted: Set[int] = set()  # uids currently in the link
         self._last_departure = float("-inf")
         link.arrival_hooks.append(self._on_arrival)
         link.departure_hooks.append(self._on_departure)
         link.drop_hooks.append(self._on_drop)
 
-    # ------------------------------------------------------------------
-    def _tracked(self, flow: Hashable) -> bool:
-        return flow in self._weight
+    @property
+    def max_gap(self) -> float:
+        """Largest normalized gap observed in any common-backlog window."""
+        return self._gaps.max_gap
 
+    @property
+    def max_gap_pair(self) -> Optional[Tuple[Hashable, Hashable]]:
+        """The pair of flows that reached :attr:`max_gap`."""
+        return self._gaps.max_gap_pair
+
+    # ------------------------------------------------------------------
     def _on_arrival(self, packet: Packet, now: float) -> None:
         flow = packet.flow
-        if not self._tracked(flow):
-            if len(self._weight) >= self.max_flows:
+        state = self.link.scheduler.flows.get(flow)
+        if flow not in self._max_len:
+            # A composite scheduler managing flows internally gives
+            # nothing to normalize by: skip such a flow.
+            if state is None or len(self._max_len) >= MAX_FAIRNESS_FLOWS:
                 return
-            state = self.link.scheduler.flows.get(flow)
-            if state is None:
-                # Composite scheduler managing flows internally;
-                # nothing to normalize by — skip this flow.
-                return
-            self._weight[flow] = state.weight
-            self._inv_weight[flow] = state.inv_weight
             self._max_len[flow] = 0
-            self._outstanding[flow] = 0
-        else:
-            state = self.link.scheduler.flows.get(flow)
-            if state is not None:
-                self._weight[flow] = state.weight
-                self._inv_weight[flow] = state.inv_weight
+        if state is not None:
+            self._gaps.weight[flow] = state.weight
         if packet.length > self._max_len[flow]:
             self._max_len[flow] = packet.length
         self._admitted.add(packet.uid)
-        self._outstanding[flow] += 1
-        if self._outstanding[flow] == 1:
-            # Flow just became backlogged: open a common-backlog span
-            # with every other currently backlogged flow.
-            for other, count in self._outstanding.items():
-                if other == flow or count == 0:
-                    continue
-                key = self._key(flow, other)
-                pair = _PairState(now)
-                self._pairs[key] = pair
-                self._flow_pairs.setdefault(flow, {})[key] = pair
-                self._flow_pairs.setdefault(other, {})[key] = pair
+        self._gaps.open(flow, now)
 
     def _on_departure(self, packet: Packet, now: float) -> None:
-        # A packet counts toward an interval only if it started service
-        # inside it (paper Section 1.2). The start instant is bounded
-        # below by both the packet's link-local arrival and the previous
-        # departure of this serial server.
         started_lb = max(packet.arrival, self._last_departure)
         self._last_departure = now
         if packet.uid not in self._admitted:
             return
         self._admitted.discard(packet.uid)
         self._credit(packet.flow, packet.length, started_lb, now)
-        self._finish_one(packet.flow, now)
+        self._gaps.close(packet.flow)
 
     def _on_drop(self, packet: Packet, now: float) -> None:
         # A dropped packet leaves the backlog without being served.
@@ -280,32 +239,21 @@ class FairnessMonitor(Monitor):
             started_lb = max(packet.arrival, self._last_departure)
             self._last_departure = now
             self._credit(packet.flow, packet.length, started_lb, now)
-        self._finish_one(packet.flow, now)
+        self._gaps.close(packet.flow)
 
     def _credit(
         self, flow: Hashable, length: int, started_lb: float, now: float
     ) -> None:
-        """Post ``length`` bits of service for ``flow`` to every open pair."""
-        normalized = length * self._inv_weight[flow]
-        pairs = self._flow_pairs.get(flow)
-        if not pairs:
-            return
-        for (a, b), pair in pairs.items():
-            if started_lb < pair.since - 1e-12:
-                continue  # packet predates this common-backlog span
-            pair.d += normalized if flow == a else -normalized
-            if pair.d < pair.dmin:
-                pair.dmin = pair.d
-            if pair.d > pair.dmax:
-                pair.dmax = pair.d
+        """Post ``length`` bits of service for ``flow``; check each pair."""
+        weight = self._gaps.weight
+        for pair in self._gaps.credit(flow, length, started_lb):
+            a, b = pair.a, pair.b
             gap = pair.dmax - pair.dmin
-            if gap > self.max_gap:
-                self.max_gap = gap
-                self.max_gap_pair = (a, b)
             bound = (
-                self._max_len[a] / self._weight[a]
-                + self._max_len[b] / self._weight[b]
-            ) * self.bound_factor + self.slack
+                sfq_fairness_bound(self._max_len[a], weight[a], self._max_len[b], weight[b])
+                * self.bound_factor
+                + self.slack
+            )
             if gap > bound:
                 self._violate(
                     now,
@@ -315,53 +263,20 @@ class FairnessMonitor(Monitor):
                     window=(pair.since, now),
                 )
 
-    def _finish_one(self, flow: Hashable, now: float) -> None:
-        self._outstanding[flow] -= 1
-        if self._outstanding[flow] == 0:
-            # Backlog span over: close every pair involving this flow.
-            closed = self._flow_pairs.pop(flow, None)
-            if closed:
-                for key in closed:
-                    del self._pairs[key]
-                    a, b = key
-                    other = b if a == flow else a
-                    other_pairs = self._flow_pairs.get(other)
-                    if other_pairs is not None:
-                        other_pairs.pop(key, None)
-
     def rebase_flow(self, flow: Hashable, now: float) -> None:
         """Restart every measurement span involving ``flow`` at ``now``.
 
-        Theorem 1's constants (:math:`r_f`, :math:`l_f^{max}`) are fixed
-        over the measured interval; when a flow is re-weighted mid-run
-        (:class:`repro.faults.WeightReconfig`) the accumulated
-        normalized-gap state mixes two rate regimes and stops meaning
-        anything. Rebasing refreshes the cached weight from the
-        scheduler and resets each open pair span as if the common
-        backlog had just begun — the packet currently on the wire is
-        naturally excluded by the span-start check in ``_credit``,
-        exactly as at a span's first opening.
+        Called when ``flow`` is re-weighted mid-run
+        (:class:`repro.faults.WeightReconfig`): the weight is refreshed
+        from the scheduler and each open span restarts
+        (:meth:`repro.analysis.RunningGap.rebase`).
         """
-        if not self._tracked(flow):
+        if flow not in self._max_len:
             return
         state = self.link.scheduler.flows.get(flow)
         if state is not None:
-            self._weight[flow] = state.weight
-            self._inv_weight[flow] = state.inv_weight
-        pairs = self._flow_pairs.get(flow)
-        if not pairs:
-            return
-        # Mutate in place: the same _PairState object is referenced from
-        # _pairs and from both flows' indexes.
-        for pair in pairs.values():
-            pair.since = now
-            pair.d = 0.0
-            pair.dmin = 0.0
-            pair.dmax = 0.0
-
-    @staticmethod
-    def _key(a: Hashable, b: Hashable) -> Tuple[Hashable, Hashable]:
-        return (a, b) if repr(a) <= repr(b) else (b, a)
+            self._gaps.weight[flow] = state.weight
+        self._gaps.rebase(flow, now)
 
 
 class VirtualTimeMonitor(Monitor):
@@ -527,12 +442,6 @@ class MonitorSuite:
     def ok(self) -> bool:
         return all(m.ok for m in self.monitors)
 
-    @property
-    def fail_fast(self) -> bool:
-        """True when every installed monitor raises on first violation."""
-        monitors = self.monitors
-        return bool(monitors) and all(m.mode == "raise" for m in monitors)
-
     def audit(self) -> None:
         """Run the end-of-run conservation reconciliation."""
         if self.conservation is not None:
@@ -554,25 +463,18 @@ def install_monitors(
     conservation: bool = True,
     slack: float = 1e-9,
     bound_factor: float = 1.0,
-    fail_fast: Optional[bool] = None,
 ) -> MonitorSuite:
     """Attach the standard invariant monitors to ``link``.
 
-    ``virtual_time=None`` auto-detects: the monitor is installed iff the
-    link's scheduler exposes a ``virtual_time`` property.
-
-    ``fail_fast`` is the ergonomic switch over ``mode``: ``True`` means
-    raise at the first violation (``mode="raise"`` — debugging, CI
-    gates), ``False`` means record and continue (``mode="record"`` —
-    measurement, chaos campaigns). When given it overrides ``mode``;
-    ``None`` leaves ``mode`` in charge.
+    ``mode="record"`` accumulates violations (measurement, chaos
+    campaigns); ``mode="raise"`` aborts at the first (debugging, CI
+    gates). ``virtual_time=None`` auto-detects: the monitor is installed
+    iff the link's scheduler exposes a ``virtual_time`` property.
 
     Returns the :class:`MonitorSuite`; call its
     :meth:`~MonitorSuite.audit` (or :meth:`~MonitorSuite.assert_clean`)
     after the run.
     """
-    if fail_fast is not None:
-        mode = "raise" if fail_fast else "record"
     if virtual_time is None:
         virtual_time = hasattr(link.scheduler, "virtual_time")
     return MonitorSuite(

@@ -4,9 +4,11 @@ These are the load-bearing guarantees of the reproduction:
 
 * Theorem 1's fairness bound for SFQ/SCFQ under arbitrary workloads and
   arbitrary (even adversarial) server-rate profiles;
+* one H(f, m): the trace replay, the online monitor and the frozen
+  epoch-pair scan agree;
 * conservation: every enqueued packet is served exactly once, in
-  per-flow FIFO order;
-* virtual-time monotonicity;
+  per-flow FIFO order (with the conservation auditor installed);
+* virtual-time monotonicity, checked by the virtual-time monitor;
 * capacity processes: work additivity and finish_time/work inversion;
 * EAT recursion properties.
 """
@@ -21,8 +23,10 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.delay_bounds import expected_arrival_times
 from repro.analysis.fairness import empirical_fairness_measure, sfq_fairness_bound
 from repro.core import DRR, FIFO, FairAirport, Packet, make_scheduler
+from repro.faults import ConservationAuditor, FairnessMonitor, VirtualTimeMonitor
 from repro.servers import ConstantCapacity, Link, PiecewiseCapacity
 from repro.simulation import Simulator
+from tests.reference.legacy_fairness import legacy_fairness_measure
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -54,7 +58,19 @@ def build_capacity(slot_rates: List[float]) -> PiecewiseCapacity:
     return PiecewiseCapacity.from_list(segments, average_rate=1000.0)
 
 
-def run_workload(scheduler, capacity, schedule) -> Link:
+MAKERS = {
+    "SFQ": lambda: make_scheduler("SFQ"),
+    "SCFQ": lambda: make_scheduler("SCFQ"),
+    "WFQ": lambda: make_scheduler("WFQ", capacity=1000.0),
+    "VC": lambda: make_scheduler("VirtualClock"),
+    "DRR": lambda: DRR(quantum_scale=2.0),
+    "FIFO": lambda: FIFO(),
+    "FA": lambda: FairAirport(),
+}
+
+
+def build_workload(scheduler, capacity, schedule) -> Tuple[Simulator, Link]:
+    """A link with ``schedule``'s arrivals booked; run it with ``sim.run()``."""
     sim = Simulator()
     for flow in ("f", "m"):
         if flow not in scheduler.flows:
@@ -65,6 +81,11 @@ def run_workload(scheduler, capacity, schedule) -> Link:
         seq = counters[flow]
         counters[flow] += 1
         sim.at(t, lambda fl, s, lb: link.send(Packet(fl, lb, seqno=s)), flow, seq, length)
+    return sim, link
+
+
+def run_workload(scheduler, capacity, schedule) -> Link:
+    sim, link = build_workload(scheduler, capacity, schedule)
     sim.run()
     return link
 
@@ -92,25 +113,34 @@ def test_scfq_fairness_bound_any_server(schedule, profile):
     assert h <= sfq_fairness_bound(lmax_f, 500.0, lmax_m, 250.0) + 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    schedule=arrival_schedule,
+    profile=rate_profiles,
+    which=st.sampled_from(["SFQ", "SCFQ", "DRR", "WFQ"]),
+)
+def test_fairness_replay_matches_epoch_scan_and_monitor(schedule, profile, which):
+    """One H(f, m): the replay of the trace, the frozen quadratic scan
+    over epoch pairs, and the online monitor on the same link."""
+    sim, link = build_workload(MAKERS[which](), build_capacity(profile), schedule)
+    monitor = FairnessMonitor(link, bound_factor=float("inf"))
+    sim.run()
+    h = empirical_fairness_measure(link.tracer, "f", "m", 500.0, 250.0)
+    scan = legacy_fairness_measure(link.tracer, "f", "m", 500.0, 250.0)
+    assert h == pytest.approx(scan, rel=0.0, abs=1e-9)
+    assert h == pytest.approx(monitor.max_gap, rel=0.0, abs=1e-9)
+
+
 # ----------------------------------------------------------------------
 # Conservation and FIFO-per-flow, for every discipline
 # ----------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
-@given(
-    schedule=arrival_schedule,
-    which=st.sampled_from(["SFQ", "SCFQ", "WFQ", "VC", "DRR", "FIFO", "FA"]),
-)
+@given(schedule=arrival_schedule, which=st.sampled_from(list(MAKERS)))
 def test_conservation_and_flow_fifo(schedule, which):
-    makers = {
-        "SFQ": lambda: make_scheduler("SFQ"),
-        "SCFQ": lambda: make_scheduler("SCFQ"),
-        "WFQ": lambda: make_scheduler("WFQ", capacity=1000.0),
-        "VC": lambda: make_scheduler("VirtualClock"),
-        "DRR": lambda: DRR(quantum_scale=2.0),
-        "FIFO": lambda: FIFO(),
-        "FA": lambda: FairAirport(),
-    }
-    link = run_workload(makers[which](), ConstantCapacity(1000.0), schedule)
+    sim, link = build_workload(MAKERS[which](), ConstantCapacity(1000.0), schedule)
+    auditor = ConservationAuditor(link, mode="raise")
+    sim.run()
+    auditor.audit()
     sent = {"f": 0, "m": 0}
     for _t, flow, _l in schedule:
         sent[flow] += 1
@@ -136,20 +166,11 @@ def test_conservation_and_flow_fifo(schedule, which):
 @settings(max_examples=25, deadline=None)
 @given(schedule=arrival_schedule)
 def test_sfq_virtual_time_monotone(schedule):
-    sim = Simulator()
-    sfq = make_scheduler("SFQ")
-    sfq.add_flow("f", 500.0)
-    sfq.add_flow("m", 250.0)
-    link = Link(sim, sfq, ConstantCapacity(1000.0))
-    vs = []
-    link.departure_hooks.append(lambda p, t: vs.append(sfq.virtual_time))
-    counters = {"f": 0, "m": 0}
-    for t, flow, length in sorted(schedule):
-        seq = counters[flow]
-        counters[flow] += 1
-        sim.at(t, lambda fl, s, lb: link.send(Packet(fl, lb, seqno=s)), flow, seq, length)
+    sim, link = build_workload(make_scheduler("SFQ"), ConstantCapacity(1000.0), schedule)
+    # eps=0.0: any decrease at an arrival or a departure raises.
+    monitor = VirtualTimeMonitor(link, mode="raise", eps=0.0)
     sim.run()
-    assert vs == sorted(vs)
+    assert monitor.ok
 
 
 # ----------------------------------------------------------------------
