@@ -66,7 +66,6 @@ class Scheduler(ABC):
             raise SchedulerError(f"flow {flow_id!r} already registered")
         state = FlowState(flow_id, weight)
         self.flows[flow_id] = state
-        self._on_flow_added(state)
         return state
 
     def remove_flow(self, flow_id: Hashable) -> None:
@@ -77,7 +76,6 @@ class Scheduler(ABC):
         if state.backlogged:
             raise SchedulerError(f"cannot remove backlogged flow {flow_id!r}")
         del self.flows[flow_id]
-        self._on_flow_removed(state)
 
     def set_weight(self, flow_id: Hashable, weight: float) -> None:
         """Change a flow's weight; applies to subsequently arriving packets."""
@@ -92,12 +90,6 @@ class Scheduler(ABC):
                 raise SchedulerError(f"unknown flow {flow_id!r}")
             state = self.add_flow(flow_id, self.default_weight)
         return state
-
-    def _on_flow_added(self, state: FlowState) -> None:
-        """Hook for subclasses that keep per-flow side structures."""
-
-    def _on_flow_removed(self, state: FlowState) -> None:
-        """Hook for subclasses that keep per-flow side structures."""
 
     # ------------------------------------------------------------------
     # Queueing protocol

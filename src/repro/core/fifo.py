@@ -6,7 +6,9 @@ all) and a useful leaf discipline inside hierarchies. Figure 1's video
 band is a FIFO, so it is on the packet path: like
 :class:`~repro.core.pifo.PifoScheduler`, its public
 ``enqueue``/``dequeue``/``on_service_complete`` do the per-flow queue,
-backlog and served-count bookkeeping in one frame each.
+backlog and served-count bookkeeping in one frame each, including
+:class:`~repro.core.flow.FlowState`'s queue states (a sole packet in a
+1-tuple, a deque from the second).
 """
 
 from __future__ import annotations
@@ -39,12 +41,18 @@ class FIFO(Scheduler):
         length = packet.length
         self._backlog_packets += 1
         self._backlog_bits += length
-        # FlowState.push, inlined: the first packet takes a deque.
+        # FlowState.push, inlined: a sole packet is held in a 1-tuple,
+        # and the second arrival promotes it to a deque.
         queue = state.queue
-        if not queue:
-            queue = deque()
-            state.queue = queue
-        queue.append(packet)
+        if type(queue) is deque:
+            queue.append(packet)
+        elif queue:
+            promoted: Deque[Packet] = deque()
+            promoted.append(queue[0])
+            promoted.append(packet)
+            state.queue = promoted
+        else:
+            state.queue = (packet,)
         if length > state.max_length_seen:
             state.max_length_seen = length
         self._queue.append(packet)
@@ -56,12 +64,17 @@ class FIFO(Scheduler):
             return None
         packet = fifo.popleft()
         state = self.flows[packet.flow]
-        # FlowState.pop, inlined: the last packet out releases the deque.
+        # FlowState.pop, inlined: the last packet out idles the flow.
         queue = state.queue
-        head = queue.popleft()  # type: ignore[union-attr]  # the flow holds the packet
-        assert head is packet
-        if not queue:
+        if type(queue) is not deque:
+            # A sole packet. (``queue`` holds it; the test narrows its type.)
+            head = queue[0] if queue else None
             state.queue = IDLE_QUEUE
+        else:
+            head = queue.popleft()
+            if not queue:
+                state.queue = IDLE_QUEUE
+        assert head is packet
         length = packet.length
         self._backlog_packets -= 1
         self._backlog_bits -= length

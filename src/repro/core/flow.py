@@ -6,16 +6,21 @@ flow's weight (interpreted as its rate :math:`r_f` in bits/s, Section
 eq. 4), the FIFO backlog of queued packets, and service accounting used
 by the fairness analysis.
 
-State is sized by backlog, not by flow count. An idle flow's ``queue``
-is :data:`IDLE_QUEUE`, one empty tuple shared by every idle flow; the
-flow takes a ``deque`` when its first packet arrives and puts the shared
-tuple back when its last packet leaves. Writers go through
-:meth:`FlowState.push`, :meth:`FlowState.pop` and
-:meth:`FlowState.pop_tail` (the PIFO engine inlines the same rule);
-readers (``len``, truth tests, ``[0]``, ``[-1]``, iteration) need not
-care which of the two they see. The tuple has no ``append``, so a
-writer that bypasses ``push`` fails loudly instead of queueing into
-shared state.
+State is sized by backlog, not by flow count. A flow's ``queue`` is in
+one of three states:
+
+* idle: :data:`IDLE_QUEUE`, one empty tuple shared by every idle flow;
+* one packet queued: the 1-tuple ``(packet,)``, with no deque behind it;
+* two or more: a ``deque``, which the second arrival builds and which
+  stays until the flow drains.
+
+The packet that empties the queue, from either state, puts the shared
+tuple back. Writers go through :meth:`FlowState.push`,
+:meth:`FlowState.pop` and :meth:`FlowState.pop_tail` (the PIFO engine
+and ``FIFO`` inline the same rule); readers (``len``, truth tests,
+``[0]``, ``[-1]``, iteration) need not care which state they see.
+Tuples have no ``append``, so a writer that bypasses ``push`` fails
+loudly instead of queueing into shared state.
 
 ``weight`` is a plain attribute, because every rank reads it.
 :meth:`repro.core.base.Scheduler.set_weight` is its one writer after
@@ -27,7 +32,7 @@ suite requires schedules byte-identical to the seed core's.
 ``heap_entry`` and ``tie_keys`` are working state of
 :class:`repro.core.pifo.PifoScheduler`, which tracks this flow's entry in
 the flow-head heap with them. ``tie_keys`` (non-FIFO tie rules only)
-lives exactly as long as the flow's deque.
+is a deque from the flow's first arrival until it drains.
 
 The expected-arrival-time (EAT) tracker of eq. 37 also lives here since
 Virtual Clock, Delay EDD and Jitter EDD need it. It is created on first
@@ -105,8 +110,9 @@ class FlowState:
         self.flow_id = flow_id
         #: Flow rate :math:`r_f` (bits/s).
         self.weight = float(weight)
-        #: Queued packets: a deque while backlogged, IDLE_QUEUE while idle.
-        self.queue: Union[Deque[Packet], Tuple[()]] = IDLE_QUEUE
+        #: Queued packets: IDLE_QUEUE while idle, a 1-tuple while one
+        #: packet is queued, a deque while more are.
+        self.queue: Union[Deque[Packet], Tuple[()], Tuple[Packet]] = IDLE_QUEUE
         # Finish tag of the last arrived packet: F(p_f^0) = 0 per the paper.
         self.last_finish = 0.0
         self.max_length_seen = 0
@@ -124,35 +130,46 @@ class FlowState:
     # Queue operations
     # ------------------------------------------------------------------
     def push(self, packet: Packet) -> None:
-        """Queue ``packet`` at the tail; the first packet takes a deque."""
+        """Queue ``packet`` at the tail; the second packet takes a deque."""
         queue = self.queue
-        if not queue:
-            queue = deque()
-            self.queue = queue
-        queue.append(packet)
+        if type(queue) is deque:
+            queue.append(packet)
+        elif queue:
+            promoted: Deque[Packet] = deque()
+            promoted.append(queue[0])
+            promoted.append(packet)
+            self.queue = promoted
+        else:
+            self.queue = (packet,)
         if packet.length > self.max_length_seen:
             self.max_length_seen = packet.length
 
     def pop(self) -> Packet:
-        """Remove the head packet; the last one out releases the deque."""
+        """Remove the head packet; the last one out idles the flow."""
         queue = self.queue
+        if type(queue) is deque:
+            packet = queue.popleft()
+            if not queue:
+                self.queue = IDLE_QUEUE
+            return packet
         if not queue:
             raise IndexError(f"pop from idle flow {self.flow_id!r}")
-        packet = queue.popleft()
-        if not queue:
-            self.queue = IDLE_QUEUE
-        return packet
+        self.queue = IDLE_QUEUE
+        return queue[0]
 
     def pop_tail(self) -> Packet:
-        """Remove the tail packet (discard); the last one out releases the
-        deque."""
+        """Remove the tail packet (discard); the last one out idles the
+        flow."""
         queue = self.queue
+        if type(queue) is deque:
+            packet = queue.pop()
+            if not queue:
+                self.queue = IDLE_QUEUE
+            return packet
         if not queue:
             raise IndexError(f"pop from idle flow {self.flow_id!r}")
-        packet = queue.pop()
-        if not queue:
-            self.queue = IDLE_QUEUE
-        return packet
+        self.queue = IDLE_QUEUE
+        return queue[0]
 
     def head(self) -> Optional[Packet]:
         return self.queue[0] if self.queue else None

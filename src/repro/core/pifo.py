@@ -564,12 +564,14 @@ class PifoScheduler(Scheduler):
     off the previous packet's, eq. 4 or eq. 37), so a flow's minimum is
     its FIFO head and the heap only ever holds flow heads:
 
-    * per-flow FIFOs (``FlowState.queue``) hold the backlog, and exist
-      only while a flow is backlogged: ``enqueue`` gives a flow's first
-      packet a fresh ``deque``, and the ``dequeue`` or ``discard_tail``
-      that removes its last packet puts back the shared empty
-      :data:`~repro.core.flow.IDLE_QUEUE` (and drops ``tie_keys``), so
-      idle flows cost no queue storage;
+    * per-flow FIFOs (``FlowState.queue``) hold the backlog, sized by
+      it: ``enqueue`` holds a flow's sole packet in the 1-tuple
+      ``(packet,)`` (its heap entry already points at it) and promotes
+      it to a ``deque`` on the second arrival, and the ``dequeue`` or
+      ``discard_tail`` that removes the last packet puts back the shared
+      empty :data:`~repro.core.flow.IDLE_QUEUE` (and drops
+      ``tie_keys``), so idle flows cost no queue storage and one-packet
+      flows no deque;
     * the heap holds at most one entry per backlogged flow, the 5-slot
       list ``[key, tie_key, uid, packet, state]``, ordered by
       ``(key, tie_key, uid)`` — the seed core's global packet-heap key,
@@ -662,13 +664,18 @@ class PifoScheduler(Scheduler):
         self._backlog_packets += 1
         self._backlog_bits += length
         key, tie = self._rank.rank(state, packet, now)
+        # FlowState.push, inlined: a sole packet is held in a 1-tuple,
+        # and the second arrival promotes it to a deque.
         queue = state.queue
-        was_idle = not queue
-        if was_idle:
-            # FlowState.push, inlined: the first packet takes a deque.
-            queue = deque()
-            state.queue = queue
-        queue.append(packet)
+        if type(queue) is deque:
+            queue.append(packet)
+        elif queue:
+            promoted: Deque[Packet] = deque()
+            promoted.append(queue[0])
+            promoted.append(packet)
+            state.queue = promoted
+        else:
+            state.queue = (packet,)
         if length > state.max_length_seen:
             state.max_length_seen = length
         if self._fifo_ties:
@@ -680,8 +687,9 @@ class PifoScheduler(Scheduler):
             if keys is None:
                 keys = state.tie_keys = deque()
             keys.append(tie)
-        if was_idle:
-            # The flow just became backlogged: its head enters the heap.
+        if not queue:
+            # The flow was idle (only then is ``queue`` still empty) and
+            # just became backlogged: its head enters the heap.
             entry: HeapEntry = [key, tie, packet.uid, packet, state]
             state.heap_entry = entry
             heappush(self._head_heap, entry)
@@ -705,14 +713,16 @@ class PifoScheduler(Scheduler):
         state: FlowState = entry[4]
         state.heap_entry = None
         queue = state.queue
-        head = queue.popleft()  # type: ignore[union-attr]  # a flow with a heap entry is backlogged
-        if self.debug_checks and head is not packet:
-            raise SchedulerError(
-                f"{self.algorithm} internal error: flow {state.flow_id!r} "
-                "FIFO head diverged from its head-heap entry"
-            )
         rank = self._rank
-        if self._fifo_ties:
+        if type(queue) is not deque:
+            # The flow's sole packet, held without a deque: the flow
+            # goes idle. (``queue`` is never empty here, since a flow
+            # with a heap entry is backlogged; the test narrows its type.)
+            head = queue[0] if queue else None
+            state.queue = IDLE_QUEUE
+            state.tie_keys = None
+        elif self._fifo_ties:
+            head = queue.popleft()
             if queue:
                 nxt = queue[0]
                 fresh: HeapEntry = [rank.head_key(nxt), (), nxt.uid, nxt, state]
@@ -721,6 +731,7 @@ class PifoScheduler(Scheduler):
             else:
                 state.queue = IDLE_QUEUE  # the last packet out releases the deque
         else:
+            head = queue.popleft()
             keys = state.tie_keys
             assert keys is not None  # non-FIFO enqueue always fills it
             keys.popleft()
@@ -732,6 +743,11 @@ class PifoScheduler(Scheduler):
             else:
                 state.queue = IDLE_QUEUE
                 state.tie_keys = None
+        if self.debug_checks and head is not packet:
+            raise SchedulerError(
+                f"{self.algorithm} internal error: flow {state.flow_id!r} "
+                "FIFO head diverged from its head-heap entry"
+            )
         rank.on_dequeue(state, packet)
         length = packet.length
         self._backlog_packets -= 1

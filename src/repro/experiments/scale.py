@@ -9,7 +9,7 @@ the per-packet cost of the PIFO engine as the population grows:
   node SFQ);
 * 10^3 → 10^6 CBR flows attached round-robin to the group leaves,
   offered at 1.2× link capacity (sustained overload, every leaf
-  backlogged), generated as one vectorized fleet timeline
+  backlogged), generated up front as one fleet timeline
   (:func:`repro.traffic.batch.cbr_fleet_times`) and admitted through
   the engine's arrival-stream path — no per-packet timer heap work;
 * continuous flow churn on a dedicated leaf: short-lived flows join

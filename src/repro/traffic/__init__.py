@@ -1,9 +1,8 @@
 """Traffic sources: CBR/bulk, Poisson, on-off, MPEG VBR, shaping.
 
-The vectorized batch arrival API lives in :mod:`repro.traffic.batch`
-and is not re-exported here: it is the only part of ``src/`` that
-imports numpy, and no per-packet source needs it, so importing this
-package loads neither. Import batch names from ``repro.traffic.batch``.
+The batch arrival API for fleets of 10^5+ flows lives in
+:mod:`repro.traffic.batch` and is not re-exported here: no per-packet
+source needs it. Import batch names from ``repro.traffic.batch``.
 """
 
 from repro.traffic.base import Ingress, Source

@@ -1,4 +1,4 @@
-"""Vectorized batch arrival generation (the million-flow traffic path).
+"""Batch arrival generation (the million-flow traffic path).
 
 The classic sources in this package (:class:`~repro.traffic.cbr.CBRSource`,
 :class:`~repro.traffic.poisson.PoissonSource`) schedule **one engine
@@ -10,19 +10,18 @@ even sees it.
 This module splits generation from delivery:
 
 1. **Generate** the arrival *times* of an entire fleet of identical
-   CBR flows up front, as whole arrays, with :func:`cbr_fleet_times`
-   (one broadcasted numpy expression);
+   CBR flows up front, as two flat typed arrays, with
+   :func:`cbr_fleet_times`;
 2. **Deliver** them through a :class:`FleetTimeline`, an engine
    :class:`~repro.simulation.engine.ArrivalStream`: the run loop merges
    the timeline with its timer heap, so admission costs O(1) heap work
-   per packet. The timeline converts its arrays to plain Python
-   floats chunk-by-chunk (``.tolist()``), keeping numpy scalar boxing
-   off the per-packet path.
+   per packet. The timeline converts its arrays to Python lists
+   chunk-by-chunk (``.tolist()``), so the per-packet path indexes lists.
 
 Determinism: every function here is a pure function of its arguments,
-and times are computed with the same float64 expressions on both the
-numpy and the pure-Python paths — so traces are identical across
-machines, ``--jobs`` counts, and numpy presence.
+and each time is one float64 expression (``k * interval + i *
+stagger``), so traces are identical across machines and ``--jobs``
+counts. The module needs no third-party package.
 """
 
 from __future__ import annotations
@@ -31,11 +30,6 @@ from array import array
 from dataclasses import dataclass, field
 from math import inf
 from typing import List, Sequence, Tuple
-
-try:  # numpy is an optional accelerator, never a requirement
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on minimal installs
-    _np = None  # type: ignore[assignment]
 
 from repro.core.packet import Packet
 from repro.traffic.base import Ingress
@@ -54,9 +48,12 @@ def cbr_fleet_times(
     Flow ``i`` (0-based) is phase-shifted by ``i * interval / n_flows``,
     spreading the fleet evenly across one packet interval, and emits
     ``packets_per_flow`` packets at ``rate`` from time 0. Returns
-    ``(times, flow_indices)`` sorted by time — no two arrivals coincide,
-    and the broadcasted numpy path is a reshape away from sorted order,
-    so fleet construction is O(N) with no per-packet Python work.
+    ``(times, flow_indices)`` as an ``array('d')`` and an ``array('q')``
+    sorted by time, with no sort: the k-th packet of flow ``i`` arrives
+    at ``k * interval + i * stagger``, and ``stagger * (n_flows - 1) <
+    interval``, so every packet round ``k`` ends before round ``k + 1``
+    begins and times ascend with ``i`` within a round. Filling the
+    arrays in row-major ``(k, i)`` order is therefore time order.
     """
     if n_flows <= 0:
         raise ValueError(f"n_flows must be positive, got {n_flows}")
@@ -66,26 +63,14 @@ def cbr_fleet_times(
         raise ValueError(f"packets_per_flow must be >= 0, got {packets_per_flow}")
     interval = packet_length / rate
     stagger = interval / n_flows
-    if _np is not None:
-        flow_offsets = _np.arange(n_flows, dtype=_np.float64) * stagger
-        pkt_offsets = _np.arange(packets_per_flow, dtype=_np.float64) * interval
-        # grid[k, i] = time of flow i's k-th packet; stagger*(n_flows-1)
-        # < interval, so each row is globally later than the previous,
-        # and within a row times ascend with i — so C-order reshape of
-        # the (k, i) grid is already time-sorted.
-        grid = pkt_offsets[:, None] + flow_offsets[None, :]
-        times = grid.reshape(-1)
-        flows = _np.tile(
-            _np.arange(n_flows, dtype=_np.int64), packets_per_flow
-        )
-        return times, flows
-    entries = [
-        (k * interval + i * stagger, i)
-        for k in range(packets_per_flow)
-        for i in range(n_flows)
-    ]
-    entries.sort(key=lambda e: e[0])
-    return [e[0] for e in entries], [e[1] for e in entries]
+    fleet = range(n_flows)
+    # A generator, not a list: array() fills from it item by item, so no
+    # per-packet list of Python floats exists beside the array.
+    times = array(
+        "d",
+        (k * interval + i * stagger for k in range(packets_per_flow) for i in fleet),
+    )
+    return times, array("q", fleet) * packets_per_flow
 
 
 @dataclass(slots=True)
@@ -110,10 +95,9 @@ class FleetTimeline:
     index *is* the flow id (dense-int registration on the scheduler),
     packets have a constant length, and per-flow sequence numbers,
     assigned at delivery in arrival order, sit in one ``array('q')``
-    column indexed by flow. The backing arrays may be numpy arrays or
-    plain sequences; they are materialized into Python floats/ints in
-    ``chunk``-sized slices, so the per-packet path never touches numpy
-    scalars.
+    column indexed by flow. The backing sequences (typed arrays or
+    lists) are materialized into Python lists in ``chunk``-sized
+    slices, so the per-packet path indexes lists.
     """
 
     __slots__ = (

@@ -13,6 +13,12 @@ consumers:
   every speedup claim in ``BENCH_schedulers.json`` is reproducible.
 
 Do not "fix" or modernize this module: its value is that it does not change.
+The one edit since it was frozen: ``LegacySFQ._do_discard_tail`` and
+``LegacySCFQ._do_discard_tail`` take the victim with
+``state.pop_tail()`` instead of ``state.queue.pop()``, because the live
+``FlowState`` holds a sole queued packet in a 1-tuple, which has no
+``pop``. It returns the same packet and leaves the flow with the same
+queued packets.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ class LegacySFQ(Scheduler):
             self.v = max(self.v, self._max_served_finish)
 
     def _do_discard_tail(self, state: FlowState) -> Optional[Packet]:
-        packet = state.queue.pop()
+        packet = state.pop_tail()
         self._discarded.add(packet.uid)
         # Re-chain future arrivals off the new tail so no virtual-time
         # gap is left where the discarded packet sat.
@@ -162,7 +168,7 @@ class LegacySCFQ(Scheduler):
             self.v = max(self.v, self._max_served_finish)
 
     def _do_discard_tail(self, state: FlowState) -> Optional[Packet]:
-        packet = state.queue.pop()
+        packet = state.pop_tail()
         self._discarded.add(packet.uid)
         tail = state.queue[-1] if state.queue else None
         state.last_finish = tail.finish_tag if tail is not None else packet.start_tag

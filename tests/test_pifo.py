@@ -296,28 +296,83 @@ QUEUE_LIFETIME = {
         make_scheduler("DRR", auto_register=False, quantum_scale=500.0)
     ),
     "WRR": lambda: _flat(make_scheduler("WRR", auto_register=False)),
+    "FairAirport": lambda: _flat(make_scheduler("FairAirport", auto_register=False)),
+    "JitterEDD": lambda: _flat(make_scheduler("JitterEDD")),
     "hierarchy-leaf": _hierarchy_leaf,
 }
+
+#: Cases whose scheduler supports discard_tail.
+DISCARDS = {"SFQ", "SFQ-lowest-weight-ties", "FIFO"}
+
+
+def _add_flow(sched, fid, weight):
+    if isinstance(sched, HierarchicalScheduler):
+        sched.attach_flow(fid, "leaf", weight)
+    elif hasattr(sched, "add_flow_with_deadline"):
+        sched.add_flow_with_deadline(fid, weight, 1.0)
+    else:
+        sched.add_flow(fid, weight)
+
+
+def _queue_state(queue):
+    """Which of FlowState's three queue states ``queue`` is in."""
+    if queue is IDLE_QUEUE:
+        return "idle"
+    if type(queue) is tuple and len(queue) == 1:
+        return "sole"
+    return "deque" if type(queue) is deque else f"bad {queue!r}"
+
+
+#: Served late enough that Jitter EDD's regulator holds nothing back.
+LATE = 1e4
 
 
 @pytest.mark.parametrize("case", sorted(QUEUE_LIFETIME))
 def test_idle_flows_hold_the_shared_empty_queue(case):
+    """A flow's queue is the shared empty tuple while idle, a 1-tuple
+    while one packet is queued and a deque from the second, and goes
+    back to the shared tuple when its last packet leaves."""
     sched, states = QUEUE_LIFETIME[case]()
     for fid, weight in (("a", 1.0), ("b", 2.0)):
-        if isinstance(sched, HierarchicalScheduler):
-            sched.attach_flow(fid, "leaf", weight)
-        else:
-            sched.add_flow(fid, weight)
+        _add_flow(sched, fid, weight)
     assert all(state.queue is IDLE_QUEUE for state in states.values())
+    seen = set()
     for i in range(3):
-        sched.enqueue(Packet("a", 500, seqno=i), 0.0)
-        sched.enqueue(Packet("b", 500, seqno=i), 0.0)
-    assert all(type(state.queue) is deque for state in states.values())
-    assert len(_drain(sched)) == 6
+        for fid in ("a", "b"):
+            packet = Packet(fid, 500, seqno=i)
+            sched.enqueue(packet, 0.0)
+            queue = states[fid].queue
+            # While packets only arrive, the state follows the length.
+            # (A hierarchy leaf offers a first packet up at once, so
+            # its flows can read one packet short.)
+            state = _queue_state(queue)
+            assert state == {0: "idle", 1: "sole"}.get(len(queue), "deque")
+            assert state == "idle" or queue[-1] is packet
+            seen.add(state)
+    assert {"sole", "deque"} <= seen
+    assert len(_drain(sched, now=LATE)) == 6
     for state in states.values():
         # The last packet out put the shared tuple back.
         assert state.queue is IDLE_QUEUE
         assert state.tie_keys is None
+    if case not in DISCARDS:
+        return
+    # discard_tail of a sole packet idles the flow; of the second of two,
+    # leaves the deque with one packet, which the next dequeue serves.
+    sole = Packet("a", 500, seqno=3)
+    sched.enqueue(sole, LATE)
+    assert states["a"].queue == (sole,)
+    assert sched.discard_tail("a") is sole
+    assert states["a"].queue is IDLE_QUEUE and states["a"].tie_keys is None
+    assert sched.dequeue(LATE) is None
+    first, second = Packet("b", 500, seqno=3), Packet("b", 500, seqno=4)
+    sched.enqueue(first, LATE)
+    sched.enqueue(second, LATE)
+    assert sched.discard_tail("b") is second
+    assert _queue_state(states["b"].queue) == "deque"
+    assert list(states["b"].queue) == [first]
+    assert _drain(sched, now=LATE) == [("b", 3)]
+    assert states["b"].queue is IDLE_QUEUE and states["b"].tie_keys is None
 
 
 def test_sfq_flow_never_creates_an_eat_tracker():
@@ -367,6 +422,21 @@ def test_idle_and_drained_flow_footprint_below_one_deque():
     one_deque = sys.getsizeof(deque())
     assert _traced_bytes_per_flow(registered, 10_000) < one_deque
     assert _traced_bytes_per_flow(drained, 10_000) < one_deque
+
+
+def test_one_packet_flow_footprint_below_one_deque():
+    """An SFQ flow holding one queued packet (the packet, its 1-tuple and
+    its head-heap entry included) costs less than one empty deque."""
+
+    def one_queued(flows):
+        sched = make_scheduler("SFQ", auto_register=False)
+        for fid in range(flows):
+            sched.add_flow(fid, 1.0)
+        for fid in range(flows):
+            sched.enqueue(Packet(fid, 1000), 0.0)
+        return sched
+
+    assert _traced_bytes_per_flow(one_queued, 10_000) < sys.getsizeof(deque())
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,11 @@ after the paper's experiments:
   flow-head heap;
 * ``discard``  — a tiny shared buffer with longest-queue-drop
   (SFQ/SCFQ only: the O(1) ``discard_tail`` path with lazy entry
-  invalidation vs the seed's stale-uid set).
+  invalidation vs the seed's stale-uid set);
+* ``discard_sole`` — eight flows against a 3-packet buffer with
+  longest-queue-drop, so the longest queue is often one packet long
+  and the eviction takes a flow's only queued packet: the flow goes
+  idle and its head-heap entry is invalidated (SFQ/SCFQ only).
 
 Anything that changes the service order — a wrong head-heap invariant,
 a stale entry served, a tie broken differently — shows up as a trace
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.flow import IDLE_QUEUE
 from repro.core.packet import Packet
 from repro.core.registry import make_scheduler
 from repro.servers import ConstantCapacity
@@ -163,13 +168,30 @@ def workload_discard():
     }
 
 
+def workload_discard_sole():
+    # Eight flows, at most three packets queued: longest-queue-drop
+    # mostly finds every backlogged flow one packet long and evicts a
+    # flow's sole packet.
+    flows = [f"w{i}" for i in range(8)]
+    rnd = _lcg(8675309)
+    arrivals = []
+    for i, flow in enumerate(flows):
+        for k in range(25):
+            arrivals.append((0.13 * i + 1.1 * k, flow, rnd(3, 7) * 100, None))
+    return flows, arrivals, {"buffer_packets": 3, "drop_policy": "longest_queue"}
+
+
 WORKLOADS = {
     "table1": workload_table1,
     "figure1": workload_figure1,
     "figure23": workload_figure23,
     "churn": workload_churn,
     "discard": workload_discard,
+    "discard_sole": workload_discard_sole,
 }
+
+#: Workloads that evict queued packets (they need discard_tail).
+DISCARD_WORKLOADS = {"discard", "discard_sole"}
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +259,7 @@ def run_trace(scheduler_factory, setup, workload_name):
 def _combos():
     for sched_name in SCHEDULERS:
         for wl_name in WORKLOADS:
-            if wl_name == "discard" and sched_name not in DISCARD_CAPABLE:
+            if wl_name in DISCARD_WORKLOADS and sched_name not in DISCARD_CAPABLE:
                 continue
             if sched_name == "DelayEDD" and wl_name == "churn":
                 # DelayEDD has no auto-registration; the churn workload's
@@ -274,16 +296,43 @@ def test_churn_workload_uses_auto_registration():
     assert {"late0", "late1"} <= {a[1] for a in arrivals}
 
 
-def test_discard_workload_actually_drops():
-    # Guard: the discard workload must trigger evictions, otherwise it
-    # does not cover the discard_tail path it claims to.
-    flow_ids, arrivals, link_kwargs = WORKLOADS["discard"]()
+def _run_evictions(workload_name):
+    """Run the live SFQ on a discard workload; return the link and the
+    number of evictions that took a flow's only queued packet."""
+    flow_ids, arrivals, link_kwargs = WORKLOADS[workload_name]()
     sim = Simulator()
     sched = make_scheduler("SFQ")
     for fid in flow_ids:
         sched.add_flow(fid, WEIGHTS[fid])
     link = Link(sim, sched, ConstantCapacity(CAPACITY), tracer=Tracer("d"), **link_kwargs)
+    sole = []
+
+    def on_drop(packet, now):
+        # Longest-queue-drop always finds a victim here, so every drop
+        # is an eviction; an idle flow afterwards means it was the sole
+        # packet, and the engine must have invalidated its heap entry.
+        state = sched.flows[packet.flow]
+        if state.queue is IDLE_QUEUE:
+            assert state.heap_entry is None
+            assert any(entry[3] is None for entry in sched._head_heap)
+            sole.append(packet)
+
+    link.drop_hooks.append(on_drop)
     for t, flow, length, _rate in sorted(arrivals, key=lambda a: (a[0], a[1])):
         sim.call_at(t, lambda f=flow, ln=length: link.send(Packet(f, ln)))
     sim.run()
+    return link, len(sole)
+
+
+def test_discard_workload_actually_drops():
+    # Guard: the discard workload must trigger evictions, otherwise it
+    # does not cover the discard_tail path it claims to.
+    link, _sole = _run_evictions("discard")
     assert link.packets_dropped > 0
+
+
+def test_discard_sole_workload_evicts_sole_packets():
+    # Guard: most of this workload's evictions take a flow's only
+    # queued packet, the case ``discard`` never reaches.
+    link, sole = _run_evictions("discard_sole")
+    assert sole > link.packets_dropped // 2 > 0

@@ -1,11 +1,13 @@
-"""The vectorized batch arrival path (repro.traffic.batch).
+"""The batch arrival path (repro.traffic.batch).
 
-* numpy is an optional accelerator: the fleet path gives the same
-  floats, flow indices and delivered packets with numpy and with the
-  module's numpy handle patched to ``None``;
-* importing ``repro.traffic``, the CLI, ``repro.network`` or a paper
-  experiment (the multi-hop ones included) loads neither the batch
-  module, numpy nor networkx;
+* ``cbr_fleet_times`` fills typed arrays in pure Python with the
+  float64 expression numpy broadcasts, so its times and flow indices
+  equal numpy's bit for bit; numpy is a test-only dependency, kept as
+  that reference;
+* a ``FleetTimeline`` delivers the fleet in time order with per-flow
+  sequence numbers;
+* importing any module under ``repro`` loads neither numpy nor
+  networkx;
 * the ``scale`` experiment, which drives 10^3 flows through a
   ``FleetTimeline`` attached with ``Simulator.attach_stream``, keeps its
   schedule digest.
@@ -24,16 +26,32 @@ import repro
 from repro.traffic import batch
 
 
-def _plain(values):
-    return values.tolist() if hasattr(values, "tolist") else list(values)
+def _numpy_fleet_times(n_flows, rate, packet_length, packets_per_flow):
+    """The broadcast numpy expression ``cbr_fleet_times`` reproduces."""
+    np = pytest.importorskip("numpy")
+    interval = packet_length / rate
+    stagger = interval / n_flows
+    flow_offsets = np.arange(n_flows, dtype=np.float64) * stagger
+    pkt_offsets = np.arange(packets_per_flow, dtype=np.float64) * interval
+    grid = pkt_offsets[:, None] + flow_offsets[None, :]
+    flows = np.tile(np.arange(n_flows, dtype=np.int64), packets_per_flow)
+    return grid.reshape(-1), flows
 
 
-def _batch_outputs():
-    """The fleet path on small inputs, as plain Python values."""
+def test_batch_outputs_identical_with_and_without_numpy():
+    for args in ((7, 3e5, 8000, 9), (100_000, 12.0, 1000, 1)):
+        times, flows = batch.cbr_fleet_times(*args)
+        ref_times, ref_flows = _numpy_fleet_times(*args)
+        assert (times.typecode, flows.typecode) == ("d", "q")
+        assert times.tobytes() == ref_times.tobytes()
+        assert flows.tobytes() == ref_flows.tobytes()
+
+
+def test_fleet_timeline_delivers_in_time_order():
     times, flows = batch.cbr_fleet_times(7, 3e5, 8000, 9)
     delivered = []
     timeline = batch.FleetTimeline(
-        lambda p: delivered.append((p.flow, p.seqno, p.arrival, p.length)),
+        lambda p: delivered.append((p.arrival, p.flow, p.seqno, p.length)),
         times,
         flows,
         8000,
@@ -41,31 +59,24 @@ def _batch_outputs():
     )
     while timeline.next_time != inf:
         timeline.fire()
-    return {
-        "times": _plain(times),
-        "flows": _plain(flows),
-        "delivered": delivered,
-    }
-
-
-def test_batch_outputs_identical_with_and_without_numpy(monkeypatch):
-    with monkeypatch.context() as patch:
-        patch.setattr(batch, "_np", None)
-        pure = _batch_outputs()
-    assert len(pure["delivered"]) == 7 * 9
-    assert pure["times"] == sorted(pure["times"])
-    pytest.importorskip("numpy")
-    assert batch._np is not None
-    assert _batch_outputs() == pure
+    assert len(delivered) == 7 * 9 and timeline.remaining == 0
+    assert delivered == sorted(delivered)
+    assert [d[0] for d in delivered] == list(times)
+    for flow in range(7):
+        assert [d[2] for d in delivered if d[1] == flow] == list(range(9))
 
 
 _IMPORT_CHECK = """
+import pkgutil
 import sys
-import repro, repro.traffic, repro.servers, repro.cli, repro.experiments.figure1
-import repro.network, repro.experiments.end_to_end_exp, repro.experiments.interop
-assert "numpy" not in sys.modules, "numpy imported by a non-batch import"
-assert "repro.traffic.batch" not in sys.modules
-assert "networkx" not in sys.modules, "networkx imported by a default import"
+
+import repro
+
+for module in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not module.name.endswith(".__main__"):  # importing it runs the CLI
+        __import__(module.name)
+loaded = [name for name in ("numpy", "networkx") if name in sys.modules]
+assert not loaded, f"loaded by a repro module: {loaded}"
 """
 
 
