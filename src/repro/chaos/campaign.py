@@ -10,9 +10,11 @@ serialized as a replayable ``chaos-repro/1`` artifact under
 ``<results>/chaos/``.
 
 The healthy path — the stock scheduler zoo — must come back with zero
-violations; the CI ``chaos-smoke`` job asserts exactly that, and then
-separately asserts that a known-bad fixture *is* caught, shrunk, and
-reproduced.
+violations; ``tests/test_cli.py::test_chaos_run_command_clean_zoo``
+asserts exactly that, and
+``tests/test_cli.py::test_chaos_run_command_fails_on_fixture`` and
+``test_chaos_replay_command`` assert that a known-bad fixture *is*
+caught, shrunk, and reproduced.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 A chaos harness that has never caught anything proves nothing: these
 fixtures are known-bad disciplines the campaign *must* flag, used by
-the test suite and the CI ``chaos-smoke`` job to demonstrate that the
+the test suite (``tests/test_cli.py::test_chaos_run_command_fails_on_fixture``
+beside ``test_chaos_run_command_clean_zoo``) to demonstrate that the
 monitors fire, the shrinker minimizes, and the replay artifact
 reproduces.
 

@@ -41,8 +41,8 @@ class Scheduler(ABC):
         "flows",
         "auto_register",
         "default_weight",
-        "_backlog_packets",
-        "_backlog_bits",
+        "backlog_packets",
+        "backlog_bits",
         "in_service",
     )
 
@@ -53,8 +53,11 @@ class Scheduler(ABC):
         self.flows: Dict[Hashable, FlowState] = {}
         self.auto_register = auto_register
         self.default_weight = default_weight
-        self._backlog_packets = 0
-        self._backlog_bits = 0
+        #: Queued packets and bits (not counting the one in service).
+        #: Plain slots, read per packet by ``Link``; only schedulers in
+        #: ``repro.core`` write them.
+        self.backlog_packets = 0
+        self.backlog_bits = 0
         self.in_service: Optional[Packet] = None
 
     # ------------------------------------------------------------------
@@ -98,16 +101,16 @@ class Scheduler(ABC):
         """Accept ``packet`` arriving at time ``now``."""
         state = self._flow(packet.flow)
         packet.arrival = now
-        self._backlog_packets += 1
-        self._backlog_bits += packet.length
+        self.backlog_packets += 1
+        self.backlog_bits += packet.length
         self._do_enqueue(state, packet, now)
 
     def dequeue(self, now: float) -> Optional[Packet]:
         """Select the next packet for transmission; ``None`` when empty."""
         packet = self._do_dequeue(now)
         if packet is not None:
-            self._backlog_packets -= 1
-            self._backlog_bits -= packet.length
+            self.backlog_packets -= 1
+            self.backlog_bits -= packet.length
             state = self.flows.get(packet.flow)
             if state is not None:
                 state.record_service(packet)
@@ -134,8 +137,8 @@ class Scheduler(ABC):
             return None
         packet = self._do_discard_tail(state)
         if packet is not None:
-            self._backlog_packets -= 1
-            self._backlog_bits -= packet.length
+            self.backlog_packets -= 1
+            self.backlog_bits -= packet.length
         return packet
 
     def _do_discard_tail(self, state: FlowState) -> Optional[Packet]:
@@ -166,23 +169,15 @@ class Scheduler(ABC):
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def backlog_packets(self) -> int:
-        return self._backlog_packets
-
-    @property
-    def backlog_bits(self) -> int:
-        return self._backlog_bits
-
-    @property
     def is_empty(self) -> bool:
-        return self._backlog_packets == 0
+        return self.backlog_packets == 0
 
     def backlogged_flows(self) -> List[Hashable]:
         return [fid for fid, st in self.flows.items() if st.backlogged]
 
     def flow_backlog(self, flow_id: Hashable) -> int:
         state = self.flows.get(flow_id)
-        return state.backlog_packets if state is not None else 0
+        return len(state.queue) if state is not None else 0
 
     def total_weight(self, backlogged_only: bool = False) -> float:
         states: Iterable[FlowState] = self.flows.values()
@@ -191,12 +186,12 @@ class Scheduler(ABC):
         return sum(s.weight for s in states)
 
     def __len__(self) -> int:
-        return self._backlog_packets
+        return self.backlog_packets
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"{type(self).__name__}(flows={len(self.flows)}, "
-            f"backlog={self._backlog_packets}p/{self._backlog_bits}b)"
+            f"backlog={self.backlog_packets}p/{self.backlog_bits}b)"
         )
 
 

@@ -217,7 +217,7 @@ class FairAirport(Scheduler):
         return None
 
     def _do_service_complete(self, packet: Packet, now: float) -> None:
-        if self._backlog_packets == 0:
+        if self.backlog_packets == 0:
             self.v = max(self.v, self._max_served_finish)
 
     @property

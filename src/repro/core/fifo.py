@@ -39,8 +39,8 @@ class FIFO(Scheduler):
             state = self._flow(packet.flow)
         packet.arrival = now
         length = packet.length
-        self._backlog_packets += 1
-        self._backlog_bits += length
+        self.backlog_packets += 1
+        self.backlog_bits += length
         # FlowState.push, inlined: a sole packet is held in a 1-tuple,
         # and the second arrival promotes it to a deque.
         queue = state.queue
@@ -76,8 +76,8 @@ class FIFO(Scheduler):
                 state.queue = IDLE_QUEUE
         assert head is packet
         length = packet.length
-        self._backlog_packets -= 1
-        self._backlog_bits -= length
+        self.backlog_packets -= 1
+        self.backlog_bits -= length
         state.bits_served += length
         state.packets_served += 1
         self.in_service = packet

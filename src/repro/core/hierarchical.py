@@ -357,8 +357,8 @@ class HierarchicalScheduler(Scheduler):
                 "call attach_flow first"
             )
         packet.arrival = now
-        self._backlog_packets += 1
-        self._backlog_bits += packet.length
+        self.backlog_packets += 1
+        self.backlog_bits += packet.length
         leaf.scheduler.enqueue(packet, now)
         # Ensure every ancestor holds an offer after the arrival.
         node = leaf
@@ -372,8 +372,8 @@ class HierarchicalScheduler(Scheduler):
         if packet is None:
             return None
         length = packet.length
-        self._backlog_packets -= 1
-        self._backlog_bits -= length
+        self.backlog_packets -= 1
+        self.backlog_bits -= length
         self.in_service = packet
         leaf = self._flow_to_leaf[packet.flow]
         self._in_service_leaves.append(leaf)

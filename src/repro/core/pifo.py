@@ -33,12 +33,20 @@ makes that abstraction the single implementation:
 Exports
 -------
 A rank function's per-discipline state (virtual time, GPS tracker,
-deadline table) lives on the rank object; the engine forwards the names
-listed in ``RankFn.exports`` so existing consumers keep working:
-``scheduler.virtual_time`` reads the SFQ rank's ``v``, and the fault
-monitors' ``hasattr(scheduler, "virtual_time")`` probe stays
-discipline-dependent (Virtual Clock and Delay EDD export no virtual
-time, exactly as before).
+deadline table, slack table) lives on the rank object. The engine
+exposes the seven names a built-in rank can list in ``RankFn.exports``
+as read-only properties: ``v``, ``virtual_time``, ``gps``,
+``deadlines``, ``add_flow_with_deadline``, ``slacks`` and ``set_slack``.
+Each reads the rank, and raises ``AttributeError`` when the rank does
+not export the name, so ``scheduler.virtual_time`` reads the SFQ rank's
+``v`` while the fault monitors' ``hasattr(scheduler, "virtual_time")``
+probe stays discipline-dependent (Virtual Clock, Delay EDD and LSTF
+export no virtual time).
+
+The engine has no ``__getattr__`` hook: on CPython 3.11 a class that
+defines one gets no specialized attribute loads on any instance, and
+the engine makes about twenty such loads per packet (lint rule PERF004
+keeps the hook out of ``repro.core`` and ``repro.simulation``).
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import (
     Any,
+    Callable,
     Deque,
     Dict,
     Hashable,
@@ -56,6 +65,7 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
+    cast,
 )
 
 from repro.core.base import Scheduler, SchedulerError, TieBreak, TieBreakRule
@@ -132,8 +142,11 @@ class RankFn:
         True when :meth:`rank` returns meaningful tie tuples; the engine
         then uses them instead of a ``tie_break`` rule.
     ``exports``
-        Attribute names the owning scheduler forwards (read-only) to
-        this rank — the discipline's public state surface.
+        Attribute names the owning engine exposes (read-only) from this
+        rank — the discipline's public state surface. The engine has one
+        property per name a built-in rank exports (see the module
+        docstring); a name outside that set stays on the rank
+        (``scheduler.rank_fn.<name>``).
     """
 
     __slots__ = ()
@@ -636,20 +649,58 @@ class PifoScheduler(Scheduler):
         """The rank function driving this engine."""
         return self._rank
 
-    def __getattr__(self, name: str) -> Any:
-        # Forward the rank's exported state (scheduler.virtual_time,
-        # .gps, .deadlines, ...) so the per-discipline attribute surface
-        # survives the engine unification. hasattr() therefore stays
-        # discipline-dependent, which the fault monitors rely on.
-        try:
-            rank = object.__getattribute__(self, "_rank")
-        except AttributeError:
-            raise AttributeError(name) from None
+    # ------------------------------------------------------------------
+    # The rank's exported state (see "Exports" in the module docstring)
+    # ------------------------------------------------------------------
+    def _export(self, name: str) -> Any:
+        """The rank's attribute ``name`` when the rank exports it; else
+        ``AttributeError``, so ``hasattr`` stays discipline-dependent."""
+        rank = self._rank
         if name in rank.exports:
             return getattr(rank, name)
         raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
+            f"{type(self).__name__!r} object has no attribute {name!r} "
+            f"({rank.name} does not export it)"
         )
+
+    @property
+    def v(self) -> float:
+        """System virtual time ``v(t)`` of the SFQ/SCFQ rank."""
+        return cast(float, self._export("v"))
+
+    @property
+    def virtual_time(self) -> float:
+        """The rank's virtual time: ``v(t)`` (SFQ, SCFQ) or the fluid
+        GPS round number (WFQ, FQS, WF²Q)."""
+        return cast(float, self._export("virtual_time"))
+
+    @property
+    def gps(self) -> GPSVirtualClock:
+        """The fluid GPS reference of a rate-proportional rank."""
+        return cast(GPSVirtualClock, self._export("gps"))
+
+    @property
+    def deadlines(self) -> Dict[Hashable, float]:
+        """Delay EDD's per-flow deadline offsets (seconds)."""
+        return cast(Dict[Hashable, float], self._export("deadlines"))
+
+    @property
+    def add_flow_with_deadline(self) -> Callable[[Hashable, float, float], Any]:
+        """Delay EDD's flow registration with a rate and a deadline."""
+        return cast(
+            Callable[[Hashable, float, float], Any],
+            self._export("add_flow_with_deadline"),
+        )
+
+    @property
+    def slacks(self) -> Dict[Hashable, float]:
+        """LSTF's per-flow slack budgets (seconds)."""
+        return cast(Dict[Hashable, float], self._export("slacks"))
+
+    @property
+    def set_slack(self) -> Callable[[Hashable, float], None]:
+        """LSTF's per-flow slack assignment."""
+        return cast(Callable[[Hashable, float], None], self._export("set_slack"))
 
     # ------------------------------------------------------------------
     # Scheduler protocol (single frame per event)
@@ -661,8 +712,8 @@ class PifoScheduler(Scheduler):
             state = self._flow(packet.flow)
         packet.arrival = now
         length = packet.length
-        self._backlog_packets += 1
-        self._backlog_bits += length
+        self.backlog_packets += 1
+        self.backlog_bits += length
         key, tie = self._rank.rank(state, packet, now)
         # FlowState.push, inlined: a sole packet is held in a 1-tuple,
         # and the second arrival promotes it to a deque.
@@ -750,8 +801,8 @@ class PifoScheduler(Scheduler):
             )
         rank.on_dequeue(state, packet)
         length = packet.length
-        self._backlog_packets -= 1
-        self._backlog_bits -= length
+        self.backlog_packets -= 1
+        self.backlog_bits -= length
         state.bits_served += length
         state.packets_served += 1
         self.in_service = packet
@@ -761,7 +812,7 @@ class PifoScheduler(Scheduler):
         """Notify that ``packet`` finished; an empty engine ends the busy period."""
         if self.in_service is packet:
             self.in_service = None
-        if self._backlog_packets == 0:
+        if self.backlog_packets == 0:
             self._rank.on_idle()
 
     def _pop_eligible(self, now: float) -> Optional[HeapEntry]:
@@ -852,7 +903,7 @@ class SpPifoScheduler(Scheduler):
     case: a single exact heap, byte-identical in service order to
     :class:`PifoScheduler` for within-flow-monotone ranks.
 
-    Unlike the PIFO engine this scheduler does not forward the rank's
+    Unlike the PIFO engine this scheduler does not expose the rank's
     exported state (no ``virtual_time``): it intentionally serves out of
     tag order, so virtual-time monitors must not attach to it.
 
@@ -1037,7 +1088,7 @@ class SpPifoScheduler(Scheduler):
         done[packet.uid] = None
 
     def _do_service_complete(self, packet: Packet, now: float) -> None:
-        if self._backlog_packets == 0:
+        if self.backlog_packets == 0:
             self._rank.on_idle()
 
     def remove_flow(self, flow_id: Hashable) -> None:

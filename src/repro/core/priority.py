@@ -50,16 +50,16 @@ class PriorityBands(Scheduler):
         band = self._flow_band.get(packet.flow)
         if band is None:
             raise SchedulerError(f"flow {packet.flow!r} not assigned to a band")
-        self._backlog_packets += 1
-        self._backlog_bits += packet.length
+        self.backlog_packets += 1
+        self.backlog_bits += packet.length
         self.bands[band].enqueue(packet, now)
 
     def dequeue(self, now: float) -> Optional[Packet]:
         for idx, band in enumerate(self.bands):
             packet = band.dequeue(now)
             if packet is not None:
-                self._backlog_packets -= 1
-                self._backlog_bits -= packet.length
+                self.backlog_packets -= 1
+                self.backlog_bits -= packet.length
                 self._packet_band[packet.uid] = idx
                 self.in_service = packet
                 return packet
@@ -88,8 +88,8 @@ class PriorityBands(Scheduler):
             return None
         packet = self.bands[band].discard_tail(flow_id)
         if packet is not None:
-            self._backlog_packets -= 1
-            self._backlog_bits -= packet.length
+            self.backlog_packets -= 1
+            self.backlog_bits -= packet.length
         return packet
 
     # The abstract hooks are bypassed by the overridden public methods.

@@ -20,6 +20,8 @@ PERF002    direct ``heapq`` operations on the simulator event queue
 PERF003    per-call/per-iteration allocation, a container display
            appended to a container, and repeated attribute chains inside
            functions marked ``# lint: hot``
+PERF004    hot-path classes under ``repro.core``/``repro.simulation``
+           that define ``__getattr__`` or ``__getattribute__``
 =========  ==============================================================
 
 The whole-program rules (CACHE001, TAG002, DET006) live in
@@ -832,3 +834,56 @@ class HotFunctionAllocationRule(Rule):
                     f"inside a loop in hot function `{fn_name}`; bind it to "
                     "a local before the loop",
                 )
+
+
+# ---------------------------------------------------------------------------
+# PERF004 — attribute-lookup hooks on hot-path classes
+# ---------------------------------------------------------------------------
+
+#: Hooks that route every failed (``__getattr__``) or every
+#: (``__getattribute__``) attribute lookup through Python code.
+_LOOKUP_HOOKS = frozenset({"__getattr__", "__getattribute__"})
+
+
+def _defined_names(cls: ast.ClassDef) -> Iterator[Tuple[str, ast.stmt]]:
+    """Names a class body binds by ``def`` or plain assignment."""
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, stmt
+
+
+@register
+class HotPathLookupHookRule(Rule):
+    """Hot-path classes must not define ``__getattr__``/``__getattribute__``.
+
+    On CPython 3.11, a class whose type carries either hook gets no
+    specialized attribute loads or method loads on any of its instances:
+    every ``self.x`` inside its methods, and every read of its instances
+    elsewhere, takes the generic lookup path. A forwarding hook on the
+    PIFO engine once made all of its roughly twenty per-packet loads
+    slow. Expose forwarded names as explicit properties instead.
+    """
+
+    code = "PERF004"
+    summary = "hot-path class defines __getattr__/__getattribute__"
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        if not ctx.in_hot_path_package():
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for name, stmt in _defined_names(node):
+                if name in _LOOKUP_HOOKS:
+                    yield self.finding(
+                        ctx,
+                        stmt,
+                        f"class `{node.name}` lives on the per-packet hot path "
+                        f"but defines `{name}`, which stops CPython from "
+                        "specializing attribute loads on its instances; "
+                        "expose the forwarded names as explicit properties",
+                    )

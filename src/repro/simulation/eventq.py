@@ -81,12 +81,20 @@ class BinaryHeapQueue:
         ``sim._events_processed`` is settled once on exit (including
         the exceptional one — the failing event counts as fired, as in
         the seed loop).
+
+        The loop is ``while True`` with its exit tests inside: CPython
+        3.11 warms a code object up only on calls and unconditional
+        backward jumps, and this function runs once per ``sim.run()``,
+        so a loop that ended on a conditional jump would never
+        specialize its attribute loads.
         """
         heap = self.heap
         pop = heappop
         fired = 0
         try:
-            while heap and not sim._stopped:
+            while True:
+                if not heap or sim._stopped:
+                    break
                 entry = heap[0]
                 event = entry[3]
                 if event is not None and event.cancelled:

@@ -13,12 +13,18 @@ consumers:
   every speedup claim in ``BENCH_schedulers.json`` is reproducible.
 
 Do not "fix" or modernize this module: its value is that it does not change.
-The one edit since it was frozen: ``LegacySFQ._do_discard_tail`` and
-``LegacySCFQ._do_discard_tail`` take the victim with
-``state.pop_tail()`` instead of ``state.queue.pop()``, because the live
-``FlowState`` holds a sole queued packet in a 1-tuple, which has no
-``pop``. It returns the same packet and leaves the flow with the same
-queued packets.
+Two edits since it was frozen:
+
+* ``LegacySFQ._do_discard_tail`` and ``LegacySCFQ._do_discard_tail``
+  take the victim with ``state.pop_tail()`` instead of
+  ``state.queue.pop()``, because the live ``FlowState`` holds a sole
+  queued packet in a 1-tuple, which has no ``pop``. It returns the same
+  packet and leaves the flow with the same queued packets.
+* ``LegacySFQ._do_service_complete`` and
+  ``LegacySCFQ._do_service_complete`` read ``self.backlog_packets``
+  instead of ``self._backlog_packets``, because the live ``Scheduler``
+  keeps its backlog counters in plain slots under the public names. It
+  is the same counter under a new name.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ class LegacySFQ(Scheduler):
         return packet
 
     def _do_service_complete(self, packet: Packet, now: float) -> None:
-        if self._backlog_packets == 0:
+        if self.backlog_packets == 0:
             # End of busy period: v is set to the maximum finish tag
             # assigned to any packet serviced by now (rule 2).
             self.v = max(self.v, self._max_served_finish)
@@ -164,7 +170,7 @@ class LegacySCFQ(Scheduler):
         return packet
 
     def _do_service_complete(self, packet: Packet, now: float) -> None:
-        if self._backlog_packets == 0:
+        if self.backlog_packets == 0:
             self.v = max(self.v, self._max_served_finish)
 
     def _do_discard_tail(self, state: FlowState) -> Optional[Packet]:

@@ -6,10 +6,15 @@ lists, separate ``pull``/``_refill``), with frozen seed node schedulers
 ``tests/test_hierarchy_equivalence.py`` drives it and
 :class:`repro.core.hierarchical.HierarchicalScheduler` through the same
 workloads and compares full trace record streams. Do not "fix" or
-modernize this module: its value is that it does not change. The one
-edit since it was frozen: a scheduler passed to the constructor or to
+modernize this module: its value is that it does not change. Two edits
+since it was frozen: a scheduler passed to the constructor or to
 ``add_class`` is kept even when empty (it was replaced by the default
-SFQ, so the ``edd_leaf`` case compared two SFQ leaves).
+SFQ, so the ``edd_leaf`` case compared two SFQ leaves); and
+``enqueue``/``dequeue`` write ``self.backlog_packets`` and
+``self.backlog_bits`` instead of ``self._backlog_packets`` and
+``self._backlog_bits``, because the live ``Scheduler`` keeps its backlog
+counters in plain slots under the public names (the same counters under
+new names).
 
 The original module docstring follows.
 
@@ -287,8 +292,8 @@ class LegacyHierarchicalScheduler(Scheduler):
                 "call attach_flow first"
             )
         packet.arrival = now
-        self._backlog_packets += 1
-        self._backlog_bits += packet.length
+        self.backlog_packets += 1
+        self.backlog_bits += packet.length
         leaf.scheduler.enqueue(packet, now)
         self._offer_upward(leaf, now)
 
@@ -307,8 +312,8 @@ class LegacyHierarchicalScheduler(Scheduler):
         packet = self.root.pull(now)
         if packet is None:
             return None
-        self._backlog_packets -= 1
-        self._backlog_bits -= packet.length
+        self.backlog_packets -= 1
+        self.backlog_bits -= packet.length
         self.in_service = packet
         # Account the service at every class on the packet's path.
         leaf = self._flow_to_leaf[packet.flow]

@@ -228,9 +228,12 @@ def calls_per_packet(metrics: bool) -> float:
     return calls / link.packets_transmitted
 
 
+#: 20.43 and 22.56 calls per packet: ``Scheduler.backlog_packets`` and
+#: ``backlog_bits`` are plain slots, so the four reads per packet that
+#: the enabled-metrics hooks make are no calls (26.59 as properties).
 @pytest.mark.parametrize(
     "metrics, ceiling",
-    [(False, 21.0), (True, 27.0)],
+    [(False, 21.0), (True, 23.0)],
     ids=["sfq16-poisson", "sfq16-metrics"],
 )
 def test_calls_per_packet_within_budget(metrics, ceiling):

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -266,6 +270,59 @@ def test_only_the_engine_writes_the_clock():
                     ):
                         offenders.append(f"{rel}:{sub.lineno}")
     assert offenders == [], f"clock written outside the engine: {offenders}"
+
+
+#: Runs each run loop once in a fresh interpreter and prints, per loop,
+#: the attribute-load instructions CPython's adaptive interpreter holds
+#: for it afterwards.
+_WARMUP_SCRIPT = """
+import dis
+from repro.simulation.engine import Simulator
+from repro.simulation.eventq import BinaryHeapQueue
+
+def tick():
+    pass
+
+for loop, budget in ((BinaryHeapQueue.drain, None), (Simulator._run_generic, 10**6)):
+    sim = Simulator()
+    for i in range(100):
+        sim.call_at(i * 0.5, tick)
+    sim.run(max_events=budget)
+    ops = {i.opname for i in dis.get_instructions(loop, adaptive=True)}
+    print(loop.__name__, *sorted(op for op in ops if op.startswith("LOAD_ATTR")))
+"""
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="CPython 3.11 warms a code object up only on calls and "
+    "unconditional backward jumps; later versions warm up either loop shape",
+)
+def test_run_loops_specialize_within_one_run():
+    """Each run loop is entered once per ``sim.run()``, so only its
+    ``while True`` back-edge can warm it up: after a single run, its
+    attribute loads must already be specialized (e.g. ``LOAD_ATTR_SLOT``
+    for ``sim._stopped``), not left adaptive."""
+    from repro.simulation.eventq import BinaryHeapQueue
+
+    if not inspect.isfunction(BinaryHeapQueue.drain):
+        pytest.skip("the event queue is compiled")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(PACKAGE_ROOT.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _WARMUP_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    loads = {line.split()[0]: set(line.split()[1:]) for line in out.splitlines()}
+    assert set(loads) == {"drain", "_run_generic"}
+    for loop, ops in loads.items():
+        assert ops - {"LOAD_ATTR", "LOAD_ATTR_ADAPTIVE"}, (
+            f"{loop} kept only generic attribute loads after one run: {sorted(ops)}"
+        )
 
 
 class ListStream:

@@ -441,6 +441,55 @@ def test_perf003_ignores_unmarked_functions():
 
 
 # ---------------------------------------------------------------------------
+# PERF004 — __getattr__/__getattribute__ on hot-path classes
+# ---------------------------------------------------------------------------
+
+_FORWARDING = (
+    "class Engine:\n"
+    "    __slots__ = ('_rank',)\n"
+    "    def __getattr__(self, name):\n"
+    "        return getattr(self._rank, name)\n"
+)
+
+
+def test_perf004_catches_getattr_on_hot_path_class():
+    findings = run_lint_on_source(_FORWARDING, path="src/repro/core/thing.py")
+    assert codes(findings) == ["PERF004"]
+    assert "__getattr__" in findings[0].message
+
+
+def test_perf004_catches_getattribute_and_assigned_hook():
+    findings = run_lint_on_source(
+        "class A:\n"
+        "    __slots__ = ()\n"
+        "    def __getattribute__(self, name):\n"
+        "        return object.__getattribute__(self, name)\n"
+        "class B:\n"
+        "    __slots__ = ()\n"
+        "    __getattr__ = object.__getattribute__\n",
+        path="src/repro/simulation/thing.py",
+    )
+    assert codes(findings) == ["PERF004", "PERF004"]
+
+
+def test_perf004_passes_explicit_property():
+    findings = run_lint_on_source(
+        "class Engine:\n"
+        "    __slots__ = ('_rank',)\n"
+        "    @property\n"
+        "    def virtual_time(self):\n"
+        "        return self._rank.v\n",
+        path="src/repro/core/thing.py",
+    )
+    assert findings == []
+
+
+def test_perf004_passes_outside_hot_path():
+    findings = run_lint_on_source(_FORWARDING, path="src/repro/analysis/thing.py")
+    assert "PERF004" not in codes(findings)
+
+
+# ---------------------------------------------------------------------------
 # Suppressions
 # ---------------------------------------------------------------------------
 
@@ -502,7 +551,7 @@ def test_resolve_rules_rejects_unknown_codes():
 def test_registry_is_complete():
     assert set(all_rule_codes()) == set(RULES) == {
         "DET001", "DET002", "DET005", "TAG001",
-        "PERF001", "PERF002", "PERF003",
+        "PERF001", "PERF002", "PERF003", "PERF004",
     }
     assert set(all_project_rule_codes()) == set(PROJECT_RULES) == {
         "CACHE001", "TAG002", "DET006",
@@ -529,6 +578,7 @@ _CATCHING = {
     "PERF001": "test_perf001_catches_unslotted_hot_path_class",
     "PERF002": "test_perf002_catches_heapq_in_simulation_package",
     "PERF003": "test_perf003_catches_comprehension_in_hot_function",
+    "PERF004": "test_perf004_catches_getattr_on_hot_path_class",
     "CACHE001": "test_cache001_catches_env_read_in_entry",
 }
 _PASSING = {
@@ -541,6 +591,7 @@ _PASSING = {
     "PERF001": "test_perf001_passes_with_slots",
     "PERF002": "test_perf002_allows_eventq_itself",
     "PERF003": "test_perf003_passes_preallocated_loop",
+    "PERF004": "test_perf004_passes_explicit_property",
     "CACHE001": "test_cache001_passes_pure_entry",
 }
 
@@ -631,6 +682,7 @@ def test_cli_list_rules(capsys):
         "    heapq.heappush(queue, entry)\n"
     ), "simulation"),
     ("PERF003", _HOT_COMPREHENSION, "core"),
+    ("PERF004", _FORWARDING, "core"),
     ("TAG002", (
         "def f(v, last_finish, length, rate):\n"
         "    return max(v, last_finish) + length / rate\n"

@@ -8,6 +8,10 @@ surface the PIFO redesign added on top:
   — must be byte-identical to the registry-built discipline and
   therefore to the frozen legacy cores (the registry adds convenience,
   not behavior);
+* the rank's exported state (``virtual_time``, ``gps``, ``deadlines``,
+  ...) as explicit engine properties, with no ``__getattr__`` on the
+  engine, and the backlog counters as plain slots only ``repro.core``
+  writes;
 * the engine's own bookkeeping — tie-break order and ``discard_tail``
   against the frozen seed cores, FIFO ties in uid order, the
   ``debug_checks`` corruption detector, flow churn that leaves no
@@ -26,13 +30,16 @@ surface the PIFO redesign added on top:
 
 from __future__ import annotations
 
+import ast
 import gc
+import pathlib
 import sys
 import tracemalloc
 from collections import deque
 
 import pytest
 
+import repro
 from repro.core import (
     LSTF,
     HierarchicalScheduler,
@@ -56,6 +63,7 @@ from repro.core.pifo import (
     Wf2qRank,
     WfqRank,
 )
+from repro.core.registry import scheduler_spec
 from repro.servers import ConstantCapacity, Link
 from repro.simulation import Simulator
 
@@ -65,6 +73,8 @@ from tests.test_trace_equivalence import (
     _edd_setup,
     run_trace,
 )
+
+PACKAGE_ROOT = pathlib.Path(repro.__file__).parent
 
 # ----------------------------------------------------------------------
 # Direct engine construction == registry construction == frozen seed
@@ -99,11 +109,124 @@ def test_direct_engine_matches_registry(name):
     assert direct == via_registry
 
 
+# ----------------------------------------------------------------------
+# The rank's exported state: explicit engine properties, no __getattr__
+# ----------------------------------------------------------------------
+
+#: Discipline -> the names its rank exports, and so its engine exposes.
+EXPORTS = {
+    "SFQ": ("v", "virtual_time"),
+    "SCFQ": ("v", "virtual_time"),
+    "WFQ": ("gps", "virtual_time"),
+    "FQS": ("gps", "virtual_time"),
+    "WF2Q": ("gps", "virtual_time"),
+    "DelayEDD": ("deadlines", "add_flow_with_deadline"),
+    "LSTF": ("slacks", "set_slack"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_engine_exposes_rank_exports(name):
+    sched = make_scheduler(name, capacity=CAPACITY)
+    rank = sched.rank_fn
+    assert rank.exports == EXPORTS[name]
+    for attr in EXPORTS[name]:
+        # Values, the GPS object and bound methods all compare equal.
+        assert getattr(sched, attr) == getattr(rank, attr)
+
+
+def test_exported_state_follows_the_rank():
+    sfq = make_scheduler("SFQ")
+    sfq.enqueue(Packet("a", 1000), 0.0)
+    sfq.enqueue(Packet("a", 1000), 0.0)
+    sfq.dequeue(0.0)
+    sfq.dequeue(0.0)
+    assert sfq.virtual_time == sfq.v == sfq.rank_fn.v == 1000.0
+
+    wfq = make_scheduler("WFQ", capacity=CAPACITY)
+    wfq.enqueue(Packet("a", 1000), 0.5)
+    assert wfq.virtual_time == wfq.gps.v
+
+    edd = make_scheduler("DelayEDD")
+    edd.add_flow_with_deadline("voice", 1e6, 0.02)
+    assert edd.deadlines == {"voice": 0.02}
+    assert edd.flows["voice"].weight == 1e6
+
+    lstf = make_scheduler("LSTF")
+    lstf.set_slack("bulk", 0.5)
+    assert lstf.slacks == {"bulk": 0.5}
+
+
+@pytest.mark.parametrize("name", ["VirtualClock", "DelayEDD", "LSTF"])
+def test_no_virtual_time_without_the_export(name):
+    # The fault monitors install VirtualTimeMonitor iff this is True.
+    sched = make_scheduler(name)
+    assert not hasattr(sched, "virtual_time")
+    assert not hasattr(sched, "v")
+
+
 def test_engine_forwards_rank_exports():
     sched = PifoScheduler(SfqRank())
-    assert sched.virtual_time == 0.0  # forwarded from the rank
+    assert sched.virtual_time == 0.0  # read from the rank
+    # Names another rank exports, and unknown names, raise.
+    with pytest.raises(AttributeError, match="does not export"):
+        sched.gps
+    with pytest.raises(AttributeError, match="does not export"):
+        sched.set_slack
     with pytest.raises(AttributeError):
         sched.no_such_attribute
+
+
+def test_every_registered_export_resolves_on_its_engine():
+    # A rank that adds an export name needs a matching engine property.
+    checked = 0
+    for name in list_schedulers():
+        spec = scheduler_spec(name)
+        if not issubclass(spec.cls, PifoScheduler):
+            continue
+        sched = make_scheduler(name, capacity=CAPACITY)
+        for attr in sched.rank_fn.exports:
+            assert isinstance(getattr(PifoScheduler, attr), property), (name, attr)
+            getattr(sched, attr)
+            checked += 1
+    assert checked >= 2 * len(EXPORTS)
+
+
+def test_only_schedulers_write_the_backlog_counters():
+    """``Scheduler.backlog_packets``/``backlog_bits`` are plain slots that
+    ``Link`` reads per packet; only ``repro.core`` may assign them (an
+    assignment to any attribute of either name counts)."""
+    offenders = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        rel = path.relative_to(PACKAGE_ROOT).as_posix()
+        if rel.startswith("core/"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if (
+                        isinstance(sub, ast.Attribute)
+                        and sub.attr in ("backlog_packets", "backlog_bits")
+                        and isinstance(sub.ctx, ast.Store)
+                    ):
+                        offenders.append(f"{rel}:{sub.lineno}")
+    assert offenders == [], f"backlog written outside repro.core: {offenders}"
+
+
+def test_engine_defines_no_lookup_hook():
+    # On CPython 3.11 a __getattr__ anywhere in the MRO stops attribute
+    # load specialization on every engine instance (lint rule PERF004).
+    for cls in PifoScheduler.__mro__:
+        assert "__getattr__" not in vars(cls), cls
+        if cls is not object:
+            assert "__getattribute__" not in vars(cls), cls
 
 
 @pytest.mark.parametrize(
