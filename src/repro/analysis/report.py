@@ -69,7 +69,7 @@ def campaign_to_markdown(campaign: "CampaignResult") -> str:  # noqa: F821
 
     Written by ``python -m repro campaign`` to
     ``<results>/campaign_summary.md``. Shard-level provenance (cache
-    hits, retries, failures) lives in the manifest next to it; this
+    hits, failures, timings) lives in the manifest next to it; this
     document is the human-readable evaluation: one summary table per
     experiment, mean over seed slots, with failed shards called out.
     """

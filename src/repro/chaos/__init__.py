@@ -16,8 +16,8 @@ scheduling discipline, with the full invariant monitor suite
   ``chaos-repro/1`` artifacts;
 * :mod:`~repro.chaos.fixtures` — deliberately broken disciplines the
   harness must catch (its own regression oracle);
-* :mod:`~repro.chaos.experiment` — :class:`ExperimentResult` adapters
-  for the experiment registry (``python -m repro run chaos``).
+* :mod:`~repro.chaos.experiment` — the :class:`ExperimentResult`
+  adapter for the experiment registry (``python -m repro run chaos``).
 
 CLI: ``python -m repro chaos --seeds 25`` (campaign) and
 ``python -m repro chaos replay results/chaos/repro_X_N.json``.

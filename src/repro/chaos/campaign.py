@@ -2,12 +2,11 @@
 
 :func:`run_chaos_campaign` fans a grid of ``(algorithm, seed slot)``
 chaos shards through the ordinary campaign runner
-(:mod:`repro.experiments.campaign`) — same sharding, caching, worker
-pool, retry backoff, and partial aggregation as every other
-experiment — then sweeps the outcomes for invariant violations. Every
-failure is (optionally) minimized with the ddmin shrinker and
-serialized as a replayable ``chaos-repro/1`` artifact under
-``<results>/chaos/``.
+(:mod:`repro.experiments.campaign`) — same sharding, caching, process
+pool, and partial aggregation as every other experiment — then sweeps
+the outcomes for invariant violations. Every failure is (optionally)
+minimized with the ddmin shrinker and serialized as a replayable
+``chaos-repro/1`` artifact under ``<results>/chaos/``.
 
 The healthy path — the stock scheduler zoo — must come back with zero
 violations; ``tests/test_cli.py::test_chaos_run_command_clean_zoo``
@@ -97,7 +96,6 @@ def run_chaos_campaign(
     duration: float = 6.0,
     cache: bool = True,
     results_dir: str = "results",
-    timeout: Optional[float] = None,
     shrink: bool = True,
     max_oracle_runs: int = 300,
     progress: Optional[Callable[[str], None]] = None,
@@ -122,7 +120,6 @@ def run_chaos_campaign(
         base_seed=base_seed,
         cache=cache,
         results_dir=results_dir,
-        timeout=timeout,
         grids=grids,
         targets={"chaos": CHAOS_TARGET},
         accepts_seed=frozenset({"chaos"}),

@@ -1,39 +1,17 @@
-"""Campaign-facing entry points for chaos runs.
+"""Campaign-facing entry point for chaos runs.
 
 :func:`run_chaos_case` adapts one ``(seed, algorithm)`` chaos run to
 the :class:`ExperimentResult` contract the campaign runner shards and
 aggregates — it is the ``"chaos"`` entry of the experiment registry.
-
-:func:`run_composed_faults` is a fixed composed-fault scenario (link
-outage + flow churn + packet loss/reordering, all simultaneously, on
-one SFQ link) whose result carries a SHA-256 digest of the complete
-delivery/drop trace. Two runs with the same seed must produce the same
-digest regardless of worker count or process — the regression test for
-injector composition determinism.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Any, Hashable, List
-
 from repro.chaos.runner import run_schedule
 from repro.chaos.schedule import generate_schedule
-from repro.core.registry import make_scheduler
 from repro.experiments.harness import ExperimentResult
-from repro.faults.injectors import FlowChurn, LinkOutage, PacketFaults
-from repro.faults.monitors import install_monitors
-from repro.servers.base import ConstantCapacity
-from repro.servers.link import Link
-from repro.simulation.engine import Simulator
-from repro.simulation.random import RandomStreams, derive_seed
-from repro.simulation.tracing import NullTracer
-from repro.traffic.cbr import CBRSource
 
-__all__ = ["run_chaos_case", "run_composed_faults"]
-
-CAPACITY = 1e6
-PACKET_LENGTH = 8000
+__all__ = ["run_chaos_case"]
 
 
 def run_chaos_case(
@@ -100,130 +78,4 @@ def run_chaos_case(
     result.data["seed"] = seed
     result.data["fairness_checked"] = report.fairness_checked
     result.data["truncated"] = report.truncated
-    return result
-
-
-def run_composed_faults(seed: int = 0, duration: float = 6.0) -> ExperimentResult:
-    """Outage + churn + packet faults *simultaneously*, digest-stamped.
-
-    Three fault injectors share one SFQ link: a seeded
-    :class:`LinkOutage` (drop recovery), a two-flow :class:`FlowChurn`
-    pool, and :class:`PacketFaults` loss/reordering at the ingress.
-    The delivery and drop trace is folded into
-    ``data["trace_digest"]``; equality of digests across runs, worker
-    counts, and processes is the determinism contract.
-    """
-    sim = Simulator()
-    streams = RandomStreams(derive_seed("chaos", "composed", seed))
-    scheduler = make_scheduler("SFQ", capacity=CAPACITY, auto_register=False)
-    link = Link(
-        sim,
-        scheduler,
-        ConstantCapacity(CAPACITY),
-        name="composed",
-        tracer=NullTracer(),
-    )
-    # Measure-only fairness: churn joins/leaves change the flow set
-    # mid-span, which is exactly what this scenario is *for*.
-    monitors = install_monitors(link, slack=1e-6, bound_factor=float("inf"))
-
-    trace: List[str] = []
-    link.departure_hooks.append(
-        lambda p, now: trace.append(f"tx {now:.9e} {p.flow} {p.seqno}")
-    )
-    link.drop_hooks.append(
-        lambda p, now: trace.append(f"drop {now:.9e} {p.flow} {p.seqno}")
-    )
-
-    faults = PacketFaults(
-        sim,
-        link.send,
-        streams=streams,
-        p_loss=0.02,
-        p_reorder=0.03,
-        max_reorder_delay=0.01,
-        name="composed",
-    )
-    for flow_id, weight in (("a", 1.0), ("b", 1.0), ("c", 2.0)):
-        scheduler.add_flow(flow_id, weight)
-        CBRSource(
-            sim,
-            flow_id,
-            faults.send,
-            rate=0.3 * CAPACITY * weight,
-            packet_length=PACKET_LENGTH,
-            stop_time=duration,
-        ).start()
-
-    outage = LinkOutage(
-        sim,
-        link,
-        streams=streams,
-        mean_time_to_failure=1.5,
-        mean_outage=0.3,
-        recovery="drop",
-        stop_time=duration,
-    )
-    outage.start()
-
-    def _make_source(flow_id: Hashable, start: float, stop: float) -> Any:
-        return CBRSource(
-            sim,
-            flow_id,
-            faults.send,
-            rate=0.15 * CAPACITY,
-            packet_length=PACKET_LENGTH,
-            start_time=start,
-            stop_time=stop,
-        )
-
-    churn = FlowChurn(
-        sim,
-        link,
-        _make_source,
-        streams=streams,
-        flow_ids=("c0", "c1"),
-        mean_on=0.8,
-        mean_off=0.6,
-        stop_time=duration,
-        name="composed",
-    )
-    churn.start()
-
-    sim.run(until=duration)
-    monitors.audit()
-
-    digest = hashlib.sha256("\n".join(trace).encode()).hexdigest()
-    result = ExperimentResult(
-        experiment="chaos-composed",
-        description=(
-            "Composed injectors (outage + churn + packet faults) on one "
-            "SFQ link: deterministic delivery-trace digest"
-        ),
-        headers=[
-            "transmitted",
-            "dropped",
-            "outages",
-            "joins",
-            "leaves",
-            "lost",
-            "reordered",
-            "violations",
-        ],
-    )
-    result.add_row(
-        link.packets_transmitted,
-        link.packets_dropped,
-        outage.outages,
-        churn.joins,
-        churn.leaves,
-        faults.lost,
-        faults.reordered,
-        len(monitors.violations),
-    )
-    result.note(f"trace digest {digest[:16]}… over {len(trace)} events")
-    result.data["trace_digest"] = digest
-    result.data["trace_events"] = len(trace)
-    result.data["violations"] = monitors.violations_payload()
-    result.data["seed"] = seed
     return result

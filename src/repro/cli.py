@@ -148,14 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="ignore and do not write the on-disk result cache",
     )
     campaign.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-shard timeout in seconds (shard is marked failed)",
-    )
-    campaign.add_argument(
-        "--retries", type=int, default=1,
-        help="retries for shards whose worker process dies (default 1)",
-    )
-    campaign.add_argument(
         "--results-dir", default="results",
         help="directory for the cache and campaign artifacts "
              "(default: results)",
@@ -167,15 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics", action="store_true",
         help="collect per-shard metrics snapshots and write the "
              "per-experiment merge under <results>/metrics/",
-    )
-    campaign.add_argument(
-        "--bench", action="store_true",
-        help="measure --jobs and warm-cache speedups instead of running "
-             "a campaign; writes BENCH_campaign.json",
-    )
-    campaign.add_argument(
-        "--bench-output", default="BENCH_campaign.json",
-        help="path for --bench output (default BENCH_campaign.json)",
     )
     chaos = sub.add_parser(
         "chaos",
@@ -209,10 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--duration", type=float, default=6.0,
         help="simulated horizon per schedule in seconds (default 6)",
-    )
-    chaos.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-run timeout in seconds (run is marked failed)",
     )
     chaos.add_argument(
         "--no-cache", action="store_true",
@@ -354,21 +333,7 @@ def _run_all(args: argparse.Namespace) -> int:
 def _run_campaign_command(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.experiments.campaign import (
-        run_campaign,
-        run_campaign_bench,
-        write_manifest,
-    )
-
-    if args.bench:
-        run_campaign_bench(
-            output=args.bench_output,
-            jobs=max(2, args.jobs) if args.jobs > 1 else 4,
-            seeds=args.seeds,
-            names=_parse_only(args.only),
-            timeout=args.timeout,
-        )
-        return 0
+    from repro.experiments.campaign import run_campaign, write_manifest
 
     progress = None if args.quiet else (lambda line: print(line, flush=True))
     campaign = run_campaign(
@@ -378,8 +343,6 @@ def _run_campaign_command(args: argparse.Namespace) -> int:
         base_seed=args.base_seed,
         cache=not args.no_cache,
         results_dir=args.results_dir,
-        timeout=args.timeout,
-        retries=args.retries,
         progress=progress,
         metrics=args.metrics,
     )
@@ -433,7 +396,6 @@ def _run_chaos_command(args: argparse.Namespace) -> int:
         duration=args.duration,
         cache=not args.no_cache,
         results_dir=args.results_dir,
-        timeout=args.timeout,
         shrink=not args.no_shrink,
         progress=None if args.quiet else print,
     )

@@ -2,7 +2,7 @@
 
 The paper's evaluation is a set of *independent* experiment invocations
 (experiment × parameter-override × seed). This module shards such a
-campaign across a ``multiprocessing`` pool of worker processes and
+campaign across a :class:`concurrent.futures.ProcessPoolExecutor` and
 merges the per-shard :class:`ExperimentResult`\\ s into per-experiment
 summary tables. Design goals, in order:
 
@@ -23,10 +23,11 @@ whose inputs changed; editing any source file invalidates everything
 cached and fresh shards apart.
 
 **Fault isolation.** A shard that raises is reported as failed in the
-summary; a shard whose worker process dies is retried a bounded number
-of times on a fresh worker; a shard that exceeds the per-shard timeout
-has its worker terminated and is marked failed. None of these abort the
-other shards.
+summary, and the other shards run on. A worker process that dies breaks
+the pool: every shard the pool had not finished is marked failed, and
+nothing is retried — a shard is a pure function of its inputs, so a
+retry would die the same way. Either way the surviving shards aggregate
+into a summary flagged ``truncated``.
 
 CLI: ``python -m repro campaign --jobs 4 --seeds 5 --only table1,faults``.
 """
@@ -35,19 +36,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
-import queue as queue_module
 import signal
-import threading
 import time
 import traceback
-from collections import OrderedDict, deque
+from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -74,15 +77,6 @@ PARAM_GRIDS: Dict[str, List[Dict[str, Any]]] = {
         {"algorithms": (), "include_churn": True},
     ],
 }
-
-#: Bounded retry for shards whose worker *process* dies (not for
-#: in-shard exceptions, which are deterministic and reported directly).
-DEFAULT_RETRIES = 1
-
-#: Crash-retry backoff shape: first retry waits ~RETRY_BACKOFF_BASE
-#: seconds, doubling per attempt up to RETRY_BACKOFF_CAP.
-RETRY_BACKOFF_BASE = 0.25
-RETRY_BACKOFF_CAP = 5.0
 
 
 @dataclass(frozen=True)
@@ -127,11 +121,10 @@ class ShardOutcome:
     """What happened to one shard."""
 
     shard: Shard
-    status: str  # "ok" | "failed" | "timeout"
+    status: str  # "ok" | "failed"
     result: Optional[ExperimentResult] = None
     error: str = ""
     elapsed: float = 0.0
-    attempts: int = 1
     from_cache: bool = False
 
     @property
@@ -164,27 +157,6 @@ class CampaignResult:
 
 # --------------------------------------------------------------------------
 # Shard expansion and seed derivation
-
-
-def retry_backoff(
-    shard: Shard,
-    attempt: int,
-    base: float = RETRY_BACKOFF_BASE,
-    cap: float = RETRY_BACKOFF_CAP,
-) -> float:
-    """Delay (seconds) before re-dispatching a crashed shard.
-
-    Exponential in ``attempt`` (the number of attempts already made,
-    >= 1), capped, with +/-25% jitter — but the jitter is *derived*
-    from the shard token and attempt number through
-    :func:`derive_seed`, not drawn from a live RNG: retry timing, like
-    everything else in a campaign, is a pure function of its inputs.
-    """
-    if attempt < 1:
-        raise ValueError(f"attempt must be >= 1, got {attempt}")
-    expo = min(cap, base * (2 ** (attempt - 1)))
-    unit = (derive_seed("retry-backoff", shard.token(), attempt) % 1024) / 1024.0
-    return expo * (0.75 + 0.5 * unit)
 
 
 def derive_shard_seed(
@@ -318,11 +290,7 @@ def cache_store(path: Path, shard: Shard, result: ExperimentResult,
 
 
 # --------------------------------------------------------------------------
-# Shard execution: inline (jobs=1) and worker pool (jobs>1)
-
-
-class _ShardTimeout(Exception):
-    pass
+# Shard execution: in-process (jobs=1) or on a process pool (jobs>1)
 
 
 def _execute(
@@ -332,7 +300,7 @@ def _execute(
     if metrics:
         # Ambient session: every Link the shard constructs
         # self-registers a hub. The snapshot rides inside result.data so
-        # it crosses the worker queue and the cache with the result.
+        # it crosses the process pool and the cache with the result.
         from repro.metrics import MetricsSession
 
         meta: Dict[str, Any] = {}
@@ -353,228 +321,85 @@ def _execute(
     return result
 
 
-def _run_inline(
-    shard: Shard, timeout: Optional[float], metrics: bool = False
-) -> ShardOutcome:
-    """Run a shard in-process (jobs=1), enforcing the timeout via
-    ``SIGALRM`` where the platform supports it."""
-    use_alarm = (
-        timeout is not None
-        and hasattr(signal, "setitimer")
-        and threading.current_thread() is threading.main_thread()
-    )
+def _run_shard(shard: Shard, metrics: bool = False) -> ShardOutcome:
+    """Run one shard; an exception inside it becomes a ``failed`` outcome."""
     start = time.perf_counter()  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    old_handler = None
+    result: Optional[ExperimentResult] = None
+    status, error = "ok", ""
     try:
-        if use_alarm:
-            def _on_alarm(signum, frame):
-                raise _ShardTimeout()
-
-            old_handler = signal.signal(signal.SIGALRM, _on_alarm)
-            signal.setitimer(signal.ITIMER_REAL, timeout)
         result = _execute(shard.target, shard.kwargs, metrics)
-        return ShardOutcome(shard, "ok", result,
-                            elapsed=time.perf_counter() - start)  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    except _ShardTimeout:
-        return ShardOutcome(
-            shard, "timeout",
-            error=f"shard exceeded --timeout {timeout}s",
-            elapsed=time.perf_counter() - start,  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-        )
     except Exception as exc:  # noqa: BLE001 - reported per shard
-        return ShardOutcome(
-            shard, "failed",
-            error=f"{exc!r}\n{traceback.format_exc(limit=20)}",
-            elapsed=time.perf_counter() - start,  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-        )
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, old_handler)
+        status, error = "failed", f"{exc!r}\n{traceback.format_exc(limit=20)}"
+    elapsed = time.perf_counter() - start  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
+    return ShardOutcome(shard, status, result, error, elapsed)
 
 
-def _worker_main(task_queue, result_queue):  # pragma: no cover - child process
-    """Worker loop: run tasks until the ``None`` sentinel arrives.
+def _run_shard_in_worker(
+    shard: Shard, metrics: bool
+) -> Tuple[ShardOutcome, Optional[Dict[str, Any]]]:
+    """Pool task: the outcome, with its result sent back as a payload."""
+    outcome = _run_shard(shard, metrics)
+    result, outcome.result = outcome.result, None
+    return outcome, None if result is None else result.to_payload()
 
-    In-shard exceptions are reported as results, never kill the worker;
-    only a hard process death (crash/exit) is handled by the parent.
+
+def _start_worker(go: Any) -> None:
+    """Pool initializer: SIGINT's default action, so Ctrl-C kills the
+    worker at once; then wait for ``go``, which the parent sets once
+    every shard is submitted. On Python 3.10 and 3.11 a worker that dies
+    while ``submit`` is still running can lose a future or crash the
+    pool's manager thread, and the campaign then hangs."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    go.wait()
+
+
+def _run_shards(
+    shards: List[Shard], jobs: int, metrics: bool = False
+) -> Iterator[Tuple[int, ShardOutcome]]:
+    """Yield ``(index, outcome)`` for every shard as it finishes.
+
+    With ``jobs <= 1`` the shards run in order in this process. Otherwise
+    they run on a pool of ``jobs`` worker processes, forked where the
+    platform can fork (no re-import of ``__main__``, and far cheaper
+    start-up; a shard's result is a pure function of its derived seed,
+    so the start method cannot change an output). A worker that dies
+    breaks the pool, and every shard the pool had not finished fails
+    with it. ``shutdown`` cancels the shards not yet started, so Ctrl-C
+    stops the campaign at once instead of after the queued shards.
     """
-    while True:
-        task = task_queue.get()
-        if task is None:
-            return
-        index, target, kwargs, metrics = task
-        start = time.perf_counter()  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-        try:
-            result = _execute(target, kwargs, metrics)
-            result_queue.put(
-                (index, "ok", result.to_payload(), time.perf_counter() - start)  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-            )
-        except Exception as exc:  # noqa: BLE001 - reported per shard
-            result_queue.put(
-                (
-                    index,
-                    "failed",
-                    f"{exc!r}\n{traceback.format_exc(limit=20)}",
-                    time.perf_counter() - start,  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-                )
-            )
-
-
-class _PoolWorker:
-    __slots__ = ("proc", "queue", "task", "started")
-
-    def __init__(self, proc, task_queue):
-        self.proc = proc
-        self.queue = task_queue
-        self.task: Optional[int] = None
-        self.started: float = 0.0
-
-
-def _run_pool(
-    shards: List[Shard],
-    jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    progress: Optional[Callable[[str], None]] = None,
-    metrics: bool = False,
-) -> Dict[int, ShardOutcome]:
-    """Dispatch shards across ``jobs`` spawned worker processes.
-
-    Each worker has its own task queue (single-slot dispatch) so the
-    parent always knows which shard a worker is running — required to
-    terminate exactly the right process on a per-shard timeout.
-    """
-    import multiprocessing
-
-    # fork where available: no re-execution of the parent __main__ and
-    # ~10x cheaper worker startup. Shard results are a pure function of
-    # the derived seed, so the start method cannot affect outputs.
+    if jobs <= 1 or not shards:
+        for index, shard in enumerate(shards):
+            yield index, _run_shard(shard, metrics)
+        return
     methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    result_queue = ctx.Queue()
-
-    def spawn_worker() -> _PoolWorker:
-        task_queue = ctx.Queue()
-        proc = ctx.Process(
-            target=_worker_main, args=(task_queue, result_queue), daemon=True
-        )
-        proc.start()
-        return _PoolWorker(proc, task_queue)
-
-    pending = deque(range(len(shards)))
-    attempts = [0] * len(shards)
-    # Crash retries are not re-dispatched immediately: retry_backoff()
-    # gates each one, so a poisoned shard (or a transiently sick
-    # machine) cannot hot-loop worker respawns.
-    not_before: Dict[int, float] = {}
-    outcomes: Dict[int, ShardOutcome] = {}
-    workers = [spawn_worker() for _ in range(min(jobs, len(shards)))]
-
-    def record(index: int, status: str, payload, elapsed: float) -> None:
-        shard = shards[index]
-        if status == "ok":
-            result = ExperimentResult.from_payload(payload)
-            outcomes[index] = ShardOutcome(
-                shard, "ok", result, elapsed=elapsed, attempts=attempts[index]
-            )
-        else:
-            outcomes[index] = ShardOutcome(
-                shard, status, error=str(payload), elapsed=elapsed,
-                attempts=attempts[index],
-            )
-        if progress is not None:
-            progress(f"[{len(outcomes)}/{len(shards)}] {shard.describe()}: {status}")
-
-    def consume(message) -> int:
-        index, status, payload, elapsed = message
-        for worker in workers:
-            if worker.task == index:
-                worker.task = None
-                break
-        if index not in outcomes:  # ignore stale post-kill results
-            record(index, status, payload, elapsed)
-        return index
-
+    context = multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn"
+    )
+    go = context.Event()
+    pool = ProcessPoolExecutor(
+        min(jobs, len(shards)), context,
+        initializer=_start_worker, initargs=(go,),
+    )
     try:
-        while len(outcomes) < len(shards):
-            # Dispatch to idle workers (skipping shards still backing
-            # off — they rotate to the back of the queue).
-            for worker in workers:
-                if worker.task is None and pending:
-                    index = None
-                    for _ in range(len(pending)):
-                        candidate = pending.popleft()
-                        if candidate in outcomes:
-                            continue
-                        if time.monotonic() < not_before.get(candidate, 0.0):  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-                            pending.append(candidate)
-                            continue
-                        index = candidate
-                        break
-                    if index is None:
-                        continue
-                    attempts[index] += 1
-                    worker.queue.put(
-                        (index, shards[index].target, shards[index].kwargs,
-                         metrics)
-                    )
-                    worker.task = index
-                    worker.started = time.monotonic()  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-            # Collect one result (short timeout so health checks run).
+        futures = {
+            pool.submit(_run_shard_in_worker, shard, metrics): index
+            for index, shard in enumerate(shards)
+        }
+        go.set()
+        for future in as_completed(futures):
+            index = futures[future]
             try:
-                consume(result_queue.get(timeout=0.05))
-            except queue_module.Empty:
-                pass
-            # Health checks: timeouts and crashed workers.
-            for i, worker in enumerate(workers):
-                index = worker.task
-                if index is None:
-                    continue
-                ran_for = time.monotonic() - worker.started  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-                if timeout is not None and ran_for > timeout:
-                    worker.proc.terminate()
-                    worker.proc.join(5.0)
-                    if index not in outcomes:
-                        record(
-                            index, "timeout",
-                            f"shard exceeded --timeout {timeout}s", ran_for,
-                        )
-                    workers[i] = spawn_worker()
-                elif not worker.proc.is_alive():
-                    # Crash (worker never reports and exits mid-task).
-                    # Drain any result that raced the death first.
-                    try:
-                        while True:
-                            consume(result_queue.get_nowait())
-                    except queue_module.Empty:
-                        pass
-                    if index not in outcomes:
-                        if attempts[index] <= retries:
-                            not_before[index] = time.monotonic() + retry_backoff(  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-                                shards[index], attempts[index]
-                            )
-                            pending.appendleft(index)
-                        else:
-                            record(
-                                index, "failed",
-                                f"worker process died (exitcode "
-                                f"{worker.proc.exitcode}) after "
-                                f"{attempts[index]} attempt(s)",
-                                ran_for,
-                            )
-                    workers[i] = spawn_worker()
+                outcome, payload = future.result()
+            except BrokenProcessPool as exc:
+                error = f"worker process died: {exc}"
+                outcome = ShardOutcome(shards[index], "failed", error=error)
+            else:
+                if payload is not None:
+                    outcome.result = ExperimentResult.from_payload(payload)
+            yield index, outcome
     finally:
-        for worker in workers:
-            try:
-                worker.queue.put(None)
-            except (OSError, ValueError):
-                pass
-        for worker in workers:
-            worker.proc.join(2.0)
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-    return outcomes
+        go.set()
+        pool.shutdown(cancel_futures=True)
 
 
 # --------------------------------------------------------------------------
@@ -707,12 +532,12 @@ def aggregate(
                 "seeds; per-cell [min, max] in data['ranges']"
             )
         if failed:
-            # Partial aggregate: crashed/timed-out shards are dropped
-            # from the cells, never silently absorbed — the summary is
-            # flagged truncated and each miss is itemized below.
+            # Partial aggregate: failed shards are dropped from the
+            # cells, never silently absorbed — the summary is flagged
+            # truncated and each miss is itemized below.
             summary.note(
                 f"TRUNCATED: aggregate covers {len(ok)} of {len(group)} "
-                "shards; the rest crashed or timed out"
+                "shards; the rest failed"
             )
         for outcome in failed:
             summary.note(
@@ -751,8 +576,6 @@ def run_campaign(
     derive_seeds: bool = True,
     cache: bool = True,
     results_dir: str = "results",
-    timeout: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
     grids: Optional[Mapping[str, List[Dict[str, Any]]]] = None,
     targets: Optional[Mapping[str, str]] = None,
     accepts_seed: Optional[frozenset] = None,
@@ -763,7 +586,7 @@ def run_campaign(
 
     See the module docstring for semantics. ``targets`` may inject or
     override ``name -> module:function`` entries (used by tests to run
-    synthetic crashing/sleeping experiments through the real machinery).
+    synthetic raising/crashing experiments through the real machinery).
 
     With ``metrics=True`` every shard runs inside a
     :class:`repro.metrics.MetricsSession`; per-shard snapshots ride
@@ -796,8 +619,7 @@ def run_campaign(
             if cached is not None:
                 result, elapsed = cached
                 outcomes[i] = ShardOutcome(
-                    shard, "ok", result, elapsed=elapsed, attempts=0,
-                    from_cache=True,
+                    shard, "ok", result, elapsed=elapsed, from_cache=True
                 )
                 if progress is not None:
                     progress(f"[cache] {shard.describe()}")
@@ -806,33 +628,20 @@ def run_campaign(
     else:
         to_run = list(range(len(shards)))
 
-    if to_run:
-        if jobs <= 1:
-            for i in to_run:
-                outcomes[i] = _run_inline(shards[i], timeout, metrics)
-                if progress is not None:
-                    progress(
-                        f"[{len(outcomes)}/{len(shards)}] "
-                        f"{shards[i].describe()}: {outcomes[i].status}"
-                    )
-        else:
-            fresh = _run_pool(
-                [shards[i] for i in to_run], jobs, timeout, retries, progress,
-                metrics,
+    fresh = [shards[i] for i in to_run]
+    for local, outcome in _run_shards(fresh, jobs, metrics):
+        i = to_run[local]
+        outcomes[i] = outcome
+        if progress is not None:
+            progress(
+                f"[{len(outcomes)}/{len(shards)}] "
+                f"{shards[i].describe()}: {outcome.status}"
             )
-            for local_index, outcome in fresh.items():
-                outcomes[to_run[local_index]] = outcome
-
-    if cache:
-        for i, outcome in outcomes.items():
-            if outcome.ok and not outcome.from_cache:
-                assert outcome.result is not None
-                cache_store(
-                    cache_path(
-                        results_path, cache_key(shards[i], digest, metrics)
-                    ),
-                    shards[i], outcome.result, outcome.elapsed,
-                )
+        if cache and outcome.result is not None:
+            cache_store(
+                cache_path(results_path, cache_key(shards[i], digest, metrics)),
+                shards[i], outcome.result, outcome.elapsed,
+            )
 
     ordered = [outcomes[i] for i in range(len(shards))]
 
@@ -867,7 +676,6 @@ def run_campaign(
         "ok": sum(1 for o in ordered if o.ok),
         "failed": sum(1 for o in ordered if not o.ok),
         "cached": sum(1 for o in ordered if o.from_cache),
-        "retried": sum(1 for o in ordered if o.attempts > 1),
         "jobs": jobs,
         "seeds": seeds,
     }
@@ -875,16 +683,16 @@ def run_campaign(
 
 
 def write_manifest(campaign: CampaignResult, path: Path) -> None:
-    """Machine-readable campaign manifest (CI asserts cache hit rates)."""
+    """Machine-readable campaign manifest: per-shard status, cache hits
+    and timings."""
     payload = {
-        "schema": "campaign-manifest/1",
+        "schema": "campaign-manifest/2",
         "stats": dict(campaign.stats, wall_s=round(campaign.wall_s, 3)),
         "shards": [
             {
                 "key": json.loads(o.shard.token()),
                 "status": o.status,
                 "from_cache": o.from_cache,
-                "attempts": o.attempts,
                 "elapsed_s": round(o.elapsed, 4),
                 "error": o.error.splitlines()[0] if o.error else "",
             }
@@ -894,143 +702,3 @@ def write_manifest(campaign: CampaignResult, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
-
-# --------------------------------------------------------------------------
-# Campaign benchmark (BENCH_campaign.json)
-
-
-def run_sleep_probe(duration: float = 0.25, tag: int = 0) -> ExperimentResult:
-    """Synthetic blocking shard for the fan-out probe: its cost is a
-    ``time.sleep``, so wall-clock speedup under ``--jobs N`` measures the
-    runner's dispatch/overlap machinery in isolation from the machine's
-    core count (CPU-bound shards can only speed up with real cores)."""
-    time.sleep(duration)
-    result = ExperimentResult(
-        experiment=f"fan-out probe #{tag}",
-        description="synthetic blocking shard (campaign bench only)",
-        headers=["tag", "blocked (s)"],
-    )
-    result.add_row(tag, duration)
-    return result
-
-
-def run_campaign_bench(
-    output: str = "BENCH_campaign.json",
-    jobs: int = 4,
-    seeds: int = 1,
-    names: Optional[Sequence[str]] = None,
-    fanout_shards: int = 8,
-    fanout_cost: float = 0.5,
-    timeout: Optional[float] = None,
-    progress: Optional[Callable[[str], None]] = print,
-) -> Dict[str, Any]:
-    """Measure campaign speedups and write ``BENCH_campaign.json``.
-
-    Three measurements: (1) full suite cold at ``--jobs 1`` vs
-    ``--jobs N`` — CPU-bound, so the speedup tracks physical cores;
-    (2) a warm-cache re-run of the full suite; (3) the fan-out probe
-    (blocking shards), which demonstrates the runner's overlap is
-    near-linear independent of core count. Also cross-checks that the
-    ``--jobs 1`` and ``--jobs N`` runs produced bit-identical summaries.
-    """
-    import platform
-    import tempfile
-
-    def say(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    tmp1 = tempfile.mkdtemp(prefix="campaign_bench_j1_")
-    tmp2 = tempfile.mkdtemp(prefix="campaign_bench_jN_")
-
-    say(f"campaign bench: full suite cold, --jobs 1 (seeds={seeds}) ...")
-    t0 = time.perf_counter()  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    cold1 = run_campaign(
-        names, seeds=seeds, jobs=1, cache=True, results_dir=tmp1,
-        timeout=timeout,
-    )
-    cold1_s = time.perf_counter() - t0  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-
-    say("campaign bench: full suite warm-cache re-run ...")
-    t0 = time.perf_counter()  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    warm = run_campaign(
-        names, seeds=seeds, jobs=1, cache=True, results_dir=tmp1,
-        timeout=timeout,
-    )
-    warm_s = time.perf_counter() - t0  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-
-    say(f"campaign bench: full suite cold, --jobs {jobs} ...")
-    t0 = time.perf_counter()  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    coldN = run_campaign(
-        names, seeds=seeds, jobs=jobs, cache=True, results_dir=tmp2,
-        timeout=timeout,
-    )
-    coldN_s = time.perf_counter() - t0  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-
-    deterministic = [s.render() for s in cold1.summaries.values()] == [
-        s.render() for s in coldN.summaries.values()
-    ]
-
-    say(f"campaign bench: fan-out probe ({fanout_shards} blocking shards) ...")
-    probe_grid = {
-        "fanout-probe": [
-            {"duration": fanout_cost, "tag": i} for i in range(fanout_shards)
-        ]
-    }
-    probe_targets = {
-        "fanout-probe": "repro.experiments.campaign:run_sleep_probe"
-    }
-    t0 = time.perf_counter()  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    run_campaign(
-        ["fanout-probe"], jobs=1, cache=False, grids=probe_grid,
-        targets=probe_targets,
-    )
-    fanout1_s = time.perf_counter() - t0  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    t0 = time.perf_counter()  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-    run_campaign(
-        ["fanout-probe"], jobs=jobs, cache=False, grids=probe_grid,
-        targets=probe_targets,
-    )
-    fanoutN_s = time.perf_counter() - t0  # lint: disable=DET002  harness wall-clock bookkeeping, not simulation state
-
-    payload = {
-        "schema": "campaign-bench/1",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-        },
-        "full_suite": {
-            "experiments": len(cold1.summaries),
-            "shards": cold1.stats["shards"],
-            "seeds": seeds,
-            "jobs": jobs,
-            "jobs1_cold_s": round(cold1_s, 3),
-            f"jobs{jobs}_cold_s": round(coldN_s, 3),
-            "speedup_jobs_cold": round(cold1_s / coldN_s, 3),
-            "warm_s": round(warm_s, 3),
-            "speedup_warm_cache": round(cold1_s / warm_s, 3),
-            "warm_cached_shards": warm.stats["cached"],
-            "deterministic_across_jobs": deterministic,
-            "note": (
-                "cold shards are CPU-bound: speedup_jobs_cold tracks "
-                "physical cores (cpu_count above), while "
-                "speedup_warm_cache measures the content-addressed cache"
-            ),
-        },
-        "runner_fanout": {
-            "shards": fanout_shards,
-            "shard_cost_s": fanout_cost,
-            "jobs1_s": round(fanout1_s, 3),
-            f"jobs{jobs}_s": round(fanoutN_s, 3),
-            "speedup_jobs": round(fanout1_s / fanoutN_s, 3),
-            "note": (
-                "blocking-cost shards isolate the runner's dispatch "
-                "overlap from core count: this is the speedup shape the "
-                "runner delivers per available core"
-            ),
-        },
-    }
-    Path(output).write_text(json.dumps(payload, indent=2, sort_keys=True))
-    say(f"campaign bench written to {output}")
-    return payload

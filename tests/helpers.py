@@ -112,20 +112,48 @@ def run_tiny(seed: int = 0, label: str = "tiny") -> "ExperimentResult":
 
 
 def run_boom(seed: int = 0) -> "ExperimentResult":
-    """A shard that raises (deterministic failure, never retried)."""
+    """A shard that raises (a deterministic failure)."""
     raise RuntimeError(f"boom (seed={seed})")
 
 
-def run_exit(seed: int = 0, code: int = 3) -> "ExperimentResult":
-    """A shard that kills its worker process outright (crash path)."""
+def run_grid_point(tag: int = 0, fail: bool = False) -> "ExperimentResult":
+    """One row per grid point; the point with ``fail=True`` raises."""
+    from repro.experiments.harness import ExperimentResult
+
+    if fail:
+        raise RuntimeError(f"grid point {tag} fails")
+    result = ExperimentResult(
+        experiment="synthetic grid",
+        description="campaign test shard",
+        headers=["tag"],
+    )
+    result.add_row(tag)
+    return result
+
+
+def run_exit(
+    seed: int = 0, code: int = 3, marker: str = ""
+) -> "ExperimentResult":
+    """A shard that kills its worker process outright (crash path); it
+    first appends a line to the file ``marker`` (when given), so a test
+    can count the attempts."""
     import os
 
+    if marker:
+        with open(marker, "a") as handle:
+            handle.write("attempt\n")
     os._exit(code)
 
 
-def run_sleepy(seed: int = 0, seconds: float = 30.0) -> "ExperimentResult":
-    """A shard that blocks long enough to trip any test timeout."""
+def run_sleepy(
+    seed: int = 0, seconds: float = 30.0, marker: str = ""
+) -> "ExperimentResult":
+    """A shard that blocks for ``seconds``; it first creates the file
+    ``marker`` (when given), so a test can see that a shard started."""
     import time
+    from pathlib import Path
 
+    if marker:
+        Path(marker).touch()
     time.sleep(seconds)
     return run_tiny(seed, label="sleepy")

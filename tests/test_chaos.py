@@ -206,6 +206,13 @@ def test_chaos_campaign_clean_zoo_and_jobs_identical(tmp_path):
     parallel = run(2, tmp_path / "j2")
     assert serial == parallel
     assert run(1, tmp_path / "j1b") == serial  # re-run, same seed grid
+    # The grid composes faults within one run: some schedule has an
+    # outage, a churn join and packet loss and reordering all at once.
+    composed = ("outages", "churn_joins", "packets_lost", "packets_reordered")
+    assert any(
+        all(payload["data"]["counts"][kind] > 0 for kind in composed)
+        for payload in serial
+    )
 
 
 def test_chaos_campaign_catches_and_shrinks_fixture(tmp_path):
@@ -240,35 +247,33 @@ def test_default_zoo_names_are_registered():
 
 
 # ---------------------------------------------------------------------------
-# Composed-injector determinism (outage + churn + packet faults at once)
+# Composed faults: outage, churn and packet faults within one schedule
 # ---------------------------------------------------------------------------
+
+COMPOSED = ("outages", "churn_joins", "packets_lost", "packets_reordered")
+COMPOSED_SEEDS = (2, 6)  # generator seeds whose schedules mix all four
 
 
 def test_composed_faults_bit_identical_across_jobs_and_reruns():
-    targets = {"composed": "repro.chaos.experiment:run_composed_faults"}
-    accepts = frozenset({"composed"})
+    grids = {"chaos": [{"seed": seed, "algorithm": "SFQ"}
+                       for seed in COMPOSED_SEEDS]}
 
-    def digests(jobs):
+    def payloads(jobs):
         campaign = run_campaign(
-            ["composed"], seeds=3, jobs=jobs, cache=False,
-            targets=targets, accepts_seed=accepts,
+            ["chaos"], jobs=jobs, cache=False, grids=grids,
+            accepts_seed=frozenset(),
         )
         assert campaign.stats["failed"] == 0
-        return [o.result.data["trace_digest"] for o in campaign.outcomes]
+        return [o.result.to_payload() for o in campaign.outcomes]
 
-    serial = digests(1)
-    assert digests(4) == serial  # worker count cannot leak into traces
-    assert digests(1) == serial  # re-run with the same seed grid
-    assert len(set(serial)) == 3  # distinct seeds give distinct traces
+    serial = payloads(1)
+    assert payloads(2) == serial  # worker count cannot leak into runs
+    assert payloads(1) == serial  # re-run with the same grid
+    assert serial[0]["rows"] != serial[1]["rows"]  # distinct seeds differ
 
 
 def test_composed_faults_exercise_every_injector():
-    from repro.chaos.experiment import run_composed_faults
-
-    result = run_composed_faults(seed=0)
-    row = dict(zip(result.headers, result.rows[0]))
-    assert row["outages"] > 0
-    assert row["joins"] > 0
-    assert row["lost"] > 0
-    assert row["reordered"] > 0
-    assert result.data["violations"] == []
+    for seed in COMPOSED_SEEDS:
+        report = run_schedule(generate_schedule(seed), "SFQ")
+        assert all(report.counts[kind] > 0 for kind in COMPOSED), seed
+        assert report.violations == []

@@ -152,14 +152,13 @@ def test_lint_parser_flags():
 def test_campaign_parser_flags():
     args = build_parser().parse_args(
         ["campaign", "--jobs", "4", "--seeds", "5", "--only", "table1,figure1",
-         "--no-cache", "--timeout", "30"]
+         "--no-cache"]
     )
     assert args.command == "campaign"
     assert args.jobs == 4
     assert args.seeds == 5
     assert args.only == "table1,figure1"
     assert args.no_cache is True
-    assert args.timeout == 30.0
 
 
 def test_parse_only_accepts_commas_and_spaces():
