@@ -62,13 +62,18 @@ class Packet:
     ) -> None:
         if length <= 0:
             raise ValueError(f"packet length must be positive, got {length}")
+        # Converted only when not already of the type: the packet path
+        # passes an int length and seqno and a float arrival, and a
+        # builtin call per argument is a cost on every packet.
+        if type(arrival) is not float:
+            arrival = float(arrival)
         self.uid = next(_packet_ids)
         self.flow = flow
-        self.length = int(length)
-        self.arrival = float(arrival)
-        self.seqno = int(seqno)
+        self.length = length if type(length) is int else int(length)
+        self.arrival = arrival
+        self.seqno = seqno if type(seqno) is int else int(seqno)
         self.rate = rate
-        self.created = float(arrival)
+        self.created = arrival
         # Scheduler annotations -------------------------------------------------
         self.start_tag: Optional[float] = None  # S(p) for SFQ/WFQ/FQS/SCFQ
         self.finish_tag: Optional[float] = None  # F(p)

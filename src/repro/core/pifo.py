@@ -231,7 +231,10 @@ class _TagPairRank(RankFn):
     def on_idle(self) -> None:
         # End of busy period: v is set to the maximum finish tag
         # assigned to any packet serviced by now (rule 2).
-        self.v = max(self.v, self._max_served_finish)
+        # max(v, F) as the builtin computes it: v wins a tie.
+        served = self._max_served_finish
+        if served > self.v:
+            self.v = served
 
     def band_origin(self, now: float) -> float:
         # Tags drift with v(t); band-map on tag - v so the quantizer

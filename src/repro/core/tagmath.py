@@ -7,12 +7,17 @@ these helpers, so no two copies of the recursion can drift apart.
 Exact-float discipline
 ----------------------
 Byte-identical schedules against the frozen seed cores require
-bit-identical tags, so every expression below is the seed core's,
-verbatim:
+bit-identical tags, so every expression below computes exactly what the
+seed core's did:
 
-* ``max(v, last_finish)`` with the virtual time as the *first* argument
-  (``max`` returns its first argument on ties — the argument order is
-  part of the contract);
+* ``max(v, last_finish)``, written out as ``last_finish if last_finish >
+  v else v``. That is the one comparison the builtin makes, so the
+  first argument, the virtual time, wins a tie, and the result is the
+  value ``max`` returns for every input, NaN included. The argument
+  order is part of the contract. The builtin call itself is left out:
+  on CPython 3.11 it costs about 120 ns where the comparison costs
+  about 7, and it ran once per packet. Lint rule PERF005 keeps
+  ``max``/``min`` calls out of this module;
 * ``length / r`` — divide, never multiply by a cached ``1/r``: ``l/r``
   and ``l*(1/r)`` differ in ulps for non-dyadic rates, and a near-tie in
   tags would then break differently from the seed, flipping the
@@ -34,7 +39,7 @@ from typing import Optional, Tuple
 __all__ = ["start_finish", "eat_step"]
 
 
-def start_finish(
+def start_finish(  # lint: hot
     v: float,
     last_finish: float,
     length: int,
@@ -53,12 +58,12 @@ def start_finish(
     Returns ``(start, finish)``; the caller stamps the packet and
     stores ``finish`` as the flow's new ``last_finish``.
     """
-    start = max(v, last_finish)
+    start = last_finish if last_finish > v else v
     finish = start + length / (weight if rate is None else rate)
     return start, finish
 
 
-def eat_step(
+def eat_step(  # lint: hot
     arrival: float,
     prev_eat: float,
     prev_service: float,
@@ -72,5 +77,6 @@ def eat_step(
     caller stores both for the next step (and Virtual Clock stamps the
     packet with ``eat + service``).
     """
-    eat = max(arrival, prev_eat + prev_service)
+    due = prev_eat + prev_service
+    eat = due if due > arrival else arrival
     return eat, length / rate

@@ -411,9 +411,18 @@ def _is_number(value: Any) -> bool:
 
 
 def _deep_merge(base: Dict[str, Any], extra: Dict[str, Any]) -> Dict[str, Any]:
+    """Merge ``extra`` into ``base``, key by key through nested dicts.
+
+    A nested dict of ``extra`` is merged into a dict of ``base``'s own,
+    never stored by reference: a later merge into ``base`` must not
+    write into the shard result ``extra`` came from.
+    """
     for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_merge(base[key], value)
+        if isinstance(value, dict):
+            target = base.get(key)
+            if not isinstance(target, dict):
+                target = base[key] = {}
+            _deep_merge(target, value)
         else:
             base[key] = value
     return base

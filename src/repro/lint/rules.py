@@ -22,6 +22,8 @@ PERF003    per-call/per-iteration allocation, a container display
            functions marked ``# lint: hot``
 PERF004    hot-path classes under ``repro.core``/``repro.simulation``
            that define ``__getattr__`` or ``__getattribute__``
+PERF005    builtin ``max``/``min`` calls in functions marked
+           ``# lint: hot`` and anywhere in :mod:`repro.core.tagmath`
 =========  ==============================================================
 
 The whole-program rules (CACHE001, TAG002, DET006) live in
@@ -677,6 +679,20 @@ def hot_function_lines(source: str) -> FrozenSet[int]:
     )
 
 
+def hot_functions(ctx: ModuleContext) -> Iterator[ast.AST]:
+    """Functions marked ``# lint: hot`` on the ``def`` line, a decorator
+    line, or the line just above."""
+    hot_lines = hot_function_lines(ctx.source)
+    if not hot_lines:
+        return
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        first = min([node.lineno] + [dec.lineno for dec in node.decorator_list])
+        if any(line in hot_lines for line in range(first - 1, node.lineno + 1)):
+            yield node
+
+
 @register
 class HotFunctionAllocationRule(Rule):
     """Per-iteration allocation in functions marked ``# lint: hot``.
@@ -698,27 +714,8 @@ class HotFunctionAllocationRule(Rule):
     summary = "allocation or repeated attribute chain in a `# lint: hot` function"
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        hot_lines = hot_function_lines(ctx.source)
-        if not hot_lines:
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) and self._is_hot(node, hot_lines):
-                yield from self._check_hot(ctx, node)
-
-    @staticmethod
-    def _is_hot(
-        node: ast.AST, hot_lines: FrozenSet[int]
-    ) -> bool:
-        """Marker on the ``def`` line, a decorator line, or just above."""
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        first = min(
-            [node.lineno] + [dec.lineno for dec in node.decorator_list]
-        )
-        return any(
-            line in hot_lines for line in range(first - 1, node.lineno + 1)
-        )
+        for node in hot_functions(ctx):
+            yield from self._check_hot(ctx, node)
 
     def _check_hot(
         self, ctx: ModuleContext, fn: ast.AST
@@ -886,4 +883,47 @@ class HotPathLookupHookRule(Rule):
                         f"but defines `{name}`, which stops CPython from "
                         "specializing attribute loads on its instances; "
                         "expose the forwarded names as explicit properties",
+                    )
+
+
+# ---------------------------------------------------------------------------
+# PERF005 — builtin max/min calls on the packet path
+# ---------------------------------------------------------------------------
+
+
+@register
+class HotMinMaxRule(Rule):
+    """No builtin ``max``/``min`` call on the packet path.
+
+    On CPython 3.11 a two-argument ``max(a, b)`` costs about 120 ns,
+    where ``b if b > a else a`` costs about 7: the same one comparison,
+    the same result (``a`` on a tie, as the builtin returns its first
+    argument), and no call. The rule covers functions marked
+    ``# lint: hot`` and the whole of :mod:`repro.core.tagmath`, whose
+    eq. 4 and eq. 37 helpers run once per packet.
+    """
+
+    code = "PERF005"
+    summary = "builtin max/min call in a `# lint: hot` function or repro.core.tagmath"
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        scopes: List[ast.AST]
+        if ctx.norm_path.endswith("repro/core/tagmath.py"):
+            scopes = [ctx.tree]
+        else:
+            scopes = list(hot_functions(ctx))
+        for scope in scopes:
+            for node in ast.walk(scope):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("max", "min")
+                ):
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"builtin `{node.func.id}(...)` on the packet path; "
+                        "write the builtin's own comparison as a conditional "
+                        "expression (`b if b > a else a` is `max(a, b)`, "
+                        "ties included)",
                     )

@@ -366,6 +366,18 @@ def _stmt_exprs(stmt: ast.stmt) -> Iterator[ast.expr]:
 
 
 def _is_max2(node: ast.expr) -> bool:
+    """A two-argument ``max(a, b)``, or the same choice written as a
+    conditional expression, ``b if b > a else a``, the way
+    ``repro.core.tagmath`` spells it (lint rule PERF005)."""
+    if isinstance(node, ast.IfExp):
+        test = node.test
+        return (
+            isinstance(test, ast.Compare)
+            and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.Gt, ast.GtE, ast.Lt, ast.LtE))
+            and {ast.dump(test.left), ast.dump(test.comparators[0])}
+            == {ast.dump(node.body), ast.dump(node.orelse)}
+        )
     return (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)

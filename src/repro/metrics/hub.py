@@ -161,6 +161,7 @@ class MetricsHub:
 
     __slots__ = (
         "name",
+        "enabled",
         "rate_window",
         "_families",
         "_flow_cache",
@@ -172,12 +173,11 @@ class MetricsHub:
         "_bits",
     )
 
-    #: Hot-path guard, in the style of ``Tracer.enabled``. Class-level
-    #: so ``if metrics.enabled:`` on the null hub is one attribute read.
-    enabled = True
-
     def __init__(self, name: str, rate_window: float = DEFAULT_RATE_WINDOW) -> None:
         self.name = name
+        #: Hot-path guard, in the style of ``Tracer.enabled``: a slot,
+        #: so ``if metrics.enabled:`` is one specialized attribute read.
+        self.enabled = True
         self.rate_window = float(rate_window)
         # family name -> (kind, {label: instrument})
         self._families: Dict[str, Tuple[str, Dict[Hashable, Instrument]]] = {}
@@ -477,7 +477,7 @@ class MetricsHub:
 class NullMetricsHub(MetricsHub):
     """The do-nothing hub wired into servers by default.
 
-    ``enabled`` is False at class level, so a hot-path guard
+    ``enabled`` is False, so a hot-path guard
     (``if metrics.enabled:``) costs one attribute read and skips every
     update — the exact discipline ``NullTracer`` established. The full
     accessor surface still works (it is a real, empty hub) so
@@ -487,10 +487,9 @@ class NullMetricsHub(MetricsHub):
 
     __slots__ = ()
 
-    enabled = False
-
     def __init__(self) -> None:
         super().__init__("null")
+        self.enabled = False
 
 
 #: Shared do-nothing hub (never exported; see :class:`NullMetricsHub`).

@@ -43,6 +43,7 @@ owns. A :meth:`resume` with no hold outstanding stays a no-op.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.base import Scheduler
@@ -80,13 +81,15 @@ class Link:
         "_in_flight",
         "_in_flight_handle",
         "_completion",
+        "_complete_cb",
         "_wakeup",
         "_records",
         "_reserve_inline",
         "bits_transmitted",
         "packets_transmitted",
         "packets_dropped",
-        "busy_periods",
+        "_busy_starts",
+        "_busy_ends",
         "_busy_since",
     )
 
@@ -137,6 +140,8 @@ class Link:
         self._pause_depth = 0
         self._in_flight: Optional[Packet] = None
         self._completion = None  # pending transmission-complete event
+        # Bound once: each completion timer passes it to the engine.
+        self._complete_cb = self._complete
         self._wakeup = None  # pending eligibility wake-up event
         # packet uid -> tracer handle (the tracer's row index) of each
         # *queued* packet (only populated while tracing). _arm_next pops
@@ -156,13 +161,16 @@ class Link:
         self.bits_transmitted = 0
         self.packets_transmitted = 0
         self.packets_dropped = 0
-        self.busy_periods: List[Tuple[float, float]] = []
+        # Each finished busy period's start and end, as two columns
+        # (busy_periods pairs them on read).
+        self._busy_starts: array[float] = array("d")
+        self._busy_ends: array[float] = array("d")
         self._busy_since: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Ingress
     # ------------------------------------------------------------------
-    def send(self, packet: Packet) -> bool:
+    def send(self, packet: Packet) -> bool:  # lint: hot
         """Offer ``packet`` to the link at the current simulation time.
 
         Returns False (and fires drop hooks) when the buffer is full.
@@ -186,14 +194,7 @@ class Link:
                 if self.drop_policy == "longest_queue" and not self._per_flow_limited(packet):
                     victim = self._drop_from_longest_queue(now)
                 if victim is None:
-                    if handle is not None:
-                        tracer.mark_dropped(handle)
-                    self.packets_dropped += 1
-                    if self.metrics.enabled:
-                        self.metrics.on_dropped(packet.flow, packet.length, now)
-                    if self.drop_hooks:
-                        for hook in self.drop_hooks:
-                            hook(packet, now)
+                    self._drop(packet, handle, now)
                     return False
         if handle is not None:
             self._records[packet.uid] = handle
@@ -237,18 +238,27 @@ class Link:
         victim = self.scheduler.discard_tail(longest)
         if victim is None:
             return None
-        victim_handle = self._records.pop(victim.uid, None)
-        if victim_handle is not None:
-            self.tracer.mark_dropped(victim_handle)
-        self.packets_dropped += 1
-        if self.metrics.enabled:
-            self.metrics.on_dropped(victim.flow, victim.length, now)
-        for hook in self.drop_hooks:
-            hook(victim, now)
+        self._drop(victim, self._records.pop(victim.uid, None), now)
         return victim
 
+    def _drop(self, packet: Packet, handle: Optional[int], now: float) -> None:
+        """Count a lost packet: its tracer row (``handle``, when traced),
+        the drop counter, the metrics hub and the drop hooks.
+
+        Kept out of :meth:`send` so that every ``enabled`` read left
+        there runs on each packet and is specialized.
+        """
+        if handle is not None:
+            self.tracer.mark_dropped(handle)
+        self.packets_dropped += 1
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.on_dropped(packet.flow, packet.length, now)
+        for hook in self.drop_hooks:
+            hook(packet, now)
+
     def _buffer_full(self, packet: Packet) -> bool:
-        if not self._busy and self.scheduler.is_empty:
+        if not self._busy and self.scheduler.backlog_packets == 0:
             # The packet goes straight to the transmitter, not the
             # waiting room; buffer limits do not apply.
             return False
@@ -270,7 +280,7 @@ class Link:
     # ------------------------------------------------------------------
     # Service loop
     # ------------------------------------------------------------------
-    def _arm_next(self, now: float) -> Optional[Tuple[Packet, float]]:
+    def _arm_next(self, now: float) -> Optional[Tuple[Packet, float]]:  # lint: hot
         """Claim the transmitter for the next packet, if any.
 
         Everything :meth:`_start_service` does *except* arranging the
@@ -293,7 +303,8 @@ class Link:
         packet = self.scheduler.dequeue(now)
         if packet is None:
             if self._busy_since is not None:
-                self.busy_periods.append((self._busy_since, now))
+                self._busy_starts.append(self._busy_since)
+                self._busy_ends.append(now)
                 self._busy_since = None
             if self.scheduler.backlog_packets > 0:
                 # Non-work-conserving discipline holding packets back:
@@ -303,7 +314,7 @@ class Link:
                     self._wakeup is None or not self._wakeup.pending
                 ):
                     self._wakeup = self.sim.at(
-                        max(wake, now), self._on_wakeup
+                        now if now > wake else wake, self._on_wakeup
                     )
             return None
         if self._busy_since is None:
@@ -321,7 +332,7 @@ class Link:
         armed = self._arm_next(self.sim.now)
         if armed is not None:
             packet, finish = armed
-            self._completion = self.sim.at(finish, self._complete, packet)
+            self._completion = self.sim.at(finish, self._complete_cb, packet)
 
     def _complete(self, packet: Packet) -> None:  # lint: hot
         """Finish transmitting ``packet``; chain the busy period.
@@ -374,7 +385,7 @@ class Link:
             if reserve is not None and reserve(finish):
                 now = finish  # reserve_inline advanced the clock here
                 continue  # complete inline, no timer
-            self._completion = sim.at(finish, self._complete, packet)
+            self._completion = sim.at(finish, self._complete_cb, packet)
             return
 
     def _on_wakeup(self) -> None:
@@ -436,7 +447,7 @@ class Link:
                 if handle is not None:
                     self.tracer.mark_start(handle, now)
                 finish = self.capacity.finish_time(now, packet.length)
-                self._completion = self.sim.at(finish, self._complete, packet)
+                self._completion = self.sim.at(finish, self._complete_cb, packet)
                 return
             # recovery == "drop": the interrupted packet is lost. The
             # scheduler still gets its completion notification (the
@@ -448,15 +459,9 @@ class Link:
             self._in_flight = None
             handle = self._in_flight_handle
             self._in_flight_handle = None
-            if handle is not None:
-                self.tracer.mark_dropped(handle)
             packet.meta["outage_drop"] = True
-            self.packets_dropped += 1
-            if self.metrics.enabled:
-                self.metrics.on_dropped(packet.flow, packet.length, now)
             self.scheduler.on_service_complete(packet, now)
-            for hook in self.drop_hooks:
-                hook(packet, now)
+            self._drop(packet, handle, now)
         self._start_service()
 
     # ------------------------------------------------------------------
@@ -480,6 +485,11 @@ class Link:
     def in_flight(self) -> Optional[Packet]:
         """The packet currently occupying the transmitter, if any."""
         return self._in_flight
+
+    @property
+    def busy_periods(self) -> List[Tuple[float, float]]:
+        """``(start, end)`` of each finished busy period, built on read."""
+        return list(zip(self._busy_starts, self._busy_ends))
 
     def utilization(self, t1: float, t2: float) -> float:
         """Fraction of the work the server can do in [t1, t2] that it

@@ -176,7 +176,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def at(
+    def at(  # lint: hot
         self,
         time: float,
         callback: Callable[..., Any],
@@ -197,7 +197,8 @@ class Simulator:
                 f"cannot schedule into the past: {time} < now={self.now}"
             )
         event = Event(time, callback, args, priority)
-        self._push((time, priority, event.seq, event))
+        push = self._push  # self._push(...) would be an unspecializable method load
+        push((time, priority, event.seq, event))
         return event
 
     def after(
@@ -212,7 +213,7 @@ class Simulator:
             raise SimulationError(f"negative delay: {delay}")
         return self.at(self.now + delay, callback, *args, priority=priority)
 
-    def call_at(
+    def call_at(  # lint: hot
         self,
         time: float,
         callback: Callable[..., Any],
@@ -232,7 +233,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past: {time} < now={self.now}"
             )
-        self._push((time, priority, next(_sequence), None, callback, args))
+        push = self._push
+        push((time, priority, next(_sequence), None, callback, args))
 
     def call_after(
         self,

@@ -12,9 +12,9 @@ Both tracers implement the same small hot-path surface, driven by
 :class:`repro.servers.link.Link`:
 
 ``enabled``
-    Class-level flag. When False (:class:`NullTracer`) the Link skips
-    the tracing calls entirely — tracing disabled costs one attribute
-    read per packet.
+    Instance flag, held in a slot so CPython 3.11 specializes its read.
+    When False (:class:`NullTracer`) the Link skips the tracing calls
+    entirely — tracing disabled costs one attribute read per packet.
 ``on_arrival(flow, seqno, length, time) -> handle``
     Record an arrival; returns an opaque *handle* (or ``None`` to
     decline recording this packet). The handle is what the server
@@ -27,13 +27,18 @@ Both tracers implement the same small hot-path surface, driven by
 
 Storage
 -------
-:class:`Tracer` keeps one row per packet in parallel columns: ``array``
-columns for seqno, length and the three times (NaN until a time is
-stamped), a ``bytearray`` of dropped flags, a list of flow ids, and per
-flow an ``array`` of its row indices. A row costs about 60 bytes, where
-a :class:`PacketRecord` object costs about 250, and no row is an object
+:class:`Tracer` keeps one row per packet in six parallel columns: a
+list of flow ids and ``array`` columns for seqno, length and the three
+times (NaN until a time is stamped). ``mark_dropped`` appends the row to
+a list of drops. A row costs about 49 bytes, where a
+:class:`PacketRecord` object costs about 250, and no row is an object
 the garbage collector tracks. :meth:`Tracer.add` copies a record into a
 row, so later edits to that record object are not seen.
+
+What only queries read is built on read: the per-flow index of row
+numbers and the ``bytearray`` of dropped flags. Each query first
+indexes the rows and drops added since the previous one, so a run pays
+for neither, and repeated queries index each row once.
 
 Query surface
 -------------
@@ -42,7 +47,8 @@ Records are built on read: every query returns fresh
 with ``None`` for a time that was never stamped. ``records``,
 ``flows()``, ``for_flow()``, ``departed()`` and ``dropped()`` return
 tuples; ``iter_for_flow()`` and ``iter_departed()`` are iterator
-variants for single-pass consumers. ``count_for_flow()`` is O(1).
+variants for single-pass consumers. ``count_for_flow()`` is O(1) once
+the rows are indexed.
 ``delays()`` and ``work_in_interval()`` read the columns directly and
 build no records.
 """
@@ -118,21 +124,23 @@ class Tracer:
 
     __slots__ = (
         "name",
+        "enabled",
         "_flow",
         "_seqno",
         "_length",
         "_arrival",
         "_start",
         "_departure",
+        "_drops",
+        "_indexed",
         "_dropped",
         "_by_flow",
     )
 
-    #: Servers skip all tracing work when this is False.
-    enabled = True
-
     def __init__(self, name: str = "") -> None:
         self.name = name
+        #: Servers skip all tracing work when this is False.
+        self.enabled = True
         self._flow: List[Hashable] = []
         self._seqno: array[int] = array("q")
         self._length: array[int] = array("q")
@@ -140,8 +148,13 @@ class Tracer:
         # _NOT_YET (NaN) until mark_start / mark_departure stamps the row.
         self._start: array[float] = array("d")
         self._departure: array[float] = array("d")
+        #: Rows marked dropped since the last query.
+        self._drops: List[int] = []
+        # Built on read by _index(): the rows below _indexed are in
+        # _by_flow (flow -> its row indices, in arrival order) and have
+        # a dropped flag in _dropped.
+        self._indexed = 0
         self._dropped = bytearray()
-        #: flow -> its row indices, in arrival order.
         self._by_flow: Dict[Hashable, array[int]] = {}
 
     def add(self, record: PacketRecord) -> PacketRecord:
@@ -178,11 +191,6 @@ class Tracer:
         self._arrival.append(time)
         self._start.append(_NOT_YET)
         self._departure.append(_NOT_YET)
-        self._dropped.append(0)
-        rows = self._by_flow.get(flow)
-        if rows is None:
-            rows = self._by_flow[flow] = array("q")
-        rows.append(row)
         return row
 
     # ------------------------------------------------------------------
@@ -198,17 +206,43 @@ class Tracer:
 
     def mark_dropped(self, handle: int) -> None:  # lint: hot
         """Flag a handle from :meth:`on_arrival` as dropped."""
-        self._dropped[handle] = 1
+        self._drops.append(handle)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _index(self) -> None:
+        """Bring the per-flow index and the dropped flags up to date.
+
+        Every query calls this first; it indexes only the rows and drops
+        added since the previous call.
+        """
+        flows = self._flow
+        done, total = self._indexed, len(flows)
+        if done < total:
+            by_flow = self._by_flow
+            for row in range(done, total):
+                flow = flows[row]
+                rows = by_flow.get(flow)
+                if rows is None:
+                    rows = by_flow[flow] = array("q")
+                rows.append(row)
+            self._dropped.extend(bytes(total - done))
+            self._indexed = total
+        drops = self._drops
+        if drops:
+            dropped = self._dropped
+            for row in drops:
+                dropped[row] = 1
+            drops.clear()
+
     def _build(self, rows: Optional[Sequence[int]]) -> Iterator[PacketRecord]:
         """Records of ``rows`` (every row when None), in row order.
 
         One ``map`` over the columns builds them; a NaN time becomes
         ``None`` and a dropped flag a ``bool``.
         """
+        self._index()
         columns: Sequence[Sequence[Any]] = (
             self._flow,
             self._seqno,
@@ -240,6 +274,7 @@ class Tracer:
         values in ``column``."""
         if flow is None:
             return range(len(column)), column
+        self._index()
         rows = self._by_flow.get(flow, ())
         return rows, _picker(rows)(column)
 
@@ -256,20 +291,24 @@ class Tracer:
 
     def flows(self) -> Tuple[Hashable, ...]:
         """Flows with at least one record, in first-arrival order."""
+        self._index()
         return tuple(self._by_flow)
 
     def for_flow(self, flow: Hashable) -> Tuple[PacketRecord, ...]:
         """All records of ``flow``, in arrival order."""
+        self._index()
         rows = self._by_flow.get(flow)
         return tuple(self._build(rows)) if rows is not None else ()
 
     def iter_for_flow(self, flow: Hashable) -> Iterator[PacketRecord]:
         """Iterate ``flow``'s records without building a container."""
+        self._index()
         rows = self._by_flow.get(flow)
         return self._build(rows) if rows is not None else iter(())
 
     def count_for_flow(self, flow: Hashable) -> int:
-        """Number of records of ``flow`` — O(1)."""
+        """Number of records of ``flow`` — O(1) once the rows are indexed."""
+        self._index()
         rows = self._by_flow.get(flow)
         return len(rows) if rows is not None else 0
 
@@ -283,6 +322,7 @@ class Tracer:
 
     def dropped(self, flow: Optional[Hashable] = None) -> Tuple[PacketRecord, ...]:
         """Records of dropped packets (optionally one flow's)."""
+        self._index()
         rows, flags = self._rows(flow, self._dropped)
         return tuple(self._build(list(compress(rows, flags))))
 
@@ -300,6 +340,7 @@ class Tracer:
         and finishes* service within it (Section 1.2). A NaN time (not
         yet started or departed) fails both comparisons.
         """
+        self._index()
         start = self._start
         departure = self._departure
         length = self._length
@@ -317,6 +358,8 @@ class Tracer:
         del self._arrival[:]
         del self._start[:]
         del self._departure[:]
+        self._drops.clear()
+        self._indexed = 0
         del self._dropped[:]
         self._by_flow.clear()
 
@@ -334,12 +377,11 @@ class NullTracer:
     gracefully rather than crashing.
     """
 
-    __slots__ = ("name", "records")
-
-    enabled = False
+    __slots__ = ("name", "enabled", "records")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
+        self.enabled = False
         #: Always-empty record tuple (query-surface compatibility).
         self.records: Tuple[PacketRecord, ...] = ()
 

@@ -39,6 +39,9 @@ class Source(ABC):
         self.packets_sent = 0
         self.bits_sent = 0
         self._started = False
+        #: ``_schedule_next`` bound once: a source's per-packet timer
+        #: passes it to the engine.
+        self._schedule_next_cb = self._schedule_next
 
     def start(self) -> None:
         """Arm the source; the first packet is scheduled at start_time."""
@@ -62,7 +65,7 @@ class Source(ABC):
             return True
         return False
 
-    def _emit(self, length: int) -> Optional[Packet]:
+    def _emit(self, length: int) -> Optional[Packet]:  # lint: hot
         """Create and deliver one packet now; respects stop conditions.
 
         Returns ``None`` once the source is exhausted; this is the one
@@ -75,7 +78,8 @@ class Source(ABC):
         packet = Packet(self.flow_id, length, self.sim.now, seqno)
         self.packets_sent = seqno + 1
         self.bits_sent += length
-        self.ingress(packet)
+        ingress = self.ingress  # self.ingress(...) would be an unspecializable method load
+        ingress(packet)
         return packet
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -155,7 +155,7 @@ class FleetTimeline:
         state.pos = 0
         self.next_time = state.times[0] if state.times else inf
 
-    def fire(self) -> None:
+    def fire(self) -> None:  # lint: hot
         """Deliver the arrival at ``next_time`` and advance."""
         state = self._state
         pos = state.pos
@@ -172,7 +172,8 @@ class FleetTimeline:
             self.next_time = state.times[pos]
         else:
             self._load_chunk()
-        self._ingress(packet)
+        ingress = self._ingress  # self._ingress(...) would be an unspecializable method load
+        ingress(packet)
 
     @property
     def remaining(self) -> int:

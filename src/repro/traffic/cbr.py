@@ -38,13 +38,16 @@ class CBRSource(Source):
         self.jitter = float(jitter)
         self.rng = rng
 
-    def _schedule_next(self) -> None:
+    def _schedule_next(self) -> None:  # lint: hot
         if self._emit(self.packet_length) is None:
             return
         gap = self.interval
         if self.jitter > 0 and self.rng is not None:
             gap *= 1.0 + self.rng.uniform(-self.jitter, self.jitter)
-        self.sim.call_after(max(gap, 0.0), self._schedule_next)
+            if gap < 0.0:  # a jitter above 1 can draw a negative gap
+                gap = 0.0
+        sim = self.sim
+        sim.call_at(sim.now + gap, self._schedule_next_cb)
 
 
 class BulkSource(Source):
@@ -71,7 +74,7 @@ class BulkSource(Source):
         self.packet_length = int(packet_length)
         self.n_packets = int(n_packets)
 
-    def _schedule_next(self) -> None:
+    def _schedule_next(self) -> None:  # lint: hot
         for _ in range(self.n_packets):
             if self._emit(self.packet_length) is None:
                 break
@@ -102,7 +105,7 @@ class PacedWindowSource(Source):
         self.window = int(window)
         self._in_flight = 0
 
-    def _schedule_next(self) -> None:
+    def _schedule_next(self) -> None:  # lint: hot
         while self._in_flight < self.window and not self._exhausted():
             if self._emit(self.packet_length) is None:
                 break

@@ -82,12 +82,9 @@ class ParetoOnOffSource(Source):
         if self._exhausted():
             return
         self._on_until = self.sim.now + pareto_sample(self.rng, self.alpha, self.min_on)
-        self._tick()
+        self._schedule_next()
 
-    def _schedule_next(self) -> None:  # pragma: no cover - via _begin
-        self._tick()
-
-    def _tick(self) -> None:
+    def _schedule_next(self) -> None:  # lint: hot
         if self._exhausted():
             return
         if self.sim.now >= self._on_until:
@@ -95,4 +92,4 @@ class ParetoOnOffSource(Source):
             self.sim.call_after(off, self._start_burst)
             return
         self._emit(self.packet_length)
-        self.sim.call_after(self.packet_length / self.peak_rate, self._tick)
+        self.sim.call_after(self.packet_length / self.peak_rate, self._schedule_next_cb)

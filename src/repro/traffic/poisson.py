@@ -38,13 +38,13 @@ class PoissonSource(Source):
 
     def _begin(self) -> None:
         # First arrival is itself exponentially distributed.
-        self.sim.call_after(self.rng.expovariate(self.intensity), self._schedule_next)
+        self.sim.call_after(self.rng.expovariate(self.intensity), self._schedule_next_cb)
 
-    def _schedule_next(self) -> None:
+    def _schedule_next(self) -> None:  # lint: hot
         if self._emit(self.packet_length) is None:
             return
         sim = self.sim
-        sim.call_at(sim.now + self.rng.expovariate(self.intensity), self._schedule_next)
+        sim.call_at(sim.now + self.rng.expovariate(self.intensity), self._schedule_next_cb)
 
 
 class OnOffSource(Source):
@@ -91,11 +91,11 @@ class OnOffSource(Source):
         self._on_until = self.sim.now + self.rng.expovariate(1.0 / self.mean_on)
         self._schedule_next()
 
-    def _schedule_next(self) -> None:
+    def _schedule_next(self) -> None:  # lint: hot
         if self._exhausted():
             return
         if self.sim.now >= self._on_until:
             self.sim.call_after(self.rng.expovariate(1.0 / self.mean_off), self._start_burst)
             return
         self._emit(self.packet_length)
-        self.sim.call_after(self.packet_length / self.peak_rate, self._schedule_next)
+        self.sim.call_after(self.packet_length / self.peak_rate, self._schedule_next_cb)

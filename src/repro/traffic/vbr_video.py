@@ -98,13 +98,15 @@ class VBRVideoSource(Source):
         )
         return max(self.packet_length, int(size))
 
-    def _schedule_next(self) -> None:
+    def _schedule_next(self) -> None:  # lint: hot
         if self._exhausted():
             return
         frame_bits = self.next_frame_bits()
-        n_packets = max(1, int(round(frame_bits / self.packet_length)))
+        n_packets = round(frame_bits / self.packet_length)
+        if n_packets < 1:
+            n_packets = 1
         for _ in range(n_packets):
             if self._emit(self.packet_length) is None:
                 return
         self.frames_sent += 1
-        self.sim.call_after(1.0 / self.frame_rate, self._schedule_next)
+        self.sim.call_after(1.0 / self.frame_rate, self._schedule_next_cb)

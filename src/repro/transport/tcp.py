@@ -47,7 +47,9 @@ class TcpReceiver:
         self.sim = sim
         self.flow_id = flow_id
         self.ack_path_delay = float(ack_path_delay)
-        self.sender: Optional["TcpSender"] = None
+        self._sender: Optional["TcpSender"] = None
+        #: ``sender.on_ack``, bound once when the sender is set.
+        self._on_ack: Optional[Callable[[int], None]] = None
         self._next_expected = 0
         self._out_of_order: Set[int] = set()
         self._times: array[float] = array("d")
@@ -74,12 +76,23 @@ class TcpReceiver:
         self._send_ack()
 
     def _send_ack(self) -> None:
-        if self.sender is None:
+        on_ack = self._on_ack
+        if on_ack is None:
             return
         ackno = self._next_expected  # cumulative: next byte expected
         self.acks_sent += 1
         sim = self.sim
-        sim.call_at(sim.now + self.ack_path_delay, self.sender.on_ack, ackno)
+        sim.call_at(sim.now + self.ack_path_delay, on_ack, ackno)
+
+    @property
+    def sender(self) -> Optional["TcpSender"]:
+        """The sender the ACKs go to (``None`` until one is wired)."""
+        return self._sender
+
+    @sender.setter
+    def sender(self, sender: Optional["TcpSender"]) -> None:
+        self._sender = sender
+        self._on_ack = sender.on_ack if sender is not None else None
 
     @property
     def received(self) -> List[Tuple[float, int]]:
@@ -135,6 +148,8 @@ class TcpSender:
         self.rto_max = float(rto_max)
         self._backoff = 1
         self._rto_event: Optional[Event] = None
+        #: ``_on_timeout`` bound once: every RTO timer passes it.
+        self._on_timeout_cb = self._on_timeout
         self._send_times: Dict[int, float] = {}
         self._retransmitted: Set[int] = set()
 
@@ -174,7 +189,8 @@ class TcpSender:
         else:
             self._send_times[seqno] = self.sim.now
         self.segments_sent += 1
-        self.ingress(packet)
+        ingress = self.ingress  # self.ingress(...) would be an unspecializable method load
+        ingress(packet)
 
     # ------------------------------------------------------------------
     # ACK processing
@@ -253,7 +269,7 @@ class TcpSender:
                 return
             self._rto_event.cancel()
         sim = self.sim
-        self._rto_event = sim.at(sim.now + self.rto * self._backoff, self._on_timeout)
+        self._rto_event = sim.at(sim.now + self.rto * self._backoff, self._on_timeout_cb)
 
     def _cancel_rto(self) -> None:
         if self._rto_event is not None:

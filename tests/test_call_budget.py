@@ -281,10 +281,12 @@ def test_figure1_calls_per_packet_within_budget():
     )
 
 
-#: Ceiling on a traced packet's row: 58.3 B on Python 3.11 (a
-#: ``PacketRecord`` object per packet took 216–248 B). The headroom
-#: covers other CPython versions' container growth.
-TRACER_BYTES_PER_ROW = 64.0
+#: Ceiling on a traced packet's row: 48.8 B on Python 3.11, six column
+#: cells, with the per-flow index and the dropped flags built on read
+#: (58.3 B when ``on_arrival`` also kept those; a ``PacketRecord``
+#: object per packet took 216–248 B). The headroom covers other CPython
+#: versions' container growth.
+TRACER_BYTES_PER_ROW = 54.0
 TRACER_ROWS = 100_000
 
 

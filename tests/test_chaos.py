@@ -272,6 +272,36 @@ def test_composed_faults_bit_identical_across_jobs_and_reruns():
     assert serial[0]["rows"] != serial[1]["rows"]  # distinct seeds differ
 
 
+def test_campaign_outcomes_keep_their_own_nested_data():
+    # Aggregation merges the shards' data into the summary: it must not
+    # write one shard's nested dicts (counts, schedule) into another's.
+    grids = {"chaos": [{"seed": seed, "algorithm": "SFQ"}
+                       for seed in COMPOSED_SEEDS]}
+    campaign = run_campaign(
+        ["chaos"], jobs=1, cache=False, grids=grids, accepts_seed=frozenset(),
+    )
+    for outcome, seed in zip(campaign.outcomes, COMPOSED_SEEDS):
+        data = outcome.result.data
+        assert data["seed"] == seed
+        assert data["counts"] == run_schedule(generate_schedule(seed), "SFQ").counts
+        assert data["schedule"] == generate_schedule(seed).to_payload()
+
+
+def test_chaos_campaign_outcomes_keep_their_own_schedules(tmp_path):
+    # A failure is shrunk and recorded from its outcome's schedule.
+    result = run_chaos_campaign(
+        ["BrokenSFQ", "SFQ"], seeds=1, jobs=1, cache=False, shrink=False,
+        results_dir=str(tmp_path),
+    )
+    broken, sfq = (o.result.data for o in result.campaign.outcomes)
+    assert (broken["algorithm"], sfq["algorithm"]) == ("BrokenSFQ", "SFQ")
+    assert broken["seed"] != sfq["seed"]
+    for data in (broken, sfq):
+        schedule = generate_schedule(data["seed"], duration=6.0)
+        assert data["schedule"] == schedule.to_payload()
+    assert [f.algorithm for f in result.failures] == ["BrokenSFQ"]
+
+
 def test_composed_faults_exercise_every_injector():
     for seed in COMPOSED_SEEDS:
         report = run_schedule(generate_schedule(seed), "SFQ")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import json
 import math
 import os
 import pathlib
@@ -272,57 +273,122 @@ def test_only_the_engine_writes_the_clock():
     assert offenders == [], f"clock written outside the engine: {offenders}"
 
 
-#: Runs each run loop once in a fresh interpreter and prints, per loop,
-#: the attribute-load instructions CPython's adaptive interpreter holds
-#: for it afterwards.
+#: (build, function, attribute names). After one run of the build in a
+#: fresh interpreter, every load of each name in the function must hold
+#: a specialized instruction, not the generic one. A run loop runs once
+#: per ``sim.run()``, so only its ``while True`` back-edge can warm it
+#: up. On the packet path, a flag read is specialized only from a slot,
+#: a timer callback only when bound once, and a call through an
+#: attribute only through a local (HACKING, "Per-packet path rules").
+SPECIALIZED_LOADS = (
+    ("timers", "repro.simulation.eventq:BinaryHeapQueue.drain", ("_stopped",)),
+    ("timers-budget", "repro.simulation.engine:Simulator._run_generic", ("_stopped",)),
+    ("sfq16", "repro.servers.link:Link.send", ("enabled",)),
+    ("sfq16", "repro.servers.link:Link._complete", ("enabled", "_complete_cb")),
+    ("sfq16", "repro.traffic.base:Source._emit", ("ingress",)),
+    ("sfq16", "repro.traffic.poisson:PoissonSource._schedule_next", ("_schedule_next_cb",)),
+    ("sfq16", "repro.simulation.engine:Simulator.call_at", ("_push",)),
+    ("fleet", "repro.traffic.batch:FleetTimeline.fire", ("_ingress",)),
+)
+
+#: Runs the build named by argv[1] once, then prints as JSON, for each
+#: ``module:qualname`` in argv[2:], the (opname, name) of every attribute
+#: and method load CPython's adaptive interpreter holds for it.
 _WARMUP_SCRIPT = """
-import dis
+import dis, importlib, json, sys
+from repro.core.registry import make_scheduler
+from repro.servers import ConstantCapacity
+from repro.servers.link import Link
 from repro.simulation.engine import Simulator
-from repro.simulation.eventq import BinaryHeapQueue
+from repro.simulation.random import RandomStreams
+from repro.simulation.tracing import NullTracer
+from repro.traffic import PoissonSource
+from repro.traffic.batch import FleetTimeline, cbr_fleet_times
 
 def tick():
     pass
 
-for loop, budget in ((BinaryHeapQueue.drain, None), (Simulator._run_generic, 10**6)):
-    sim = Simulator()
+build, targets = sys.argv[1], sys.argv[2:]
+sim = Simulator()
+if build in ("timers", "timers-budget"):
     for i in range(100):
         sim.call_at(i * 0.5, tick)
-    sim.run(max_events=budget)
-    ops = {i.opname for i in dis.get_instructions(loop, adaptive=True)}
-    print(loop.__name__, *sorted(op for op in ops if op.startswith("LOAD_ATTR")))
+    sim.run(max_events=10**6 if build == "timers-budget" else None)
+elif build == "sfq16":
+    # sfq16-poisson in small: Poisson flows under SFQ at 0.95 load,
+    # the default Tracer, no MetricsSession.
+    sfq = make_scheduler("SFQ")
+    link = Link(sim, sfq, ConstantCapacity(1e6))
+    streams = RandomStreams(1)
+    for i in range(4):
+        sfq.add_flow(i, weight=i + 1.0)
+        PoissonSource(
+            sim, i, link.send, 0.95e6 * (i + 1) / 10, 8 * 576,
+            streams.stream(f"flow{i}"), 0.0, 2.0,
+        ).start()
+    sim.run()
+else:  # fleet: a CBR fleet through an arrival stream
+    sfq = make_scheduler("SFQ")
+    link = Link(sim, sfq, ConstantCapacity(1e6), tracer=NullTracer())
+    for i in range(100):
+        sfq.add_flow(i)
+    times, flows = cbr_fleet_times(100, 1.2e6 / 100, 1000, 10)
+    sim.attach_stream(FleetTimeline(link.send, times, flows, 1000))
+    sim.run()
+loads = {}
+for target in targets:
+    module, qualname = target.split(":")
+    fn = importlib.import_module(module)
+    for part in qualname.split("."):
+        fn = getattr(fn, part)
+    loads[target] = [
+        (i.opname, i.argval)
+        for i in dis.get_instructions(fn, adaptive=True)
+        if i.opname.startswith(("LOAD_ATTR", "LOAD_METHOD"))
+    ]
+print(json.dumps(loads))
 """
+
+#: The instructions a load holds before, or instead of, specializing.
+_GENERIC_LOADS = {"LOAD_ATTR", "LOAD_ATTR_ADAPTIVE", "LOAD_METHOD", "LOAD_METHOD_ADAPTIVE"}
 
 
 @pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
     reason="CPython 3.11 warms a code object up only on calls and "
-    "unconditional backward jumps; later versions warm up either loop shape",
+    "unconditional backward jumps, and its specializer is what the "
+    "table describes; later versions specialize differently",
 )
-def test_run_loops_specialize_within_one_run():
-    """Each run loop is entered once per ``sim.run()``, so only its
-    ``while True`` back-edge can warm it up: after a single run, its
-    attribute loads must already be specialized (e.g. ``LOAD_ATTR_SLOT``
-    for ``sim._stopped``), not left adaptive."""
+def test_packet_path_loads_specialize_within_one_run():
+    """Each build of ``SPECIALIZED_LOADS`` runs once in a fresh
+    interpreter; afterwards every listed load must be specialized (e.g.
+    ``LOAD_ATTR_SLOT`` for ``sim._stopped`` or ``tracer.enabled``)."""
     from repro.simulation.eventq import BinaryHeapQueue
 
     if not inspect.isfunction(BinaryHeapQueue.drain):
         pytest.skip("the event queue is compiled")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(PACKAGE_ROOT.parent)
-    out = subprocess.run(
-        [sys.executable, "-c", _WARMUP_SCRIPT],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-    ).stdout
-    loads = {line.split()[0]: set(line.split()[1:]) for line in out.splitlines()}
-    assert set(loads) == {"drain", "_run_generic"}
-    for loop, ops in loads.items():
-        assert ops - {"LOAD_ATTR", "LOAD_ATTR_ADAPTIVE"}, (
-            f"{loop} kept only generic attribute loads after one run: {sorted(ops)}"
-        )
+    problems = []
+    for build in dict.fromkeys(row[0] for row in SPECIALIZED_LOADS):
+        rows = [(target, names) for b, target, names in SPECIALIZED_LOADS if b == build]
+        out = subprocess.run(
+            [sys.executable, "-c", _WARMUP_SCRIPT, build, *(target for target, _ in rows)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        ).stdout
+        loads = json.loads(out)
+        for target, names in rows:
+            for name in names:
+                ops = [op for op, argval in loads[target] if argval == name]
+                if not ops:
+                    problems.append(f"{target} loads no `{name}`")
+                elif set(ops) & _GENERIC_LOADS:
+                    problems.append(f"{target} `{name}` stayed generic: {ops}")
+    assert problems == [], "\n".join(problems)
 
 
 class ListStream:

@@ -490,6 +490,53 @@ def test_perf004_passes_outside_hot_path():
 
 
 # ---------------------------------------------------------------------------
+# PERF005 — builtin max/min on the packet path
+# ---------------------------------------------------------------------------
+
+_HOT_MAX = (
+    "def rank(self, flow, packet):  # lint: hot\n"
+    "    start = max(self.v, flow.last_finish)\n"
+    "    return start\n"
+)
+
+
+def test_perf005_catches_max_and_min_in_hot_function():
+    findings = run_lint_on_source(
+        _HOT_MAX
+        + "def clamp(gap):  # lint: hot\n"
+        "    return min(gap, 1.0)\n"
+    )
+    assert codes(findings) == ["PERF005", "PERF005"]
+    assert "max" in findings[0].message and "min" in findings[1].message
+
+
+def test_perf005_catches_unmarked_max_in_tagmath():
+    # The tagmath kernel as it stood before the rule: eq. 4's start tag.
+    findings = run_lint_on_source(
+        "def start_finish(v, last_finish, length, weight, rate):\n"
+        "    start = max(v, last_finish)\n"
+        "    return start, start + length / weight\n",
+        path="src/repro/core/tagmath.py",
+    )
+    assert codes(findings) == ["PERF005"]
+    assert findings[0].line == 2
+
+
+def test_perf005_passes_conditional_expression():
+    findings = run_lint_on_source(
+        "def rank(self, flow, packet):  # lint: hot\n"
+        "    v, last = self.v, flow.last_finish\n"
+        "    return last if last > v else v\n"
+    )
+    assert findings == []
+
+
+def test_perf005_ignores_unmarked_functions():
+    findings = run_lint_on_source(_HOT_MAX.replace("  # lint: hot", ""))
+    assert "PERF005" not in codes(findings)
+
+
+# ---------------------------------------------------------------------------
 # Suppressions
 # ---------------------------------------------------------------------------
 
@@ -551,7 +598,7 @@ def test_resolve_rules_rejects_unknown_codes():
 def test_registry_is_complete():
     assert set(all_rule_codes()) == set(RULES) == {
         "DET001", "DET002", "DET005", "TAG001",
-        "PERF001", "PERF002", "PERF003", "PERF004",
+        "PERF001", "PERF002", "PERF003", "PERF004", "PERF005",
     }
     assert set(all_project_rule_codes()) == set(PROJECT_RULES) == {
         "CACHE001", "TAG002", "DET006",
@@ -579,6 +626,7 @@ _CATCHING = {
     "PERF002": "test_perf002_catches_heapq_in_simulation_package",
     "PERF003": "test_perf003_catches_comprehension_in_hot_function",
     "PERF004": "test_perf004_catches_getattr_on_hot_path_class",
+    "PERF005": "test_perf005_catches_max_and_min_in_hot_function",
     "CACHE001": "test_cache001_catches_env_read_in_entry",
 }
 _PASSING = {
@@ -592,6 +640,7 @@ _PASSING = {
     "PERF002": "test_perf002_allows_eventq_itself",
     "PERF003": "test_perf003_passes_preallocated_loop",
     "PERF004": "test_perf004_passes_explicit_property",
+    "PERF005": "test_perf005_passes_conditional_expression",
     "CACHE001": "test_cache001_passes_pure_entry",
 }
 
@@ -661,6 +710,7 @@ def test_cli_list_rules(capsys):
         assert code in out
     for code in all_project_rule_codes():
         assert code in out
+    assert len(out.splitlines()) == 12
 
 
 @pytest.mark.parametrize("code,source,subdir", [
@@ -683,6 +733,7 @@ def test_cli_list_rules(capsys):
     ), "simulation"),
     ("PERF003", _HOT_COMPREHENSION, "core"),
     ("PERF004", _FORWARDING, "core"),
+    ("PERF005", _HOT_MAX, "servers"),
     ("TAG002", (
         "def f(v, last_finish, length, rate):\n"
         "    return max(v, last_finish) + length / rate\n"

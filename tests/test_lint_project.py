@@ -209,6 +209,19 @@ def test_tag002_catches_split_eq4_via_reaching_definitions():
     assert "start" in findings[0].message
 
 
+def test_tag002_catches_eq4_written_as_a_conditional():
+    # tagmath's own spelling of max(v, F), copied out of the kernel.
+    findings = analyze(
+        _one_module(
+            "def enqueue(v, last_finish, length, rate):\n"
+            "    start = last_finish if last_finish > v else v\n"
+            "    return start, start + length / rate\n"
+        ),
+        select=["TAG002"],
+    )
+    assert codes(findings) == ["TAG002"]
+
+
 def test_tag002_catches_inline_eq37():
     findings = analyze(
         _one_module(

@@ -97,8 +97,11 @@ FAULT_WORKLOADS = {
 }
 
 
-def run(workload_name, tracer):
-    """Run ``workload_name`` on SFQ with ``tracer``; return the link."""
+def run(workload_name, tracer, probe=None, probe_times=()):
+    """Run ``workload_name`` on SFQ with ``tracer``; return the link.
+
+    ``probe(tracer)`` is called at each of ``probe_times``.
+    """
     if workload_name in FAULT_WORKLOADS:
         flow_ids, arrivals, link_kwargs, controls = FAULT_WORKLOADS[workload_name]()
     else:
@@ -109,6 +112,8 @@ def run(workload_name, tracer):
     for fid in flow_ids:
         sched.add_flow(fid, WEIGHTS[fid])
     link = Link(sim, sched, ConstantCapacity(CAPACITY), name="eq", tracer=tracer, **link_kwargs)
+    for t in probe_times:
+        sim.call_at(t, probe, tracer)
     for control in controls:
         if control[1] == "pause":
             sim.call_at(control[0], link.pause)
@@ -201,6 +206,87 @@ def test_row_zero_is_replayed_or_dropped(workload_name, fate):
         assert (first.start_service, first.departure) == (1.5, pytest.approx(2.4))
     else:
         assert first.dropped and first.departure is None
+
+
+def _queries(flows):
+    """Every query, over ``flows`` where it takes one, as functions of a
+    tracer returning comparable values."""
+    return [
+        lambda t: t.flows(),
+        lambda t: [t.count_for_flow(f) for f in flows],
+        lambda t: typed_all(t.dropped()),
+        lambda t: [typed_all(t.dropped(f)) for f in flows],
+        lambda t: [t.work_in_interval(f, 0.0, 100.0) for f in flows],
+        lambda t: [t.work_in_interval(f, 0.5, 3.0) for f in flows],
+        lambda t: typed_all(t.records),
+        lambda t: [typed_all(t.for_flow(f)) for f in flows],
+        lambda t: [typed_all(t.iter_for_flow(f)) for f in flows],
+        lambda t: [typed_all(t.departed(f)) for f in flows],
+        lambda t: typed_all(t.iter_departed()),
+        lambda t: [t.delays(f) for f in flows],
+        lambda t: len(t),
+    ]
+
+
+@pytest.mark.parametrize("workload_name", list(FAULT_WORKLOADS))
+def test_queries_between_arrivals_match_legacy_tracer(workload_name):
+    """Query mid-run, keep sending, query again: the columnar tracer
+    indexes flows and drops on read, a batch of new rows at a time, and
+    must answer as the legacy tracer does at every step. Each step
+    starts with a different query, so every query is at some step the
+    first to see new rows; in ``longest-queue`` the second arrival
+    evicts row 0 before the first probe after it."""
+    flows = FAULT_WORKLOADS[workload_name]()[0] + ["unknown"]
+    queries = _queries(flows)
+    times = [0.015 + 0.29 * k for k in range(30)]
+
+    def recorder(log):
+        def probe(tracer):
+            step = len(log)
+            order = queries[step % len(queries):] + queries[: step % len(queries)]
+            log.append([query(tracer) for query in order])
+        return probe
+
+    legacy_log, columns_log = [], []
+    run(workload_name, LegacyTracer("eq"), recorder(legacy_log), times)
+    run(workload_name, Tracer("eq"), recorder(columns_log), times)
+    assert len(columns_log) == len(times)
+    for step, (got, want) in enumerate(zip(columns_log, legacy_log)):
+        assert got == want, f"step {step} at t={times[step]}"
+
+
+#: Hook calls with queries between them: ("arrive", flow, seqno,
+#: length, time), ("start" | "depart", row, time), ("drop", row), and
+#: ("query",). Row 1's drop adds no row, as an outage's in-flight drop
+#: does not, and one query follows another with nothing new between.
+HOOK_SCRIPT = [
+    ("arrive", "f", 0, 800, 0.0), ("arrive", "m", 0, 400, 0.1), ("query",),
+    ("start", 0, 0.2), ("drop", 1), ("query",),
+    ("query",),
+    ("arrive", "f", 1, 800, 0.3), ("depart", 0, 0.4), ("start", 2, 0.4), ("query",),
+    ("drop", 2), ("arrive", "x", 0, 100, 0.5), ("query",),
+]
+
+
+def test_hooks_between_queries_match_legacy_tracer():
+    queries = _queries(["f", "m", "x", "unknown"])
+    answers = []
+    for tracer in (LegacyTracer("eq"), Tracer("eq")):
+        handles, log = [], []
+        for op, *args in HOOK_SCRIPT:
+            if op == "arrive":
+                handles.append(tracer.on_arrival(*args))
+            elif op == "start":
+                tracer.mark_start(handles[args[0]], args[1])
+            elif op == "depart":
+                tracer.mark_departure(handles[args[0]], args[1])
+            elif op == "drop":
+                tracer.mark_dropped(handles[args[0]])
+            else:
+                log.append([query(tracer) for query in queries])
+        answers.append(log)
+    legacy, columns = answers
+    assert columns == legacy
 
 
 def test_add_copies_the_record_into_a_row():
